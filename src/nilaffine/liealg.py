@@ -292,10 +292,11 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     if n == 0:
         return DerivationSpace(L, (), ())
     zero = Scalar.zero(L.d)
+    br = [[L.bracket_basis(a, b) for b in range(n)] for a in range(n)]
     rows: list[list[Scalar]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            bij = L.bracket_basis(i, j)
+            bij = br[i][j]
             for k in range(n):
                 row = [zero] * (n * n)
                 # D[X_i,X_j] coordinate k: sum_m c_m * D_{k,m}
@@ -304,12 +305,12 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
                         row[k * n + m_idx] = row[k * n + m_idx] + c
                 # -[D X_i, X_j]_k: D X_i = sum_m D_{m,i} X_m
                 for m_idx in range(n):
-                    c = L.bracket_basis(m_idx, j)[k]
+                    c = br[m_idx][j][k]
                     if not c.is_zero():
                         row[m_idx * n + i] = row[m_idx * n + i] - c
                 # -[X_i, D X_j]_k
                 for m_idx in range(n):
-                    c = L.bracket_basis(i, m_idx)[k]
+                    c = br[i][m_idx][k]
                     if not c.is_zero():
                         row[m_idx * n + j] = row[m_idx * n + j] - c
                 rows.append(row)

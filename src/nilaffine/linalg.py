@@ -267,7 +267,12 @@ class Matrix:
     # -------------------------------------------------- reduction
 
     def rref(self) -> RrefResult:
-        """Reduced row echelon form with deterministic pivoting."""
+        """Reduced row echelon form with deterministic pivoting.
+
+        Row operations are sparse: the pivot row is scaled, and used for
+        elimination, only over its nonzero columns, and rows that are
+        already zero in the pivot column are left alone.
+        """
         rows = [list(self.row(r)) for r in range(self.rows)]
         pivots: list[int] = []
         r = 0
@@ -280,12 +285,17 @@ class Matrix:
             if sel is None:
                 continue
             rows[r], rows[sel] = rows[sel], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [inv * x for x in rows[r]]
-            for i in range(self.rows):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            prow = rows[r]
+            # columns left of c are zero in every row from r down
+            support = [j for j in range(c, self.cols) if not prow[j].is_zero()]
+            inv = prow[c].inverse()
+            for j in support:
+                prow[j] = inv * prow[j]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if i != r and not f.is_zero():
+                    for j in support:
+                        row[j] = row[j] - f * prow[j]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -419,9 +429,11 @@ def _extend_independent(collected: list[Vector], reduced: list[Vector],
     v = list(candidate)
     for basis_vec in reduced:
         lead = next(i for i, x in enumerate(basis_vec) if not x.is_zero())
-        if not v[lead].is_zero():
-            f = v[lead]
-            v = [x - f * y for x, y in zip(v, basis_vec)]
+        f = v[lead]
+        if not f.is_zero():
+            for j in range(lead, len(v)):
+                if not basis_vec[j].is_zero():
+                    v[j] = v[j] - f * basis_vec[j]
     if all(x.is_zero() for x in v):
         return False
     lead = next(i for i, x in enumerate(v) if not x.is_zero())

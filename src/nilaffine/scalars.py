@@ -53,12 +53,20 @@ def is_square_free(d: int) -> bool:
     return True
 
 
+# Contexts that passed check_context. Trial division costs O(sqrt(d)), so
+# each distinct d is tested once per process, not once per Scalar.
+_accepted_contexts: set[int] = set()
+
+
 def check_context(d: int) -> int:
     """Validate a field context constant. Returns d unchanged."""
     if isinstance(d, bool) or not isinstance(d, int):
         raise TypeError(f"field context d must be an int, got {type(d).__name__}")
-    if not is_square_free(d):
-        raise ValueError(f"field context d must be square-free and positive, got {d}")
+    if d not in _accepted_contexts:
+        if not is_square_free(d):
+            raise ValueError(
+                f"field context d must be square-free and positive, got {d}")
+        _accepted_contexts.add(d)
     return d
 
 
@@ -85,11 +93,11 @@ class Scalar:
 
     @classmethod
     def zero(cls, d: int = 1) -> "Scalar":
-        return cls(0, 0, d)
+        return _scalar(_ZERO, _ZERO, check_context(d))
 
     @classmethod
     def one(cls, d: int = 1) -> "Scalar":
-        return cls(1, 0, d)
+        return _scalar(_ONE, _ZERO, check_context(d))
 
     @classmethod
     def sqrt(cls, d: int) -> "Scalar":
@@ -128,14 +136,20 @@ class Scalar:
         if isinstance(other, bool):
             return None
         if isinstance(other, (int, Fraction)):
-            return Scalar(other, 0, self.d)
+            return _scalar(as_fraction(other), _ZERO, self.d)
         return None
+
+    # Results of arithmetic on valid operands are built by _scalar, which
+    # skips validation. When both irrational parts are zero (always so at
+    # d = 1) only the rational part is computed.
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.rat + o.rat, self.irr + o.irr, self.d)
+        if not self.irr and not o.irr:
+            return _scalar(self.rat + o.rat, _ZERO, self.d)
+        return _scalar(self.rat + o.rat, self.irr + o.irr, self.d)
 
     __radd__ = __add__
 
@@ -143,32 +157,36 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.rat - o.rat, self.irr - o.irr, self.d)
+        if not self.irr and not o.irr:
+            return _scalar(self.rat - o.rat, _ZERO, self.d)
+        return _scalar(self.rat - o.rat, self.irr - o.irr, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(o.rat - self.rat, o.irr - self.irr, self.d)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.rat * o.rat + self.irr * o.irr * self.d,
-                      self.rat * o.irr + self.irr * o.rat, self.d)
+        if not self.irr and not o.irr:
+            return _scalar(self.rat * o.rat, _ZERO, self.d)
+        return _scalar(self.rat * o.rat + self.irr * o.irr * self.d,
+                       self.rat * o.irr + self.irr * o.rat, self.d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Scalar(-self.rat, -self.irr, self.d)
+        return _scalar(-self.rat, -self.irr if self.irr else _ZERO, self.d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "Scalar":
         """The field conjugate rat - irr*sqrt(d)."""
-        return Scalar(self.rat, -self.irr, self.d)
+        return _scalar(self.rat, -self.irr, self.d)
 
     def norm(self) -> Fraction:
         """The field norm rat^2 - irr^2 * d, a rational."""
@@ -176,11 +194,15 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse via the conjugate: 1/s = conj(s)/norm(s)."""
+        if not self.irr:
+            if not self.rat:
+                raise ZeroDivisionError("division by zero scalar")
+            return _scalar(1 / self.rat, _ZERO, self.d)
         n = self.norm()
         if not n:
             # for square-free d the norm vanishes only at zero
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.rat / n, -self.irr / n, self.d)
+        return _scalar(self.rat / n, -self.irr / n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -222,7 +244,10 @@ class Scalar:
         return self.d == other.d or (not self.irr and not other.irr)
 
     def __hash__(self):
-        return hash((self.rat, self.irr, self.d if self.irr else 1))
+        # rational values equal ints and Fractions, so they hash alike
+        if not self.irr:
+            return hash(self.rat)
+        return hash((self.rat, self.irr, self.d))
 
     # -------------------------------------------------- formatting
 
@@ -244,6 +269,21 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({str(self.rat)!r}, {str(self.irr)!r}, d={self.d})"
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_new_scalar = object.__new__
+_set_rat, _set_irr, _set_d = Scalar.rat.__set__, Scalar.irr.__set__, Scalar.d.__set__
+
+
+def _scalar(rat: Fraction, irr: Fraction, d: int) -> Scalar:
+    """Build a Scalar from parts already known valid: Fractions, d accepted,
+    and irr zero when d = 1."""
+    s = _new_scalar(Scalar)
+    _set_rat(s, rat)
+    _set_irr(s, irr)
+    _set_d(s, d)
+    return s
 
 
 def _encode_fraction(f: Fraction):

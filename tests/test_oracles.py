@@ -70,21 +70,35 @@ def test_derivation_anchors_match_sympy_pivots(name):
     assert derivation_space(L).anchors == anchors
 
 
-def rational_matrix(rng, n, density=1.0):
+def rational_matrix(rng, n, density=1.0, cols=None):
     return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
              if rng.random() < density else Fraction(0)
-             for _ in range(n)] for _ in range(n)]
+             for _ in range(n if cols is None else cols)] for _ in range(n)]
+
+
+def assert_rref_matches_sympy(rows):
+    mine = Matrix.from_rows(rows, 1)
+    theirs = sp.Matrix([[sp.Rational(x) for x in row] for row in rows])
+    reduced, pivots, rank = mine.rref()
+    their_reduced, their_pivots = theirs.rref()
+    assert pivots == their_pivots and rank == len(their_pivots)
+    assert [[sp.Rational(reduced.get(r, c).rat) for c in range(mine.cols)]
+            for r in range(mine.rows)] == their_reduced.tolist()
+    assert mine.rank() == theirs.rank()
+    assert len(mine.nullspace()) == len(theirs.nullspace())
 
 
 def test_rank_and_nullspace_match_sympy():
     rng = random.Random(17)
     for _ in range(20):
         n = rng.randint(1, 5)
-        rows = rational_matrix(rng, n, density=0.7)
-        mine = Matrix.from_rows(rows, 1)
-        theirs = sp.Matrix([[sp.Rational(x) for x in row] for row in rows])
-        assert mine.rank() == theirs.rank()
-        assert len(mine.nullspace()) == len(theirs.nullspace())
+        assert_rref_matches_sympy(rational_matrix(rng, n, density=0.7))
+    # sparse systems shaped like the Leibniz equations of derivation_space
+    rng = random.Random(41)
+    for rows, cols, density in ((30, 16, 0.15), (30, 16, 0.15), (16, 30, 0.15),
+                                (36, 9, 0.15), (30, 16, 0.05)):
+        assert_rref_matches_sympy(
+            rational_matrix(rng, rows, density=density, cols=cols))
 
 
 def test_inverse_matches_sympy():

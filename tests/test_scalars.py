@@ -37,6 +37,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Scalar(1, 1, 8)
 
+    def test_public_constructors_reject_bad_contexts_every_time(self):
+        for _ in range(2):
+            for build in (lambda: Scalar(1, 0, 12), lambda: Scalar.zero(4),
+                          lambda: Scalar.one(0), lambda: Scalar.of(1, 18),
+                          lambda: scalar_from_json(1, 9)):
+                with pytest.raises(ValueError):
+                    build()
+        with pytest.raises(TypeError):
+            Scalar(1, 0, True)
+
+    def test_each_context_is_trial_divided_once(self, monkeypatch):
+        from nilaffine import scalars
+        from nilaffine.affine import check_simply_transitive, trivial_rep
+        from nilaffine.liealg import get_algebra
+        calls = {}
+
+        def counting(d):
+            calls[d] = calls.get(d, 0) + 1
+            return is_square_free(d)
+
+        monkeypatch.setattr(scalars, "is_square_free", counting)
+        monkeypatch.setattr(scalars, "_accepted_contexts", set())
+        L = get_algebra("h3").with_field(1000000007)
+        assert check_simply_transitive(trivial_rep(L))
+        assert calls[1000000007] == 1
+        assert all(count <= 1 for count in calls.values()), calls
+
     def test_as_fraction_rejects_floats(self):
         with pytest.raises(TypeError):
             as_fraction(0.5)
@@ -62,6 +89,19 @@ class TestArithmetic:
     def test_mixed_context_rejected(self):
         with pytest.raises(FieldMismatchError):
             s(0, 1, 2) + s(0, 1, 3)
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.__rsub__(b),
+        lambda a, b: a * b, lambda a, b: a / b])
+    @pytest.mark.parametrize("a, b", [
+        (s(1, 1, 2), s(2, 1, 3)),   # both irrational
+        (s(1, 0, 2), s(2, 0, 3)),   # both rational, as on the fast path
+        (s(1, 0, 1), s(2, 0, 5))])
+    def test_every_operator_rejects_mixed_contexts(self, op, a, b):
+        with pytest.raises(FieldMismatchError):
+            op(a, b)
+        with pytest.raises(FieldMismatchError):
+            op(b, a)
 
     def test_rational_literals_mix_in(self):
         assert s(1, 1, 5) + 1 == s(2, 1, 5)
@@ -115,6 +155,22 @@ class TestFieldAxioms:
         assert a + (-a) == Scalar.zero(3)
         if not a.is_zero():
             assert a * a.inverse() == Scalar.one(3)
+
+
+class TestHashing:
+    def test_rational_scalars_hash_like_equal_numbers(self):
+        for value in (0, 3, -7, Fraction(-2, 9)):
+            for d in (1, 2, 5):
+                x = Scalar.of(value, d)
+                assert x == value and hash(x) == hash(value)
+                assert value in {x} and x in {value}
+        assert Scalar.of(Fraction(1, 2), 3) in {Fraction(1, 2)}
+        assert len({Scalar(3), Scalar.of(3, 2), 3, Fraction(3)}) == 1
+
+    def test_irrational_scalars_keep_their_context(self):
+        assert s(1, 1, 2) != s(1, 1, 3)
+        assert len({s(1, 1, 2), s(1, 1, 3), s(1, 1, 2)}) == 2
+        assert hash(s(1, 1, 2)) == hash(s(1, 1, 2))
 
 
 class TestSerialization:
