@@ -249,8 +249,8 @@ class LieAlgebra:
 def leibniz_residual(L: LieAlgebra, m: Matrix, i: int, j: int) -> Vector:
     """D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j] for basis indices (0-based)."""
     lhs = m.apply(L.bracket_basis(i, j))
-    rhs = vec_add(L.bracket(m.apply(L.basis_vector(i)), L.basis_vector(j)),
-                  L.bracket(L.basis_vector(i), m.apply(L.basis_vector(j))))
+    rhs = vec_add(L.bracket(m.column(i), L.basis_vector(j)),
+                  L.bracket(L.basis_vector(i), m.column(j)))
     return tuple(a - b for a, b in zip(lhs, rhs))
 
 

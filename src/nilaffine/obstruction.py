@@ -9,9 +9,10 @@ choice of derivations D_1, ..., D_n of n satisfying
 
 for all i < j. Writing each D_i = sum_k u_ik E_k over a derivation-space
 basis turns the first family into linear equations and the second into
-quadratic ones in the coefficients u_ik. The pipeline solves every
-equation of degree <= 1 by exact elimination, substitutes, and repeats
-until nothing new becomes linear. An equation reducing to a nonzero
+quadratic ones in the coefficients u_ik, whose coefficients are the
+structure constants [E_k, E_l] of the derivation basis. The pipeline
+solves every equation of degree <= 1 by exact elimination, substitutes,
+and repeats until nothing new becomes linear. An equation reducing to a nonzero
 constant is an exact proof that no solution exists; the verdict Obstructed
 carries it as a certificate. Otherwise the free coefficients are sampled
 (zeros first, then seeded rationals) and any assignment satisfying the
@@ -30,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .affine import AffineRep, check_simply_transitive
 from .errors import InternalError, PreconditionError, ShapeError
@@ -43,6 +44,10 @@ Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
     merged: dict[int, int] = {}
     for v, e in a:
         merged[v] = merged.get(v, 0) + e
@@ -150,17 +155,25 @@ class Poly:
             return self
         if not any(v in subs for m in self.terms for v, _ in m):
             return self
-        out = Poly()
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            term = Poly.const(c)
+            term: dict[Monomial, Fraction] = {(): c}
             for v, e in m:
                 factor = subs.get(v)
                 if factor is None:
-                    factor = Poly.var(v)
+                    term = {_mono_mul(tm, ((v, e),)): tc
+                            for tm, tc in term.items()}
+                    continue
                 for _ in range(e):
-                    term = term * factor
-            out = out + term
-        return out
+                    grown: dict[Monomial, Fraction] = {}
+                    for tm, tc in term.items():
+                        for fm, fc in factor.terms.items():
+                            k = _mono_mul(tm, fm)
+                            grown[k] = grown.get(k, 0) + tc * fc
+                    term = grown
+            for tm, tc in term.items():
+                out[tm] = out.get(tm, 0) + tc
+        return _poly({m: c for m, c in out.items() if c})
 
     def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -197,6 +210,13 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render(lambda v: f'x{v}')})"
+
+
+def _poly(terms: dict[Monomial, Fraction]) -> Poly:
+    """Wrap a term dict that holds no zero coefficient, without copying it."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 class ParametricMatrix:
@@ -366,7 +386,7 @@ class LinearSystem:
         for v, c in coeffs.items():
             if v != pivot:
                 form_terms[((v, 1),)] = -c / pc
-        form = Poly(form_terms)
+        form = _poly(form_terms)
         if self.solved:
             back = {pivot: form}
             self.solved = {v: p.substitute(back) for v, p in self.solved.items()}
@@ -485,24 +505,71 @@ def _build_equations(L: LieAlgebra, space: DerivationSpace
     Tags sort the work: ("commutator", i, j, r, c) and
     ("translation", i, j, a). The certificate, if any, inherits the tag
     of the first equation (in this order) that pins a nonzero constant.
+
+    With D_i = sum_k u_ik E_k, entry (a, b) of [D_i, D_j] is
+    sum_{k, l} C_kl[a][b] u_ik u_jl, where C_kl = [E_k, E_l] are the
+    structure constants of the derivation basis, and coordinate a of the
+    translation condition is [X_i, X_j]_a + sum_k E_k[a][j] u_ik
+    - sum_k E_k[a][i] u_jk. For i < j every (k, l) and every k names a
+    distinct monomial, so the coefficients go into the equations as they
+    are. A commutator entry with no nonzero C_kl is identically zero and
+    is left out; every translation coordinate is kept.
     """
-    n = L.dim
-    grids = [parametric_derivation(L, i, space) for i in range(n)]
+    n, r = L.dim, space.dimension
+    # rows[k] = {a: {b: E_k[a][b]}} and linear[a][b] = [(k, E_k[a][b]), ...],
+    # both over the nonzero entries only
+    rows: list[dict[int, dict[int, Fraction]]] = []
+    linear: list[list[list[tuple[int, Fraction]]]] = \
+        [[[] for _ in range(n)] for _ in range(n)]
+    for k, E in enumerate(space.basis):
+        sparse: dict[int, dict[int, Fraction]] = {}
+        for a in range(n):
+            for b in range(n):
+                e = E.get(a, b).rat
+                if e:
+                    sparse.setdefault(a, {})[b] = e
+                    linear[a][b].append((k, e))
+        rows.append(sparse)
+
+    def product(x, y) -> dict[tuple[int, int], Fraction]:
+        out: dict[tuple[int, int], Fraction] = {}
+        for a, row in x.items():
+            for m, xv in row.items():
+                for b, yv in y.get(m, {}).items():
+                    out[a, b] = out.get((a, b), 0) + xv * yv
+        return out
+
+    # quadratic[(a, b)] = [(k, l, C_kl[a][b]), ...] over the nonzero entries
+    quadratic: dict[tuple[int, int], list[tuple[int, int, Fraction]]] = {}
+    for k in range(r):
+        for l in range(k + 1, r):
+            kl, lk = product(rows[k], rows[l]), product(rows[l], rows[k])
+            for pos in kl.keys() | lk.keys():
+                c = kl.get(pos, 0) - lk.get(pos, 0)
+                if c:
+                    quadratic.setdefault(pos, []).extend(((k, l, c), (l, k, -c)))
+
+    symbols = [[(i * r + k, 1) for k in range(r)] for i in range(n)]
     equations: list[tuple[tuple, Poly]] = []
     for i in range(n):
+        ui = symbols[i]
         for j in range(i + 1, n):
+            uj = symbols[j]
             bracket = L.bracket_basis(i, j)
             for a in range(n):
-                poly = Poly.const(bracket[a].rat) \
-                    + grids[i].entry(a, j) - grids[j].entry(a, i)
-                equations.append((("translation", i + 1, j + 1, a + 1), poly))
-            comm = grids[i].commutator(grids[j])
-            for r in range(n):
-                for c in range(n):
-                    poly = comm.entry(r, c)
-                    if poly:
-                        equations.append(
-                            (("commutator", i + 1, j + 1, r + 1, c + 1), poly))
+                terms: dict[Monomial, Fraction] = {}
+                if bracket[a].rat:
+                    terms[()] = bracket[a].rat
+                for k, e in linear[a][j]:
+                    terms[(ui[k],)] = e
+                for k, e in linear[a][i]:
+                    terms[(uj[k],)] = -e
+                equations.append((("translation", i + 1, j + 1, a + 1),
+                                  _poly(terms)))
+            for (a, b), entries in quadratic.items():
+                equations.append((
+                    ("commutator", i + 1, j + 1, a + 1, b + 1),
+                    _poly({(ui[k], uj[l]): c for k, l, c in entries})))
     equations.sort(key=lambda item: item[0])
     return equations
 
@@ -520,17 +587,27 @@ def _sample_values(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(count)]
 
 
+def _candidates(count: int, samples: int, seed: int) -> Iterator[list[Fraction]]:
+    """The all-zero assignment, then ``samples`` seeded ones, drawn lazily."""
+    yield [Fraction(0)] * count
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield _sample_values(rng, count)
+
+
 def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
                      ) -> ObstructionOutcome:
     """Decide abelian simple transitivity on L, with exact certificates.
 
-    See the module docstring for the method. Requires a rational field
-    context (d = 1), a valid bracket and nilpotency; violations raise
-    PreconditionError. A non-two-step-solvable algebra can never carry
-    such an action, so if the pipeline ends anywhere but Obstructed for
-    one, an InternalError is raised rather than an unsound verdict
-    returned.
+    See the module docstring for the method. Requires samples >= 0, a
+    rational field context (d = 1), a valid bracket and nilpotency;
+    violations raise PreconditionError. A non-two-step-solvable algebra
+    can never carry such an action, so if the pipeline ends anywhere but
+    Obstructed for one, an InternalError is raised rather than an unsound
+    verdict returned.
     """
+    if samples < 0:
+        raise PreconditionError(f"samples must be non-negative, got {samples}")
     if L.d != 1:
         raise PreconditionError(
             f"obstruction runs over the rationals only, got d={L.d}")
@@ -587,11 +664,7 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     residual = tuple((tag, reduced) for tag, reduced in leftover if reduced)
 
     free = [v for v in range(n * r) if v not in system.solved]
-    rng = random.Random(seed)
-    attempts: list[list[Fraction]] = [[Fraction(0)] * len(free)]
-    attempts.extend(_sample_values(rng, len(free)) for _ in range(samples))
-
-    for values in attempts:
+    for values in _candidates(len(free), samples, seed):
         assignment = dict(zip(free, values))
         full = dict(assignment)
         for v, form in system.solved.items():

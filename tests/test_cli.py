@@ -51,6 +51,13 @@ class TestExitCodes:
         assert run(["obstruct-abelian", "--algebra", "h3"]) == 2
         assert "Undetermined" in capsys.readouterr().out
 
+    def test_negative_samples_is_three(self, capsys):
+        assert run(["obstruct-abelian", "--algebra", "h3",
+                    "--samples", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert "samples" in captured.err
+        assert not captured.out
+
     def test_unknown_catalog_name(self, capsys):
         assert run(["check-lie", "--algebra", "nope"]) == 3
         assert "error" in capsys.readouterr().err

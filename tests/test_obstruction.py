@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from nilaffine import obstruction
 from nilaffine.affine import check_simply_transitive
 from nilaffine.errors import PreconditionError
-from nilaffine.liealg import (LieAlgebra, derivation_space, get_algebra,
-                              is_derivation)
+from nilaffine.liealg import (LieAlgebra, catalog_names, derivation_space,
+                              get_algebra, is_derivation, transport)
+from nilaffine.linalg import Matrix
 from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
                                    _build_equations, obstruct_abelian,
                                    parametric_derivation, variable_namer,
@@ -57,6 +59,22 @@ class TestPoly:
         p = Poly.var(0) * Poly.var(0)
         q = p.substitute({0: Poly.var(1) + Poly.const(1)})
         assert q == Poly.var(1) * Poly.var(1) + Poly.var(1) * 2 + Poly.const(1)
+
+    def test_substitute_power_absent_variable_and_cancellation(self):
+        x, y, z = Poly.var(0), Poly.var(1), Poly.var(2)
+        p = x * x * x * z + x * y * 3 - Poly.const(2)
+        q = p.substitute({0: y * 2 - Poly.const(1)})
+        expected = (y * 2 - Poly.const(1)) * (y * 2 - Poly.const(1)) \
+            * (y * 2 - Poly.const(1)) * z \
+            + (y * 2 - Poly.const(1)) * y * 3 - Poly.const(2)
+        assert q == expected
+        assert 2 in q.variables() and 0 not in q.variables()
+        assert all(q.terms.values())
+        # x*y - x - y with x = 1 cancels the y terms and leaves -1
+        r = (x * y - x - y).substitute({0: Poly.const(1)})
+        assert r == Poly.const(-1)
+        assert all(r.terms.values())
+        assert (x * x - y).substitute({1: x * x}).terms == {}
 
     def test_substitute_without_hit_is_identity(self):
         p = Poly.var(0) + Poly.const(2)
@@ -219,6 +237,57 @@ class TestEquations:
                 assert poly
 
 
+def reference_equations(L, space):
+    """The defining equations built from generic derivation grids."""
+    n = L.dim
+    grids = [parametric_derivation(L, i, space) for i in range(n)]
+    equations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = L.bracket_basis(i, j)
+            for a in range(n):
+                poly = Poly.const(bracket[a].rat) \
+                    + grids[i].entry(a, j) - grids[j].entry(a, i)
+                equations.append((("translation", i + 1, j + 1, a + 1), poly))
+            comm = grids[i].commutator(grids[j])
+            for r in range(n):
+                for c in range(n):
+                    if comm.entry(r, c):
+                        equations.append(
+                            (("commutator", i + 1, j + 1, r + 1, c + 1),
+                             comm.entry(r, c)))
+    equations.sort(key=lambda item: item[0])
+    return equations
+
+
+def filiform(n):
+    """L_n: [X_1, X_i] = X_{i+1} for 2 <= i < n."""
+    return LieAlgebra.from_table(f"L{n}", n,
+                                 {(1, i): [(i + 1, 1)] for i in range(2, n)})
+
+
+def transported_g6_18():
+    rows = [[int(r == c) for c in range(6)] for r in range(6)]
+    rows[3][1] = 2
+    rows[5][0] = -1
+    return transport(get_algebra("g6_18"), Matrix.from_rows(rows, 1),
+                     name="g6_18'")
+
+
+class TestBuilderMatchesGrids:
+    @pytest.mark.parametrize("L", [get_algebra(name) for name in catalog_names()]
+                             + [transported_g6_18(), filiform(6)],
+                             ids=lambda L: L.name)
+    def test_same_tags_and_polys(self, L):
+        space = derivation_space(L)
+        built = _build_equations(L, space)
+        expected = reference_equations(L, space)
+        assert [tag for tag, _ in built] == [tag for tag, _ in expected]
+        for (tag, poly), (_, want) in zip(built, expected):
+            assert poly == want, tag
+            assert all(poly.terms.values()), tag
+
+
 @pytest.fixture(scope="module")
 def outcome():
     return obstruct_abelian(get_algebra("g6_18"))
@@ -270,6 +339,17 @@ class TestObstructed:
             tampered = dataclasses.replace(outcome, certificate=bad)
             assert not verify_certificate(tampered, get_algebra("g6_18"))
 
+    def test_checker_does_not_use_the_builder(self, outcome, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checker called the solver's builder")
+        monkeypatch.setattr(obstruction, "_build_equations", refuse)
+        L = get_algebra("g6_18")
+        assert verify_certificate(outcome, L)
+        tampered = dataclasses.replace(
+            outcome, certificate=dataclasses.replace(outcome.certificate,
+                                                     constant=Fraction(1, 4)))
+        assert not verify_certificate(tampered, L)
+
     def test_wrong_algebra_fails(self, outcome):
         assert not verify_certificate(outcome, get_algebra("h3"))
 
@@ -311,6 +391,18 @@ class TestNegativeControls:
         assert all(c == 0 for _, c in outcome.witness_assignment)
         assert all(m.is_zero() for m in outcome.witness_rep.D)
 
+    def test_zero_candidate_wins_without_drawing_samples(self, monkeypatch):
+        calls = []
+        real = obstruction._sample_values
+
+        def counting(rng, count):
+            calls.append(count)
+            return real(rng, count)
+        monkeypatch.setattr(obstruction, "_sample_values", counting)
+        outcome = obstruct_abelian(get_algebra("h3"), samples=10**12)
+        assert outcome.verdict == "Found"
+        assert calls == []
+
     def test_found_survives_witness_tamper(self):
         L = get_algebra("h3")
         outcome = obstruct_abelian(L)
@@ -320,6 +412,10 @@ class TestNegativeControls:
 
 
 class TestPreconditions:
+    def test_negative_samples_rejected(self):
+        with pytest.raises(PreconditionError, match="samples"):
+            obstruct_abelian(get_algebra("h3"), samples=-5)
+
     def test_irrational_context_rejected(self):
         with pytest.raises(PreconditionError, match="rationals"):
             obstruct_abelian(get_algebra("g5_6").with_field(3))
