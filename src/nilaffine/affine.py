@@ -177,11 +177,17 @@ def check_homomorphism(rep: AffineRep) -> HomReport:
             f"at triple {first}")
     validate_derivations(rep)
     violations = []
-    m = rep.source.dim
+    m, n = rep.source.dim, rep.target.dim
+    zero_vec = rep.target.zero_vector()
+    zero_mat = Matrix.zero(n, n, rep.d)
     for i in range(m):
         for j in range(i + 1, m):
-            lhs_vec = rep.t_of(rep.source.bracket_basis(i, j))
-            lhs_mat = rep.D_of(rep.source.bracket_basis(i, j))
+            bracket = rep.source.bracket_basis(i, j)
+            if vec_is_zero(bracket):
+                # always so for an abelian source
+                lhs_vec, lhs_mat = zero_vec, zero_mat
+            else:
+                lhs_vec, lhs_mat = rep.t_of(bracket), rep.D_of(bracket)
             rhs_vec, rhs_mat = semidirect_bracket(
                 rep.target, (rep.t[i], rep.D[i]), (rep.t[j], rep.D[j]))
             dv = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))

@@ -194,19 +194,20 @@ class Matrix:
         if self.d != other.d:
             raise FieldMismatchError(
                 f"mixed field contexts: d={self.d} and d={other.d}")
+        # row by row in (r, k, c) order over the nonzero a_rk and b_kc
+        width = other.cols
+        other_rows = [[(c, b) for c, b in enumerate(other.row(k))
+                       if not b.is_zero()] for k in range(other.rows)]
         zero = Scalar.zero(self.d)
-        out = []
+        out: list[Scalar] = []
         for r in range(self.rows):
-            base = r * self.cols
-            for c in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self._e[base + k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other._e[k * other.cols + c]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out, self.d)
+            acc = [zero] * width
+            for a, row in zip(self.row(r), other_rows):
+                if row and not a.is_zero():
+                    for c, b in row:
+                        acc[c] = acc[c] + a * b
+            out.extend(acc)
+        return Matrix(self.rows, width, out, self.d)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:

@@ -125,14 +125,14 @@ class LRStructure:
         if len(x) != n or len(y) != n:
             raise ShapeError(f"product arguments must have length {n}")
         out = list(self.algebra.zero_vector())
-        for i in range(n):
-            if x[i].is_zero():
+        ys = [(j, b) for j, b in enumerate(y) if not b.is_zero()]
+        for i, a in enumerate(x):
+            if a.is_zero():
                 continue
-            for j in range(n):
-                coeff = x[i] * y[j]
-                if coeff.is_zero():
-                    continue
-                for k, c in enumerate(self.products[i][j]):
+            row = self.products[i]
+            for j, b in ys:
+                coeff = a * b
+                for k, c in enumerate(row[j]):
                     if not c.is_zero():
                         out[k] = out[k] + coeff * c
         return tuple(out)
@@ -174,14 +174,16 @@ def check_lr(s: LRStructure) -> LRReport:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r1 = vec_sub(s.product(basis[i], s.products[j][k]),
-                             s.product(basis[j], s.products[i][k]))
-                if not vec_is_zero(r1):
-                    violations.append(LRViolation(1, (i + 1, j + 1, k + 1), r1))
-                r2 = vec_sub(s.product(s.products[i][j], basis[k]),
-                             s.product(s.products[i][k], basis[j]))
-                if not vec_is_zero(r2):
-                    violations.append(LRViolation(2, (i + 1, j + 1, k + 1), r2))
+                lhs = s.product(basis[i], s.products[j][k])
+                rhs = s.product(basis[j], s.products[i][k])
+                if lhs != rhs:
+                    violations.append(LRViolation(1, (i + 1, j + 1, k + 1),
+                                                  vec_sub(lhs, rhs)))
+                lhs = s.product(s.products[i][j], basis[k])
+                rhs = s.product(s.products[i][k], basis[j])
+                if lhs != rhs:
+                    violations.append(LRViolation(2, (i + 1, j + 1, k + 1),
+                                                  vec_sub(lhs, rhs)))
     for i in range(n):
         for j in range(i + 1, n):
             r3 = vec_sub(s.algebra.bracket_basis(i, j),
@@ -220,11 +222,9 @@ def check_complete(s: LRStructure) -> CompletenessVerdict:
 def rep_to_lr(rep: AffineRep) -> LRStructure:
     """Product X.Y = -D_X(Y) of a passing representation with abelian source.
 
-    When the translation matrix is not the identity the source basis is
-    re-parametrized through its inverse first (an automorphism, since the
-    source is abelian), so the product is always read in target
-    coordinates. The result is re-verified; a failure there cannot come
-    from user input and raises InternalError.
+    The representation is checked through the full simple-transitivity
+    verdict first; a failing one raises PreconditionError naming the
+    failed criteria. See :func:`_lr_of_passing_rep` for the conversion.
     """
     if not rep.source.is_abelian():
         raise PreconditionError(
@@ -245,7 +245,18 @@ def rep_to_lr(rep: AffineRep) -> LRStructure:
         raise PreconditionError(
             "representation is not simply transitive; failing: "
             + ", ".join(parts))
+    return _lr_of_passing_rep(rep)
 
+
+def _lr_of_passing_rep(rep: AffineRep) -> LRStructure:
+    """The product of a rep already known to pass check_simply_transitive.
+
+    When the translation matrix is not the identity the source basis is
+    re-parametrized through its inverse first (an automorphism, since the
+    source is abelian), so the product is always read in target
+    coordinates. The result is re-verified; a failure there cannot come
+    from user input and raises InternalError.
+    """
     n = rep.target.dim
     tmat = rep.t_matrix()
     if tmat == Matrix.identity(n, rep.d):

@@ -37,7 +37,7 @@ from .affine import AffineRep, check_simply_transitive
 from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
 from .linalg import Matrix
-from .lr import LRStructure, rep_to_lr
+from .lr import LRStructure, _lr_of_passing_rep, rep_to_lr
 from .scalars import Scalar
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
@@ -433,6 +433,7 @@ class ObstructionOutcome:
     residual: tuple[tuple[tuple, Poly], ...] = ()
     samples: int = 0
     seed: int = 0
+    two_step_solvable: bool | None = None          # as decided by the solver
 
     def variable_name(self, v: int) -> str:
         return variable_namer(self.space)(v)
@@ -460,7 +461,7 @@ class ObstructionOutcome:
             "algebra": self.algebra.name,
             "verdict": self.verdict,
             "derivation_space_dim": self.space.dimension,
-            "two_step_solvable": self.algebra.is_two_step_solvable(),
+            "two_step_solvable": self.two_step_solvable,
             "forced": {name(v): frac(c) for v, c in self.forced},
             "free_variables": sorted(name(v) for v in self.free_variables()),
             "samples": self.samples,
@@ -659,7 +660,7 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
                 eliminated=eliminated,
                 certificate=_certificate_from_tag(tag,
                                                   reduced.constant_value()),
-                samples=samples, seed=seed)
+                samples=samples, seed=seed, two_step_solvable=metabelian)
 
     residual = tuple((tag, reduced) for tag, reduced in leftover if reduced)
 
@@ -684,12 +685,13 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
                         D, label=f"abelian witness on {L.name}")
         if not check_simply_transitive(rep).overall:
             continue
-        witness_lr = rep_to_lr(rep)
         return ObstructionOutcome(
             algebra=L, space=space, verdict="Found", forced=forced,
-            eliminated=eliminated, witness_rep=rep, witness_lr=witness_lr,
+            eliminated=eliminated, witness_rep=rep,
+            witness_lr=_lr_of_passing_rep(rep),
             witness_assignment=tuple(sorted(assignment.items())),
-            residual=residual, samples=samples, seed=seed)
+            residual=residual, samples=samples, seed=seed,
+            two_step_solvable=metabelian)
 
     if not metabelian:
         raise InternalError(
@@ -698,7 +700,8 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             f"reach Obstructed; this is a bug")
     return ObstructionOutcome(
         algebra=L, space=space, verdict="Undetermined", forced=forced,
-        eliminated=eliminated, residual=residual, samples=samples, seed=seed)
+        eliminated=eliminated, residual=residual, samples=samples, seed=seed,
+        two_step_solvable=metabelian)
 
 
 # ------------------------------------------------------------------ re-verification
@@ -710,24 +713,31 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     Obstructed: the tagged equation is rebuilt from scratch and the
     eliminated-variable map substituted in; the result must be exactly
     the stated nonzero constant. Found: the witness is re-verified through
-    the full simple-transitivity verdict and the LR conversion. An
+    the public LR conversion, which runs the full simple-transitivity
+    verdict; the product it yields must equal the outcome's witness
+    product, and the assignment with the eliminated map must rebuild the
+    witness (see :func:`_assignment_rebuilds`). For both, the forced
+    values must be the constant forms of the eliminated map. An
     Undetermined outcome makes no claim, so there is nothing to falsify
     and the result is vacuously True.
     """
     if outcome.verdict == "Undetermined":
         return True
+    forced = tuple(sorted((v, form.constant_value())
+                          for v, form in outcome.eliminated
+                          if form.is_constant()))
+    if outcome.forced != forced:
+        return False
 
     if outcome.verdict == "Found":
         rep = outcome.witness_rep
-        if rep is None or rep.target != L:
+        if rep is None or outcome.witness_lr is None or rep.target != L:
             return False
         try:
-            if not check_simply_transitive(rep).overall:
-                return False
-            rep_to_lr(rep)
+            return (rep_to_lr(rep) == outcome.witness_lr
+                    and _assignment_rebuilds(outcome, rep))
         except Exception:
             return False
-        return True
 
     cert = outcome.certificate
     if cert is None or not cert.constant:
@@ -759,3 +769,34 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     except Exception:
         return False
     return reduced.is_constant() and reduced.constant_value() == cert.constant
+
+
+def _assignment_rebuilds(outcome: ObstructionOutcome, rep: AffineRep) -> bool:
+    """Whether the outcome's coefficients describe the witness rep.
+
+    The assignment must give a value to exactly the variables the
+    eliminated map leaves free; the eliminated forms, evaluated there,
+    give the rest. Then every D_i must equal sum_k u_ik E_k over the
+    outcome's derivation basis, and the translations must be the
+    identity, the normalization the coefficients are written in.
+    """
+    n, r = rep.target.dim, outcome.space.dimension
+    values = dict(outcome.witness_assignment or ())
+    solved = dict(outcome.eliminated)
+    if values.keys() & solved.keys() or \
+            values.keys() | solved.keys() != set(range(n * r)):
+        return False
+    full = dict(values)
+    for v, form in solved.items():
+        full[v] = form.evaluate(values)
+    if rep.t_matrix() != Matrix.identity(n, rep.d):
+        return False
+    for i in range(n):
+        D = Matrix.zero(n, n, rep.d)
+        for k, E in enumerate(outcome.space.basis):
+            coeff = full[i * r + k]
+            if coeff:
+                D = D + Scalar.of(coeff, rep.d) * E
+        if D != rep.D[i]:
+            return False
+    return True

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilaffine.affine import (AffineRep, check_homomorphism,
+from nilaffine.affine import (AffineRep, HomViolation, check_homomorphism,
                               check_simply_transitive, rep_from_dict,
                               rep_of_files, rep_to_dict, trivial_rep,
                               validate_derivations)
@@ -11,8 +11,8 @@ from nilaffine.corpus import bundled_rep, bundled_rep_names, bundled_reps
 from nilaffine.errors import (DerivationError, FieldMismatchError, ParseError,
                               PreconditionError, ShapeError)
 from nilaffine.io import write_json
-from nilaffine.liealg import (algebra_to_dict, catalog_names, get_algebra,
-                              transport)
+from nilaffine.liealg import (algebra_to_dict, catalog_names, derivation_space,
+                              get_algebra, transport)
 from nilaffine.linalg import Matrix, as_vector
 from nilaffine.scalars import Scalar
 
@@ -105,6 +105,87 @@ class TestHomomorphism:
                     tuple(p - q for p, q in
                           zip(rep.D_of(x).apply(rep.t_of(y)),
                               rep.D_of(y).apply(rep.t_of(x))))))
+
+
+def dense_hom_violations(rep):
+    """rep([X_i, X_j]) - [(t_i, D_i), (t_j, D_j)] on every source pair i < j,
+    with rep taken by linearity and the semidirect bracket
+    ([t_i, t_j] + D_i t_j - D_j t_i, D_i D_j - D_j D_i) written out entry
+    by entry over every index."""
+    S, T = rep.source, rep.target
+    n = T.dim
+    zero = Scalar.zero(rep.d)
+    t = rep.t
+    D = [[[M.get(r, c) for c in range(n)] for r in range(n)] for M in rep.D]
+
+    def total(terms):
+        acc = zero
+        for x in terms:
+            acc = acc + x
+        return acc
+
+    def apply(A, v):
+        return [total(A[r][k] * v[k] for k in range(n)) for r in range(n)]
+
+    def matmul(A, B):
+        return [[total(A[r][k] * B[k][c] for k in range(n)) for c in range(n)]
+                for r in range(n)]
+
+    found = []
+    for i in range(S.dim):
+        for j in range(i + 1, S.dim):
+            b = S.bracket_basis(i, j)
+            lhs_vec = [total(b[k] * t[k][a] for k in range(S.dim))
+                       for a in range(n)]
+            lhs_mat = [[total(b[k] * D[k][r][c] for k in range(S.dim))
+                        for c in range(n)] for r in range(n)]
+            rhs_vec = [total(t[i][p] * t[j][q] * T.bracket_basis(p, q)[a]
+                             for p in range(n) for q in range(n))
+                       for a in range(n)]
+            di_tj, dj_ti = apply(D[i], t[j]), apply(D[j], t[i])
+            rhs_vec = [rhs_vec[a] + di_tj[a] - dj_ti[a] for a in range(n)]
+            ij, ji = matmul(D[i], D[j]), matmul(D[j], D[i])
+            dv = tuple(lhs_vec[a] - rhs_vec[a] for a in range(n))
+            dm = Matrix(n, n, [lhs_mat[r][c] - (ij[r][c] - ji[r][c])
+                               for r in range(n) for c in range(n)], rep.d)
+            if not (all(x.is_zero() for x in dv) and dm.is_zero()):
+                found.append(HomViolation((i + 1, j + 1), dv, dm))
+    return found
+
+
+def perturbed_rep(rep, rng, count):
+    """rep with ``count`` seeded shifts, each of one translation vector by a
+    random vector or of one D_i by a random multiple of a derivation, so
+    every D_i stays a derivation."""
+    d, n = rep.d, rep.target.dim
+    basis = derivation_space(rep.target).basis
+    t, D = list(rep.t), list(rep.D)
+
+    def rand_scalar():
+        irr = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if d != 1 else 0
+        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), irr, d)
+    for _ in range(count):
+        i = rng.randrange(len(t))
+        if rng.random() < 0.5:
+            t[i] = tuple(a + rand_scalar() for a in t[i])
+        else:
+            D[i] = D[i] + rand_scalar() * rng.choice(basis)
+    return AffineRep(rep.source, rep.target, t, D, label="perturbed")
+
+
+class TestSparseHomomorphismCheck:
+    @pytest.mark.parametrize("count", (0, 1, 2))
+    def test_violations_match_dense_reference(self, count):
+        rng = random.Random(40 + count)
+        for slug in bundled_rep_names():
+            for _ in range(2):
+                rep = perturbed_rep(bundled_rep(slug), rng, count)
+                report = check_homomorphism(rep)
+                expected = dense_hom_violations(rep)
+                assert list(report.violations) == expected, slug
+                assert report.ok == (not expected)
+                if count == 0:
+                    assert report.ok
 
 
 class TestBijectivity:

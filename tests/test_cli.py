@@ -284,6 +284,26 @@ class TestPipelines:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check-lie", "derivations",
+                                     "obstruct-abelian", "check-rep",
+                                     "check-lr"])
+def test_huge_dimension_is_a_parse_error(tmp_path, command):
+    huge = {"dim": 1000000000000, "brackets": []}
+    if command == "check-rep":
+        doc = {"source": huge, "target": "h3", "t": [], "D": []}
+    elif command == "check-lr":
+        doc = {"algebra": huge, "product": []}
+    else:
+        doc = huge
+    f = tmp_path / "huge.json"
+    write_json(f, doc)
+    proc = subprocess.run([sys.executable, "-m", "nilaffine", command, str(f)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "largest supported dimension" in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nilaffine", "obstruct-abelian",

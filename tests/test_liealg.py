@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilaffine.errors import ParseError, ShapeError
-from nilaffine.liealg import (LieAlgebra, SemidirectElement, abelian,
+from nilaffine.liealg import (MAX_DIM, LieAlgebra, SemidirectElement, abelian,
                               algebra_from_dict, algebra_to_dict, catalog,
                               catalog_names, derivation_space, get_algebra,
                               is_derivation, leibniz_residual, resolve_name,
@@ -72,6 +72,61 @@ class TestBrackets:
     def test_diagonal_table_entries_rejected(self):
         with pytest.raises(ShapeError):
             LieAlgebra("bad", 2, {(0, 0): ((1, Scalar.one(1)),)})
+
+
+def rand_scalar(rng, d, density=1.0):
+    """A seeded random scalar, zero with probability 1 - density."""
+    if rng.random() >= density:
+        return Scalar.zero(d)
+    irr = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if d != 1 else 0
+    return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), irr, d)
+
+
+def rand_table_algebra(rng, n, d, density):
+    """Random structure constants; the bracket is bilinear without Jacobi."""
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = [(k, rand_scalar(rng, d)) for k in range(n)
+                     if rng.random() < density]
+            if terms:
+                table[(i, j)] = terms
+    return LieAlgebra("random", n, table, d)
+
+
+def dense_bracket(L, x, y):
+    """sum over every table entry (i, j) of (x_i y_j - x_j y_i) [X_i, X_j]."""
+    out = [Scalar.zero(L.d)] * L.dim
+    for (i, j), terms in L.table.items():
+        coeff = x[i] * y[j] - x[j] * y[i]
+        for k, c in terms:
+            out[k] = out[k] + coeff * c
+    return tuple(out)
+
+
+class TestSparseBracket:
+    @pytest.mark.parametrize("d", (1, 3))
+    @pytest.mark.parametrize("n", (1, 2, 4, 7))
+    @pytest.mark.parametrize("density", (0.0, 0.3, 1.0))
+    def test_random_tables_match_dense(self, d, n, density):
+        rng = random.Random(100 * d + 10 * n + int(10 * density))
+        for _ in range(6):
+            L = rand_table_algebra(rng, n, d, density)
+            x = tuple(rand_scalar(rng, d, density) for _ in range(n))
+            y = tuple(rand_scalar(rng, d, 1 - density / 2) for _ in range(n))
+            got = L.bracket(x, y)
+            assert got == dense_bracket(L, x, y)
+            assert all(isinstance(c, Scalar) and c.d == d for c in got)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_catalog_matches_dense(self, d):
+        rng = random.Random(d)
+        for name in catalog_names():
+            L = get_algebra(name).with_field(d)
+            basis = [L.basis_vector(i) for i in range(L.dim)]
+            for x in basis + [rand_vec(rng, L) for _ in range(3)]:
+                for y in basis + [rand_vec(rng, L)]:
+                    assert L.bracket(x, y) == dense_bracket(L, x, y)
 
 
 class TestJacobi:
@@ -354,3 +409,10 @@ class TestAlgebraJson:
             {"i": 1, "j": 2, "terms": [{"k": 5, "c": 1}]}]}
         with pytest.raises(ParseError):
             algebra_from_dict(doc)
+
+    def test_dimension_bound(self):
+        assert MAX_DIM >= 8
+        assert algebra_from_dict({"dim": MAX_DIM, "brackets": []}).dim == MAX_DIM
+        for dim in (MAX_DIM + 1, 10**12):
+            with pytest.raises(ParseError, match="largest supported"):
+                algebra_from_dict({"dim": dim, "brackets": []})

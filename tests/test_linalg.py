@@ -227,6 +227,52 @@ class TestMatrixOps:
             Matrix.identity(2) @ Matrix.zero(3, 2)
 
 
+def sparse_rand_matrix(rng, rows, cols, d, density):
+    """Seeded random entries, each zero with probability 1 - density."""
+    def entry():
+        if rng.random() >= density:
+            return Scalar.zero(d)
+        irr = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if d != 1 else 0
+        return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), irr, d)
+    return Matrix(rows, cols, [entry() for _ in range(rows * cols)], d)
+
+
+def dense_matmul(a, b):
+    """(AB)_rc = sum_k a_rk b_kc over every k."""
+    out = []
+    for r in range(a.rows):
+        for c in range(b.cols):
+            acc = Scalar.zero(a.d)
+            for k in range(a.cols):
+                acc = acc + a.get(r, k) * b.get(k, c)
+            out.append(acc)
+    return Matrix(a.rows, b.cols, out, a.d)
+
+
+class TestSparseMatmul:
+    @pytest.mark.parametrize("d", (1, 3))
+    @pytest.mark.parametrize("shape", ((1, 1, 1), (3, 3, 3), (6, 6, 6),
+                                       (2, 5, 3), (5, 2, 4), (4, 7, 1),
+                                       (1, 4, 6)))
+    @pytest.mark.parametrize("density", (0.0, 0.2, 0.6, 1.0))
+    def test_matches_dense(self, d, shape, density):
+        rows, inner, cols = shape
+        rng = random.Random(1000 * d + 100 * rows + 10 * inner + cols
+                            + int(10 * density))
+        for _ in range(4):
+            a = sparse_rand_matrix(rng, rows, inner, d, density)
+            b = sparse_rand_matrix(rng, inner, cols, d, 1 - density / 2)
+            got = a @ b
+            assert (got.rows, got.cols, got.d) == (rows, cols, d)
+            assert got == dense_matmul(a, b)
+            assert all(x.d == d for x in got.entries())
+
+    def test_empty_inner_dimension(self):
+        product = Matrix.zero(3, 0, 3) @ Matrix.zero(0, 2, 3)
+        assert (product.rows, product.cols) == (3, 2)
+        assert product.is_zero()
+
+
 class TestJsonHelpers:
     def test_vector_round_trip(self):
         v = as_vector([Fraction(1, 2), Scalar(0, 1, 3), 0], 3)

@@ -9,8 +9,8 @@ from nilaffine.errors import (IncompleteStructureError, ParseError,
                               PreconditionError)
 from nilaffine.liealg import LieAlgebra, abelian, get_algebra
 from nilaffine.linalg import EngelFailure, Matrix, as_vector, vec_is_zero, vec_sub
-from nilaffine.lr import (LRStructure, check_complete, check_lr, lr_from_dict,
-                          lr_to_dict, lr_to_rep, rep_to_lr)
+from nilaffine.lr import (LRStructure, LRViolation, check_complete, check_lr,
+                          lr_from_dict, lr_to_dict, lr_to_rep, rep_to_lr)
 from nilaffine.scalars import Scalar
 
 HALF = Fraction(1, 2)
@@ -50,6 +50,101 @@ class TestProducts:
         assert s.product_basis(0, 1) == as_vector([0, 0, 1, 0], 1)
         assert s.product_basis(0, 2) == as_vector([0, 0, 0, 1], 1)
         assert vec_is_zero(s.product_basis(1, 0))
+
+
+def rand_scalar(rng, d, density=1.0):
+    """A seeded random scalar, zero with probability 1 - density."""
+    if rng.random() >= density:
+        return Scalar.zero(d)
+    irr = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if d != 1 else 0
+    return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), irr, d)
+
+
+def dense_product(s, x, y):
+    """x.y = sum over every (i, j, k) of x_i y_j c_ij^k X_k."""
+    n = s.algebra.dim
+    out = [Scalar.zero(s.d)] * n
+    for i in range(n):
+        for j in range(n):
+            coeff = x[i] * y[j]
+            for k in range(n):
+                out[k] = out[k] + coeff * s.products[i][j][k]
+    return tuple(out)
+
+
+def reference_violations(s):
+    """Identities (1)-(3) on every basis triple and pair, residuals via
+    dense products, sorted as check_lr sorts them."""
+    n = s.algebra.dim
+    e = [s.algebra.basis_vector(i) for i in range(n)]
+    p = s.products
+    found = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r1 = vec_sub(dense_product(s, e[i], p[j][k]),
+                             dense_product(s, e[j], p[i][k]))
+                if not vec_is_zero(r1):
+                    found.append(LRViolation(1, (i + 1, j + 1, k + 1), r1))
+                r2 = vec_sub(dense_product(s, p[i][j], e[k]),
+                             dense_product(s, p[i][k], e[j]))
+                if not vec_is_zero(r2):
+                    found.append(LRViolation(2, (i + 1, j + 1, k + 1), r2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            r3 = vec_sub(s.algebra.bracket_basis(i, j), vec_sub(p[i][j], p[j][i]))
+            if not vec_is_zero(r3):
+                found.append(LRViolation(3, (i + 1, j + 1), r3))
+    return sorted(found, key=lambda v: (v.identity, v.where))
+
+
+def perturbed(s, rng, d, count):
+    """s read in context d, with ``count`` seeded random product entries
+    shifted."""
+    n = s.algebra.dim
+    grid = [[list(as_vector(v, d)) for v in row] for row in s.products]
+    for _ in range(count):
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        grid[i][j][k] = grid[i][j][k] + rand_scalar(rng, d)
+    return LRStructure(s.algebra.with_field(d), grid)
+
+
+@pytest.fixture(scope="module")
+def passing_structures():
+    return [h3_halved()] + [rep_to_lr(bundled_rep(slug)) for slug in
+                            ("r3_to_h3", "r4_to_h3R", "r4_to_f4")]
+
+
+class TestSparseKernels:
+    @pytest.mark.parametrize("d", (1, 3))
+    @pytest.mark.parametrize("n", (1, 3, 5))
+    @pytest.mark.parametrize("density", (0.0, 0.3, 1.0))
+    def test_product_matches_dense(self, d, n, density):
+        rng = random.Random(100 * d + 10 * n + int(10 * density))
+        for _ in range(5):
+            s = LRStructure(abelian(n, d),
+                            [[[rand_scalar(rng, d, density) for _ in range(n)]
+                              for _ in range(n)] for _ in range(n)])
+            x = tuple(rand_scalar(rng, d, density) for _ in range(n))
+            y = tuple(rand_scalar(rng, d, 1 - density / 2) for _ in range(n))
+            got = s.product(x, y)
+            assert got == dense_product(s, x, y)
+            assert all(c.d == d for c in got)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    @pytest.mark.parametrize("count", (0, 1, 3))
+    def test_check_lr_violations_match_reference(self, d, count,
+                                                 passing_structures):
+        rng = random.Random(10 * d + count)
+        for s in passing_structures:
+            for _ in range(2):
+                p = perturbed(s, rng, d, count)
+                report = check_lr(p)
+                expected = reference_violations(p)
+                assert list(report.violations) == expected
+                assert report.ok == (not expected)
+                if count == 0:
+                    assert report.ok
 
 
 class TestIdentities:

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from nilaffine import obstruction
+from nilaffine import lr, obstruction
 from nilaffine.affine import check_simply_transitive
 from nilaffine.errors import PreconditionError
 from nilaffine.liealg import (LieAlgebra, catalog_names, derivation_space,
                               get_algebra, is_derivation, transport)
+from nilaffine.io import stable_json
 from nilaffine.linalg import Matrix
+from nilaffine.lr import LRStructure, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
                                    _build_equations, obstruct_abelian,
                                    parametric_derivation, variable_namer,
@@ -409,6 +411,91 @@ class TestNegativeControls:
         wrong_target = dataclasses.replace(
             outcome, witness_rep=obstruct_abelian(get_algebra("R3")).witness_rep)
         assert not verify_certificate(wrong_target, L)
+
+
+class TestForgedWitness:
+    def test_zero_product_rejected(self):
+        L = get_algebra("h3")
+        outcome = obstruct_abelian(L)
+        zero = LRStructure(L, [[L.zero_vector()] * L.dim] * L.dim)
+        assert outcome.witness_lr != zero
+        forged = dataclasses.replace(outcome, witness_lr=zero)
+        assert not verify_certificate(forged, L)
+
+    def test_missing_product_rejected(self):
+        L = get_algebra("h3")
+        forged = dataclasses.replace(obstruct_abelian(L), witness_lr=None)
+        assert not verify_certificate(forged, L)
+
+    def test_rewritten_assignment_rejected(self):
+        L = get_algebra("h3")
+        outcome = obstruct_abelian(L)
+        assert outcome.witness_assignment
+        sevens = tuple((v, Fraction(7)) for v, _ in outcome.witness_assignment)
+        forged = dataclasses.replace(outcome, witness_assignment=sevens)
+        assert not verify_certificate(forged, L)
+
+    def test_incomplete_assignment_rejected(self):
+        L = get_algebra("h3")
+        outcome = obstruct_abelian(L)
+        forged = dataclasses.replace(
+            outcome, witness_assignment=outcome.witness_assignment[1:])
+        assert not verify_certificate(forged, L)
+
+    @pytest.mark.parametrize("name", ("h3", "g6_18"))
+    def test_rewritten_forced_values_rejected(self, name):
+        L = get_algebra(name)
+        outcome = obstruct_abelian(L)
+        v, c = outcome.forced[0]
+        forged = dataclasses.replace(
+            outcome, forced=((v, c + 1),) + outcome.forced[1:])
+        assert not verify_certificate(forged, L)
+
+
+def filiform_found():
+    L = filiform(5)
+    outcome = obstruct_abelian(L)
+    assert outcome.verdict == "Found"
+    return L, outcome
+
+
+class TestEachFactOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        real = obstruction.check_simply_transitive
+
+        def counting(rep):
+            counted.append(rep)
+            return real(rep)
+        monkeypatch.setattr(obstruction, "check_simply_transitive", counting)
+        monkeypatch.setattr(lr, "check_simply_transitive", counting)
+        return counted
+
+    def test_found_decision_and_its_check(self, calls):
+        L, outcome = filiform_found()
+        assert len(calls) == 1
+        assert verify_certificate(outcome, L)
+        assert len(calls) == 2
+
+    def test_public_conversion_checks_once(self, calls):
+        rep = filiform_found()[1].witness_rep
+        calls.clear()
+        rep_to_lr(rep)
+        assert len(calls) == 1
+
+
+class TestRenderedVerdictIsRecorded:
+    @pytest.mark.parametrize("name", ("g6_18", "h3"))
+    def test_to_dict_does_not_recompute(self, name, monkeypatch):
+        outcome = obstruct_abelian(get_algebra(name))
+        before = stable_json(outcome.to_dict())
+
+        def refuse(self):
+            raise AssertionError("to_dict recomputed two-step solvability")
+        monkeypatch.setattr(LieAlgebra, "is_two_step_solvable", refuse)
+        assert stable_json(outcome.to_dict()) == before
+        assert outcome.two_step_solvable == (name == "h3")
 
 
 class TestPreconditions:
