@@ -28,11 +28,11 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DerivationError, FieldMismatchError, ParseError,
                      PreconditionError, ShapeError)
-from .liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict, catalog,
-                     is_derivation, leibniz_residual, resolve_name,
-                     semidirect_bracket)
-from .linalg import (EngelFailure, Flag, Matrix, Vector, as_vector, engel_flag,
-                     matrix_from_json, matrix_to_json, vec_is_zero,
+from .liealg import (LieAlgebra, _leibniz_failure, _semidirect_into,
+                     _sparse_element, algebra_from_dict, algebra_to_dict,
+                     catalog, resolve_name)
+from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _dense,
+                     as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
 from .scalars import Scalar
 
@@ -131,15 +131,14 @@ def validate_derivations(rep: AffineRep) -> None:
     The error carries 1-based labels: index is the offending i of D_i,
     pair the basis pair (a, b) of the target where the residual is nonzero.
     """
-    n = rep.target.dim
     for i, mat in enumerate(rep.D):
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not vec_is_zero(leibniz_residual(rep.target, mat, a, b)):
-                    raise DerivationError(
-                        f"D_{i + 1} violates the Leibniz rule on the target "
-                        f"pair (X_{a + 1}, X_{b + 1})",
-                        index=i + 1, pair=(a + 1, b + 1))
+        pair = _leibniz_failure(rep.target, mat)
+        if pair is not None:
+            a, b = pair
+            raise DerivationError(
+                f"D_{i + 1} violates the Leibniz rule on the target "
+                f"pair (X_{a + 1}, X_{b + 1})",
+                index=i + 1, pair=(a + 1, b + 1))
 
 
 # ------------------------------------------------------------------ verdicts
@@ -177,23 +176,23 @@ def check_homomorphism(rep: AffineRep) -> HomReport:
             f"at triple {first}")
     validate_derivations(rep)
     violations = []
-    m, n = rep.source.dim, rep.target.dim
-    zero_vec = rep.target.zero_vector()
-    zero_mat = Matrix.zero(n, n, rep.d)
-    for i in range(m):
-        for j in range(i + 1, m):
-            bracket = rep.source.bracket_basis(i, j)
-            if vec_is_zero(bracket):
-                # always so for an abelian source
-                lhs_vec, lhs_mat = zero_vec, zero_mat
-            else:
-                lhs_vec, lhs_mat = rep.t_of(bracket), rep.D_of(bracket)
-            rhs_vec, rhs_mat = semidirect_bracket(
-                rep.target, (rep.t[i], rep.D[i]), (rep.t[j], rep.D[j]))
-            dv = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))
-            dm = lhs_mat - rhs_mat
-            if not (vec_is_zero(dv) and dm.is_zero()):
-                violations.append(HomViolation((i + 1, j + 1), dv, dm))
+    n, d = rep.target.dim, rep.d
+    parts = [_sparse_element(t, mat) for t, mat in zip(rep.t, rep.D)]
+    for i in range(rep.source.dim):
+        for j in range(i + 1, rep.source.dim):
+            # rep([X_i, X_j]) by linearity, then [(t_j, D_j), (t_i, D_i)],
+            # which is minus the right side
+            vec: dict[int, Scalar] = {}
+            rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+            for k, c in rep.source._signed.get((i, j), {}).items():
+                _axpy(vec, c, parts[k][0])
+                for acc, row in zip(rows, parts[k][1]):
+                    _axpy(acc, c, row)
+            _semidirect_into(rep.target, vec, rows, parts[j], parts[i])
+            if vec or any(rows):
+                violations.append(HomViolation(
+                    (i + 1, j + 1), _dense(vec, n, d),
+                    Matrix._of_sparse_rows(rows, n, d)))
     return HomReport(not violations, tuple(violations))
 
 

@@ -19,6 +19,9 @@ def read_json(path: str | Path) -> object:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # e.g. an integer literal beyond the interpreter's digit limit
+        raise ParseError(f"{p}: {exc}") from exc
 
 
 def stable_json(doc: object) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError
-from .linalg import Matrix, Vector, row_space_basis, vec_add, vec_is_zero
+from .linalg import Matrix, Vector, _axpy, _dense, _sparse, row_space_basis
 from .scalars import Scalar, scalar_from_json, scalar_to_json
 
 BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
@@ -48,10 +48,11 @@ class LieAlgebra:
     The table maps index pairs (i, j) with i < j to the coordinates of
     [X_i, X_j]; the bracket extends bilinearly and antisymmetrically.
     Construction normalizes the table but does not check Jacobi; call
-    :meth:`check_jacobi` for that.
+    :meth:`check_jacobi` for that. The same constants are also kept as
+    sparse vectors under both (i, j) and (j, i), signed, for the kernels.
     """
 
-    __slots__ = ("name", "dim", "d", "table")
+    __slots__ = ("name", "dim", "d", "table", "_signed")
 
     def __init__(self, name: str, dim: int, table: BracketTable, d: int = 1):
         if dim < 0:
@@ -84,6 +85,9 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "table", norm)
+        object.__setattr__(self, "_signed", {
+            **{pair: dict(terms) for pair, terms in norm.items()},
+            **{(j, i): {k: -c for k, c in terms} for (i, j), terms in norm.items()}})
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -108,33 +112,23 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[X_i, X_j] as a coordinate vector (0-based indices)."""
-        if i == j:
-            return self.zero_vector()
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        out = list(self.zero_vector())
-        for k, c in self.table.get((i, j), ()):
-            out[k] = c if sign > 0 else -c
-        return tuple(out)
+        return _dense(self._signed.get((i, j), {}), self.dim, self.d)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError(f"bracket arguments must have length {self.dim}")
-        out = list(self.zero_vector())
-        # over the nonzero coordinates only: x_i y_j [X_i, X_j]
-        ys = [(j, b) for j, b in enumerate(y) if not b.is_zero()]
-        for i, a in enumerate(x):
-            if a.is_zero():
-                continue
-            for j, b in ys:
-                # the table holds i < j only, and never (i, i)
-                terms = self.table.get((i, j) if i < j else (j, i))
+        return _dense(self._bracket_into({}, _sparse(x), _sparse(y)),
+                      self.dim, self.d)
+
+    def _bracket_into(self, acc: dict[int, Scalar], x: dict[int, Scalar],
+                      y: dict[int, Scalar]) -> dict[int, Scalar]:
+        """acc += [x, y] for sparse x and y; returns acc."""
+        for i, a in x.items():
+            for j, b in y.items():
+                terms = self._signed.get((i, j))
                 if terms:
-                    coeff = a * b if i < j else -(a * b)
-                    for k, c in terms:
-                        out[k] = out[k] + coeff * c
-        return tuple(out)
+                    _axpy(acc, a * b, terms)
+        return acc
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] in the coordinate basis."""
@@ -146,20 +140,17 @@ class LieAlgebra:
     def check_jacobi(self) -> JacobiReport:
         """Evaluate the Jacobi cyclic sum on every basis triple."""
         violations = []
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(i + 1, self.dim):
-                ej = self.basis_vector(j)
-                bij = self.bracket_basis(i, j)
-                for k in range(j + 1, self.dim):
-                    ek = self.basis_vector(k)
-                    res = vec_add(
-                        vec_add(self.bracket(bij, ek),
-                                self.bracket(self.bracket_basis(j, k), ei)),
-                        self.bracket(self.bracket_basis(k, i), ej))
-                    if not vec_is_zero(res):
-                        violations.append(
-                            JacobiViolation((i + 1, j + 1, k + 1), res))
+        n, one, br = self.dim, Scalar.one(self.d), self._signed
+        for i in range(n if self.table else 0):   # abelian: nothing to sum
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    res: dict[int, Scalar] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        if (a, b) in br:
+                            self._bracket_into(res, br[(a, b)], {c: one})
+                    if res:
+                        violations.append(JacobiViolation(
+                            (i + 1, j + 1, k + 1), _dense(res, n, self.d)))
         return JacobiReport(not violations, tuple(violations))
 
     def _bracket_span(self, left: Sequence[Vector],
@@ -258,19 +249,33 @@ class LieAlgebra:
 # ------------------------------------------------------------------ derivations
 
 
+def _leibniz(L: LieAlgebra, cols: Sequence[dict[int, Scalar]],
+             i: int, j: int) -> dict[int, Scalar]:
+    """Sparse D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j], D by sparse columns."""
+    acc: dict[int, Scalar] = {}
+    for m, c in L._signed.get((i, j), {}).items():
+        _axpy(acc, c, cols[m])
+    minus = -Scalar.one(L.d)
+    L._bracket_into(acc, cols[i], {j: minus})
+    return L._bracket_into(acc, {i: minus}, cols[j])
+
+
 def leibniz_residual(L: LieAlgebra, m: Matrix, i: int, j: int) -> Vector:
     """D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j] for basis indices (0-based)."""
-    lhs = m.apply(L.bracket_basis(i, j))
-    rhs = vec_add(L.bracket(m.column(i), L.basis_vector(j)),
-                  L.bracket(L.basis_vector(i), m.column(j)))
-    return tuple(a - b for a, b in zip(lhs, rhs))
+    return _dense(_leibniz(L, m._sparse_cols(), i, j), L.dim, L.d)
+
+
+def _leibniz_failure(L: LieAlgebra, m: Matrix) -> tuple[int, int] | None:
+    """The first basis pair (i, j), i < j, where m breaks Leibniz, if any."""
+    if m.rows != L.dim or m.cols != L.dim:
+        raise ShapeError(f"expected a {L.dim}x{L.dim} matrix")
+    cols = m._sparse_cols()
+    return next(((i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
+                 if _leibniz(L, cols, i, j)), None)
 
 
 def is_derivation(L: LieAlgebra, m: Matrix) -> bool:
-    if m.rows != L.dim or m.cols != L.dim:
-        raise ShapeError(f"expected a {L.dim}x{L.dim} matrix")
-    return all(vec_is_zero(leibniz_residual(L, m, i, j))
-               for i in range(L.dim) for j in range(i + 1, L.dim))
+    return _leibniz_failure(L, m) is None
 
 
 @dataclass(frozen=True)
@@ -303,32 +308,21 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     n = L.dim
     if n == 0:
         return DerivationSpace(L, (), ())
-    zero = Scalar.zero(L.d)
-    br = [[L.bracket_basis(a, b) for b in range(n)] for a in range(n)]
-    rows: list[list[Scalar]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = br[i][j]
+    zero, br = Scalar.zero(L.d), L._signed
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # row (i, j, k) holds coordinate k of D[X_i, X_j] - [D X_i, X_j]
+    # - [X_i, D X_j] as a form in the entries D_ab, at column a * n + b;
+    # with no basis pairs (n = 1) the identity is vacuous: one zero row
+    rows = [[zero] * (n * n) for _ in range(max(len(pairs) * n, 1))]
+    for p, (i, j) in enumerate(pairs):
+        for m, c in br.get((i, j), {}).items():
             for k in range(n):
-                row = [zero] * (n * n)
-                # D[X_i,X_j] coordinate k: sum_m c_m * D_{k,m}
-                for m_idx, c in enumerate(bij):
-                    if not c.is_zero():
-                        row[k * n + m_idx] = row[k * n + m_idx] + c
-                # -[D X_i, X_j]_k: D X_i = sum_m D_{m,i} X_m
-                for m_idx in range(n):
-                    c = br[m_idx][j][k]
-                    if not c.is_zero():
-                        row[m_idx * n + i] = row[m_idx * n + i] - c
-                # -[X_i, D X_j]_k
-                for m_idx in range(n):
-                    c = br[i][m_idx][k]
-                    if not c.is_zero():
-                        row[m_idx * n + j] = row[m_idx * n + j] - c
-                rows.append(row)
-    if not rows:
-        # no basis pairs (n = 1): the Leibniz identity is vacuous
-        rows = [[zero] * (n * n)]
+                rows[p * n + k][k * n + m] += c
+        for m in range(n):
+            for k, c in br.get((m, j), {}).items():
+                rows[p * n + k][m * n + i] -= c
+            for k, c in br.get((i, m), {}).items():
+                rows[p * n + k][m * n + j] -= c
     system = Matrix.from_rows(rows, L.d)
     kernel = system.nullspace()
     if not kernel:
@@ -351,11 +345,33 @@ class SemidirectElement(NamedTuple):
 def semidirect_bracket(L: LieAlgebra, a: SemidirectElement | tuple[Vector, Matrix],
                        b: SemidirectElement | tuple[Vector, Matrix]) -> SemidirectElement:
     """[(x, D), (y, E)] = ([x, y] + D y - E x, D E - E D)."""
-    xa, da = a
-    xb, db = b
-    vec = vec_add(L.bracket(xa, xb),
-                  tuple(p - q for p, q in zip(da.apply(xb), db.apply(xa))))
-    return SemidirectElement(vec, da.commutator(db))
+    vec: dict[int, Scalar] = {}
+    rows: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
+    _semidirect_into(L, vec, rows, _sparse_element(*a), _sparse_element(*b))
+    return SemidirectElement(_dense(vec, L.dim, L.d),
+                             Matrix._of_sparse_rows(rows, L.dim, L.d))
+
+
+def _sparse_element(x: Vector, m: Matrix) -> tuple:
+    """(x, D) as the sparse vector x with the sparse rows and columns of D."""
+    return _sparse(x), m._sparse_rows(), m._sparse_cols()
+
+
+def _semidirect_into(L: LieAlgebra, vec: dict[int, Scalar],
+                     rows: Sequence[dict[int, Scalar]],
+                     a: tuple, b: tuple) -> None:
+    """Add the semidirect bracket [a, b] to vec and to the matrix rows."""
+    (xa, ra, ca), (xb, rb, cb) = a, b
+    L._bracket_into(vec, xa, xb)
+    for q, c in xb.items():
+        _axpy(vec, c, ca[q])
+    for q, c in xa.items():
+        _axpy(vec, -c, cb[q])
+    for r, acc in enumerate(rows):
+        for k, c in ra[r].items():
+            _axpy(acc, c, rb[k])
+        for k, c in rb[r].items():
+            _axpy(acc, -c, ra[k])
 
 
 def transport(L: LieAlgebra, p: Matrix, name: str | None = None) -> "LieAlgebra":

@@ -36,12 +36,35 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c: Scalar, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero() for x in a)
+
+
+# A sparse vector is a dict {index: Scalar} that holds no zero value. The
+# identity checks (Jacobi, Leibniz, homomorphism, LR) run on these and
+# build a dense residual only for a violation.
+
+def _sparse(v: Vector) -> dict[int, Scalar]:
+    return {k: c for k, c in enumerate(v) if not c.is_zero()}
+
+
+def _dense(v: dict[int, Scalar], n: int, d: int) -> Vector:
+    zero = Scalar.zero(d)
+    return tuple(v.get(k, zero) for k in range(n))
+
+
+def _axpy(acc: dict[int, Scalar], a: Scalar, v: dict[int, Scalar]) -> None:
+    """acc += a * v in place for a nonzero a, dropping entries that cancel."""
+    for k, c in v.items():
+        s = acc.get(k)
+        if s is None:
+            acc[k] = a * c
+        else:
+            s = s + a * c
+            if s.is_zero():
+                del acc[k]
+            else:
+                acc[k] = s
 
 
 class RrefResult(NamedTuple):
@@ -144,6 +167,18 @@ class Matrix:
     def entries(self) -> tuple[Scalar, ...]:
         return self._e
 
+    def _sparse_rows(self) -> list[dict[int, Scalar]]:
+        return [_sparse(self.row(r)) for r in range(self.rows)]
+
+    def _sparse_cols(self) -> list[dict[int, Scalar]]:
+        return [_sparse(self.column(c)) for c in range(self.cols)]
+
+    @classmethod
+    def _of_sparse_rows(cls, rows: Sequence[dict[int, Scalar]], cols: int,
+                        d: int) -> "Matrix":
+        return cls(len(rows), cols,
+                   tuple(x for r in rows for x in _dense(r, cols, d)), d)
+
     # -------------------------------------------------- arithmetic
 
     def _same_shape(self, other: "Matrix"):
@@ -194,36 +229,24 @@ class Matrix:
         if self.d != other.d:
             raise FieldMismatchError(
                 f"mixed field contexts: d={self.d} and d={other.d}")
-        # row by row in (r, k, c) order over the nonzero a_rk and b_kc
-        width = other.cols
-        other_rows = [[(c, b) for c, b in enumerate(other.row(k))
-                       if not b.is_zero()] for k in range(other.rows)]
-        zero = Scalar.zero(self.d)
-        out: list[Scalar] = []
-        for r in range(self.rows):
-            acc = [zero] * width
-            for a, row in zip(self.row(r), other_rows):
-                if row and not a.is_zero():
-                    for c, b in row:
-                        acc[c] = acc[c] + a * b
-            out.extend(acc)
-        return Matrix(self.rows, width, out, self.d)
+        # row r of the product is the sum of a_rk times row k of other
+        other_rows = other._sparse_rows()
+        rows = []
+        for row in self._sparse_rows():
+            acc: dict[int, Scalar] = {}
+            for k, a in row.items():
+                _axpy(acc, a, other_rows[k])
+            rows.append(acc)
+        return Matrix._of_sparse_rows(rows, other.cols, self.d)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} for a "
                              f"{self.rows}x{self.cols} matrix")
-        zero = Scalar.zero(self.d)
-        out = []
-        for r in range(self.rows):
-            acc = zero
-            base = r * self.cols
-            for k in range(self.cols):
-                a = self._e[base + k]
-                if not a.is_zero():
-                    acc = acc + a * v[k]
-            out.append(acc)
-        return tuple(out)
+        acc: dict[int, Scalar] = {}
+        for k, a in _sparse(v).items():
+            _axpy(acc, a, _sparse(self.column(k)))
+        return _dense(acc, self.rows, self.d)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,

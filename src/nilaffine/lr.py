@@ -31,8 +31,8 @@ from .affine import AffineRep, check_simply_transitive
 from .errors import (IncompleteStructureError, InternalError, ParseError,
                      PreconditionError, ShapeError)
 from .liealg import LieAlgebra, abelian, is_derivation
-from .linalg import (EngelFailure, Flag, Matrix, Vector, as_vector, engel_flag,
-                     vec_is_zero, vec_sub)
+from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _dense,
+                     _sparse, as_vector, engel_flag)
 from .scalars import Scalar, scalar_from_json, scalar_to_json
 
 
@@ -124,18 +124,11 @@ class LRStructure:
         n = self.algebra.dim
         if len(x) != n or len(y) != n:
             raise ShapeError(f"product arguments must have length {n}")
-        out = list(self.algebra.zero_vector())
-        ys = [(j, b) for j, b in enumerate(y) if not b.is_zero()]
-        for i, a in enumerate(x):
-            if a.is_zero():
-                continue
-            row = self.products[i]
-            for j, b in ys:
-                coeff = a * b
-                for k, c in enumerate(row[j]):
-                    if not c.is_zero():
-                        out[k] = out[k] + coeff * c
-        return tuple(out)
+        acc: dict[int, Scalar] = {}
+        for i, a in _sparse(x).items():
+            for j, b in _sparse(y).items():
+                _axpy(acc, a * b, _sparse(self.products[i][j]))
+        return _dense(acc, n, self.d)
 
     def left_matrix(self, i: int) -> Matrix:
         """L(X_i): columns are X_i . X_j."""
@@ -161,6 +154,20 @@ class LRStructure:
 # ------------------------------------------------------------------ checks
 
 
+def _sparse_products(s: LRStructure) -> list[list[dict[int, Scalar]]]:
+    return [[_sparse(v) for v in row] for row in s.products]
+
+
+def _left_commutator(p: list, i: int, j: int, k: int) -> dict[int, Scalar]:
+    """Sparse X_i.(X_j.X_k) - X_j.(X_i.X_k), column k of [L(X_i), L(X_j)]."""
+    acc: dict[int, Scalar] = {}
+    for m, c in p[j][k].items():
+        _axpy(acc, c, p[i][m])
+    for m, c in p[i][k].items():
+        _axpy(acc, -c, p[j][m])
+    return acc
+
+
 def check_lr(s: LRStructure) -> LRReport:
     """Decide identities (1), (2), (3) on all basis triples and pairs."""
     jac = s.algebra.check_jacobi()
@@ -168,28 +175,34 @@ def check_lr(s: LRStructure) -> LRReport:
         raise PreconditionError(
             f"algebra {s.algebra.name!r} fails the Jacobi identity at "
             f"triple {jac.violations[0].triple}")
-    n = s.algebra.dim
-    basis = [s.algebra.basis_vector(i) for i in range(n)]
+    n, d = s.algebra.dim, s.d
+    p = _sparse_products(s)
+    one = Scalar.one(d)
     violations = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = s.product(basis[i], s.products[j][k])
-                rhs = s.product(basis[j], s.products[i][k])
-                if lhs != rhs:
+                r1 = _left_commutator(p, i, j, k)
+                if r1:
                     violations.append(LRViolation(1, (i + 1, j + 1, k + 1),
-                                                  vec_sub(lhs, rhs)))
-                lhs = s.product(s.products[i][j], basis[k])
-                rhs = s.product(s.products[i][k], basis[j])
-                if lhs != rhs:
+                                                  _dense(r1, n, d)))
+                # (X_i.X_j).X_k - (X_i.X_k).X_j
+                r2: dict[int, Scalar] = {}
+                for m, c in p[i][j].items():
+                    _axpy(r2, c, p[m][k])
+                for m, c in p[i][k].items():
+                    _axpy(r2, -c, p[m][j])
+                if r2:
                     violations.append(LRViolation(2, (i + 1, j + 1, k + 1),
-                                                  vec_sub(lhs, rhs)))
+                                                  _dense(r2, n, d)))
     for i in range(n):
         for j in range(i + 1, n):
-            r3 = vec_sub(s.algebra.bracket_basis(i, j),
-                         vec_sub(s.products[i][j], s.products[j][i]))
-            if not vec_is_zero(r3):
-                violations.append(LRViolation(3, (i + 1, j + 1), r3))
+            r3 = dict(s.algebra._signed.get((i, j), {}))
+            _axpy(r3, -one, p[i][j])
+            _axpy(r3, one, p[j][i])
+            if r3:
+                violations.append(LRViolation(3, (i + 1, j + 1),
+                                              _dense(r3, n, d)))
     violations.sort(key=lambda v: (v.identity, v.where))
     return LRReport(not violations, tuple(violations))
 
@@ -203,14 +216,14 @@ def check_complete(s: LRStructure) -> CompletenessVerdict:
     fails.
     """
     n = s.algebra.dim
-    lefts = [s.left_matrix(i) for i in range(n)]
+    p = _sparse_products(s)
     for i in range(n):
         for j in range(i + 1, n):
-            if not lefts[i].commutator(lefts[j]).is_zero():
+            if any(_left_commutator(p, i, j, k) for k in range(n)):
                 raise PreconditionError(
                     f"left multiplications L(X_{i + 1}) and L(X_{j + 1}) do "
                     f"not commute; identity (1) fails")
-    flag = engel_flag(lefts, size=n, d=s.d)
+    flag = engel_flag([s.left_matrix(i) for i in range(n)], size=n, d=s.d)
     if flag:
         return CompletenessVerdict(True, flag=flag)
     return CompletenessVerdict(False, failure=flag)

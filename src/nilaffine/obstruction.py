@@ -176,12 +176,18 @@ class Poly:
         return _poly({m: c for m, c in out.items() if c})
 
     def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
+        """The value at ``values``; every variable must have one (KeyError)."""
         total = Fraction(0)
         for m, c in self.terms.items():
             prod = c
             for v, e in m:
-                prod *= values[v] ** e
-            total += prod
+                x = values[v]
+                if not x:
+                    prod = 0
+                elif prod:
+                    prod *= x if e == 1 else x ** e
+            if prod:
+                total += prod
         return total
 
     def render(self, name: Callable[[int], str]) -> str:

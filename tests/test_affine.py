@@ -12,7 +12,8 @@ from nilaffine.errors import (DerivationError, FieldMismatchError, ParseError,
                               PreconditionError, ShapeError)
 from nilaffine.io import write_json
 from nilaffine.liealg import (algebra_to_dict, catalog_names, derivation_space,
-                              get_algebra, transport)
+                              get_algebra, is_derivation, leibniz_residual,
+                              transport)
 from nilaffine.linalg import Matrix, as_vector
 from nilaffine.scalars import Scalar
 
@@ -173,10 +174,43 @@ def perturbed_rep(rep, rng, count):
     return AffineRep(rep.source, rep.target, t, D, label="perturbed")
 
 
+def dense_leibniz(L, M):
+    """D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j] on every basis pair i < j,
+    entry by entry over every index, with c = bracket_basis."""
+    n = L.dim
+    c = [[L.bracket_basis(a, b) for b in range(n)] for a in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = []
+            for k in range(n):
+                acc = Scalar.zero(L.d)
+                for m in range(n):
+                    acc = acc + M.get(k, m) * c[i][j][m] \
+                        - M.get(m, i) * c[m][j][k] - M.get(m, j) * c[i][m][k]
+                res.append(acc)
+            out[(i, j)] = tuple(res)
+    return out
+
+
+def with_raw_shifts(rep, rng, count):
+    """rep with ``count`` seeded shifts of single D_i entries, which in
+    general break the Leibniz rule on a non-abelian target."""
+    D = list(rep.D)
+    n = rep.target.dim
+    for _ in range(count):
+        i, r, c = rng.randrange(len(D)), rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in D[i].row_list()]
+        rows[r][c] = rows[r][c] + rng.choice((-2, -1, 1, 3))
+        D[i] = Matrix.from_rows(rows, rep.d)
+    return AffineRep(rep.source, rep.target, list(rep.t), D, label="shifted")
+
+
 class TestSparseHomomorphismCheck:
     @pytest.mark.parametrize("count", (0, 1, 2))
     def test_violations_match_dense_reference(self, count):
         rng = random.Random(40 + count)
+        broken = set()
         for slug in bundled_rep_names():
             for _ in range(2):
                 rep = perturbed_rep(bundled_rep(slug), rng, count)
@@ -186,6 +220,33 @@ class TestSparseHomomorphismCheck:
                 assert report.ok == (not expected)
                 if count == 0:
                     assert report.ok
+                if self.check_leibniz(with_raw_shifts(rep, rng, count + 1)):
+                    broken.add(slug)
+        # the shifts break derivations of non-abelian targets, h3R_to_f4's
+        # non-abelian source among them
+        assert len(broken) >= 4 and "h3R_to_f4" in broken
+
+    @staticmethod
+    def check_leibniz(rep):
+        """is_derivation, leibniz_residual and the first DerivationError
+        (index and pair) against dense_leibniz on every D_i."""
+        first = None
+        for i, M in enumerate(rep.D):
+            residuals = dense_leibniz(rep.target, M)
+            bad = [pair for pair, r in residuals.items()
+                   if not all(x.is_zero() for x in r)]
+            assert is_derivation(rep.target, M) == (not bad)
+            for (a, b), r in residuals.items():
+                assert leibniz_residual(rep.target, M, a, b) == r
+            if bad and first is None:
+                first = (i + 1, (bad[0][0] + 1, bad[0][1] + 1))
+        if first is None:
+            validate_derivations(rep)
+            return False
+        with pytest.raises(DerivationError) as exc:
+            validate_derivations(rep)
+        assert (exc.value.index, exc.value.pair) == first
+        return True
 
 
 class TestBijectivity:

@@ -304,6 +304,18 @@ def test_huge_dimension_is_a_parse_error(tmp_path, command):
     assert "largest supported dimension" in proc.stderr
 
 
+def test_oversized_integer_is_a_parse_error(tmp_path):
+    # beyond the interpreter's limit on digits in an integer literal
+    f = tmp_path / "big.json"
+    f.write_text('{"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": '
+                 '[{"k": 1, "c": ' + "7" * 5000 + '}]}]}', encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "nilaffine", "check-lie",
+                           str(f)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "big.json" in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nilaffine", "obstruct-abelian",

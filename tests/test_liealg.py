@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nilaffine.errors import ParseError, ShapeError
-from nilaffine.liealg import (MAX_DIM, LieAlgebra, SemidirectElement, abelian,
+from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra,
+                              SemidirectElement, abelian,
                               algebra_from_dict, algebra_to_dict, catalog,
                               catalog_names, derivation_space, get_algebra,
                               is_derivation, leibniz_residual, resolve_name,
@@ -104,6 +105,35 @@ def dense_bracket(L, x, y):
     return tuple(out)
 
 
+def dense_jacobi(L):
+    """Cyclic sums on every basis triple i < j < k, entry by entry from the
+    constants c[a][b] = dense_bracket(X_a, X_b):
+    sum over m of c_ij^m c_mk + c_jk^m c_mi + c_ki^m c_mj."""
+    n, zero = L.dim, Scalar.zero(L.d)
+    e = [L.basis_vector(i) for i in range(n)]
+    c = [[dense_bracket(L, e[a], e[b]) for b in range(n)] for a in range(n)]
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = [zero] * n
+                for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m in range(n):
+                        for l in range(n):
+                            res[l] = res[l] + c[a][b][m] * c[m][t][l]
+                if not vec_is_zero(res):
+                    found.append(JacobiViolation((i + 1, j + 1, k + 1),
+                                                 tuple(res)))
+    return found
+
+
+def assert_jacobi_matches_dense(L):
+    report = L.check_jacobi()
+    assert list(report.violations) == dense_jacobi(L)
+    assert report.ok == (not report.violations)
+    assert all(c.d == L.d for v in report.violations for c in v.residual)
+
+
 class TestSparseBracket:
     @pytest.mark.parametrize("d", (1, 3))
     @pytest.mark.parametrize("n", (1, 2, 4, 7))
@@ -117,6 +147,7 @@ class TestSparseBracket:
             got = L.bracket(x, y)
             assert got == dense_bracket(L, x, y)
             assert all(isinstance(c, Scalar) and c.d == d for c in got)
+            assert_jacobi_matches_dense(L)
 
     @pytest.mark.parametrize("d", (1, 3))
     def test_catalog_matches_dense(self, d):
@@ -127,6 +158,8 @@ class TestSparseBracket:
             for x in basis + [rand_vec(rng, L) for _ in range(3)]:
                 for y in basis + [rand_vec(rng, L)]:
                     assert L.bracket(x, y) == dense_bracket(L, x, y)
+            assert_jacobi_matches_dense(L)
+            assert_jacobi_matches_dense(transport(L, rand_invertible(rng, L.dim, d)))
 
 
 class TestJacobi:

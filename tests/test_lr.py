@@ -136,6 +136,7 @@ class TestSparseKernels:
     def test_check_lr_violations_match_reference(self, d, count,
                                                  passing_structures):
         rng = random.Random(10 * d + count)
+        rejected = 0
         for s in passing_structures:
             for _ in range(2):
                 p = perturbed(s, rng, d, count)
@@ -145,6 +146,23 @@ class TestSparseKernels:
                 assert report.ok == (not expected)
                 if count == 0:
                     assert report.ok
+                rejected += self.check_commuting_lefts(p, expected)
+        assert (rejected > 0) == (count > 0)
+
+    @staticmethod
+    def check_commuting_lefts(s, expected):
+        """check_complete refuses exactly when some identity (1) residual,
+        a column of [L(X_i), L(X_j)], is nonzero, naming the first i < j."""
+        pairs = sorted({v.where[:2] for v in expected
+                        if v.identity == 1 and v.where[0] < v.where[1]})
+        if not pairs:
+            check_complete(s)   # decided by the flag, without raising
+            return False
+        i, j = pairs[0]
+        with pytest.raises(PreconditionError,
+                           match=fr"L\(X_{i}\) and L\(X_{j}\) do not"):
+            check_complete(s)
+        return True
 
 
 class TestIdentities:

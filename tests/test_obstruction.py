@@ -86,6 +86,35 @@ class TestPoly:
         p = Poly.var(0) * Poly.var(1) - Poly.const(Fraction(1, 3))
         assert p.evaluate({0: Fraction(1, 2), 1: Fraction(2, 3)}) == 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evaluate_matches_naive_formula(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                mono = tuple(sorted((v, rng.randint(1, 3)) for v in
+                                    rng.sample(range(5), rng.randint(0, 3))))
+                terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            p = Poly(terms)
+            # about half of the values are zero
+            values = {v: Fraction(rng.choice((0, rng.randint(-3, 3))),
+                                  rng.randint(1, 3)) for v in range(5)}
+            naive = Fraction(0)
+            for m, c in p.terms.items():
+                prod = c
+                for v, e in m:
+                    prod *= values[v] ** e
+                naive += prod
+            got = p.evaluate(values)
+            assert got == naive and isinstance(got, Fraction)
+
+    def test_evaluate_looks_up_every_variable(self):
+        # x0 is zero, which makes the term zero, yet x1 must still be there
+        p = Poly.var(0) * Poly.var(1) + Poly.var(2)
+        assert p.evaluate({0: Fraction(0), 1: Fraction(5), 2: Fraction(0)}) == 0
+        with pytest.raises(KeyError):
+            p.evaluate({0: Fraction(0), 2: Fraction(1)})
+
     def test_render(self):
         def name(v):
             return f"x{v}"
