@@ -11,8 +11,7 @@ from .affine import (AffineRep, BijectivityReport, HomReport, HomViolation,
                      check_homomorphism, check_simply_transitive,
                      rep_from_dict, rep_of_files, rep_to_dict, trivial_rep,
                      validate_derivations)
-from .corpus import (bundled_rep, bundled_rep_names, bundled_reps,
-                     regenerate_data)
+from .corpus import bundled_rep, bundled_rep_names, bundled_reps
 from .errors import (DerivationError, FieldMismatchError,
                      IncompleteStructureError, InternalError, NilaffineError,
                      ParseError, PreconditionError, ShapeError)
@@ -53,8 +52,8 @@ __all__ = [
     "check_lr", "check_simply_transitive", "derivation_space", "engel_flag",
     "get_algebra", "is_derivation", "lr_from_dict", "lr_to_dict",
     "lr_to_rep", "matrix_from_json", "matrix_to_json", "obstruct_abelian",
-    "parametric_derivation", "read_json", "regenerate_data", "rep_from_dict",
-    "rep_of_files", "rep_to_dict", "rep_to_lr", "resolve_name",
+    "parametric_derivation", "read_json", "rep_from_dict", "rep_of_files",
+    "rep_to_dict", "rep_to_lr", "resolve_name",
     "row_space_basis", "scalar_from_json", "scalar_to_json",
     "semidirect_bracket", "stable_json", "transport", "trivial_rep",
     "validate_derivations", "variable_namer", "vector_from_json",

@@ -5,7 +5,12 @@ Exit codes, uniform across subcommands:
   0  the check passed, the conversion succeeded, or a witness was found
   1  the check failed, or the obstruction pipeline proved non-existence
   2  the obstruction pipeline ran out of candidates (Undetermined)
-  3  unusable input: malformed files, unknown names, bad usage
+  3  unusable input (malformed files, unknown names, bad usage), or a
+     failed internal cross-check
+
+obstruct-abelian re-checks every verdict it prints with the independent
+checker verify_certificate; a verdict that fails it is a bug, reported
+as a one-line error on exit code 3.
 
 --json renders the same report as a stable JSON document (sorted keys,
 fixed indentation), so identical inputs give byte-identical output.
@@ -22,15 +27,16 @@ from .affine import (AffineRep, check_simply_transitive, rep_from_dict,
                      rep_of_files, rep_to_dict)
 from .corpus import bundled_rep_names
 from .errors import (DerivationError, FieldMismatchError,
-                     IncompleteStructureError, ParseError, PreconditionError,
-                     ShapeError)
+                     IncompleteStructureError, InternalError, ParseError,
+                     PreconditionError, ShapeError)
 from .io import read_json, stable_json, write_json
 from .liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
                      catalog_names, derivation_space, get_algebra)
 from .linalg import matrix_to_json, vector_to_json
 from .lr import (LRStructure, check_complete, check_lr, lr_from_dict,
                  lr_to_dict, lr_to_rep, rep_to_lr)
-from .obstruction import obstruct_abelian, parametric_derivation, variable_namer
+from .obstruction import (obstruct_abelian, parametric_derivation,
+                          variable_namer, verify_certificate)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,10 +121,10 @@ def _cmd_check_lie(parser, args) -> int:
     for v in jac.violations[:5]:
         lines.append(f"    triple {v.triple} leaves a nonzero cyclic sum")
     lines += [
-        f"  abelian: {L.is_abelian()}",
-        f"  nilpotent: {L.is_nilpotent()} (lower central dims {lcs})",
-        f"  two-step solvable: {L.is_two_step_solvable()} (derived dims {ds})",
-        f"  center dim: {len(L.center())}",
+        f"  abelian: {doc['abelian']}",
+        f"  nilpotent: {doc['nilpotent']} (lower central dims {lcs})",
+        f"  two-step solvable: {doc['two_step_solvable']} (derived dims {ds})",
+        f"  center dim: {doc['center_dim']}",
     ]
     _emit(args, doc, lines)
     return 0 if jac.ok else 1
@@ -260,6 +266,10 @@ def _cmd_check_lr(parser, args) -> int:
 def _cmd_obstruct(parser, args) -> int:
     L = _load_algebra(parser, args)
     out = obstruct_abelian(L, samples=args.samples, seed=args.seed)
+    if not verify_certificate(out, L):
+        raise InternalError(
+            f"the {out.verdict} verdict on {L.name!r} fails its independent "
+            f"check; this is a bug")
     doc = out.to_dict()
     lines = [f"algebra {L.name}: dim {L.dim}, "
              f"derivation space dim {out.space.dimension}",
@@ -313,14 +323,7 @@ def _cmd_catalog(parser, args) -> int:
                  f"two-step solvable: {L.is_two_step_solvable()}"]
         _emit(args, doc, lines)
         return 0
-    # export
-    doc = algebra_to_dict(L)
-    if args.output:
-        write_json(Path(args.output), doc)
-        if not args.quiet:
-            print(f"wrote {args.output}")
-    elif not args.quiet:
-        sys.stdout.write(stable_json(doc))
+    _write_doc(args, algebra_to_dict(L))
     return 0
 
 
@@ -409,7 +412,7 @@ def main(argv=None) -> int:
     try:
         return args.func(parser, args)
     except (ParseError, ShapeError, FieldMismatchError, PreconditionError,
-            OSError) as err:
+            InternalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -1,105 +1,42 @@
 """Bundled worked examples: verified reps between small catalog algebras.
 
-Each entry is a simply transitive affine rep with unit translations
+Each rep is a simply transitive affine rep with unit translations
 (t_i = X_i), except the rank-five example where one translation carries
 an irrational stretch. They double as CLI demo inputs and as fixed
-points for the test suite; regenerate_data rewrites the JSON files under
-data/ from these builders so the bundled files can never drift from the
-code.
+points for the test suite. The JSON files under data/ are their only
+source: bundled_rep loads them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .affine import AffineRep, rep_to_dict
-from .io import write_json
-from .liealg import algebra_to_dict, get_algebra
-from .linalg import Matrix, Vector
-from .scalars import Scalar
+from .affine import AffineRep, rep_from_dict
+from .io import read_json
 
-# D entries are {(row, col): value}, 1-based, one dict per source index.
-# Unlisted source indices get the zero matrix.
-_REP_TABLE: tuple[tuple[str, str, str, int, dict], ...] = (
-    ("r3_to_h3", "R3", "h3", 1,
-     {1: {(3, 2): Fraction(-1, 2)}, 2: {(3, 1): Fraction(1, 2)}}),
-    ("h3_to_r3", "h3", "R3", 1,
-     {1: {(3, 2): Fraction(1, 2)}, 2: {(3, 1): Fraction(-1, 2)}}),
-    ("r4_to_r4", "R4", "R4", 1, {}),
-    ("r4_to_h3R", "R4", "h3+R", 1,
-     {1: {(3, 2): Fraction(-1, 2)}, 2: {(3, 1): Fraction(1, 2)}}),
-    ("r4_to_f4", "R4", "f4", 1,
-     {1: {(3, 2): -1, (4, 3): -1}}),
-    ("h3R_to_r4", "h3+R", "R4", 1,
-     {1: {(3, 2): Fraction(1, 2)}, 2: {(3, 1): Fraction(-1, 2)}}),
-    ("h3R_to_h3R", "h3+R", "h3+R", 1, {}),
-    ("h3R_to_f4", "h3+R", "f4", 1,
-     {1: {(2, 1): -1}, 2: {(4, 2): 1}, 3: {(4, 1): 1}}),
-    ("f4_to_r4", "f4", "R4", 1,
-     {1: {(3, 2): 1, (4, 3): 1}}),
-    ("f4_to_h3R", "f4", "h3+R", 1,
-     {1: {(2, 1): 1}, 2: {(4, 2): 1}, 3: {(4, 1): -1}}),
-    ("f4_to_f4", "f4", "f4", 1, {}),
-    ("h3R2_to_g5_6", "h3+R2", "g5_6", 3,
-     {1: {(2, 1): Scalar(Fraction(-1, 2), Fraction(-1, 6), 3),
-          (3, 2): Scalar(0, Fraction(1, 3), 3),
-          (4, 3): Scalar(0, Fraction(1, 3), 3),
-          (5, 4): Scalar(Fraction(-1, 2), Fraction(1, 6), 3)},
-      2: {(3, 1): 1,
-          (4, 2): Scalar(1, Fraction(-1, 3), 3),
-          (5, 3): Scalar(0, Fraction(-1, 3), 3)},
-      3: {(4, 1): Scalar(Fraction(1, 3), Fraction(1, 3), 3),
-          (5, 2): Scalar(Fraction(-1, 3), Fraction(1, 3), 3)},
-      4: {(5, 1): Scalar(Fraction(1, 2), Fraction(1, 6), 3)}}),
+_REP_SLUGS = (
+    "r3_to_h3", "h3_to_r3",
+    "r4_to_r4", "r4_to_h3R", "r4_to_f4",
+    "h3R_to_r4", "h3R_to_h3R", "h3R_to_f4",
+    "f4_to_r4", "f4_to_h3R", "f4_to_f4",
+    "h3R2_to_g5_6",
 )
-
-# Non-unit translations, {source index: {coordinate: value}}, 1-based.
-_T_OVERRIDES: dict[str, dict[int, dict[int, Scalar]]] = {
-    "h3R2_to_g5_6": {3: {3: Scalar(0, Fraction(1, 3), 3)}},
-}
-
-
-def _entries_matrix(n: int, d: int, entries: dict) -> Matrix:
-    rows = [[Scalar.of(0, d)] * n for _ in range(n)]
-    for (r, c), value in entries.items():
-        rows[r - 1][c - 1] = Scalar.of(value, d)
-    return Matrix.from_rows(rows, d)
-
-
-def _unit_translations(n: int, d: int, overrides: dict) -> list[Vector]:
-    ts = []
-    for i in range(1, n + 1):
-        coords = [Scalar.of(0, d)] * n
-        if i in overrides:
-            for a, value in overrides[i].items():
-                coords[a - 1] = Scalar.of(value, d)
-        else:
-            coords[i - 1] = Scalar.of(1, d)
-        ts.append(tuple(coords))
-    return ts
 
 
 def bundled_rep(slug: str) -> AffineRep:
-    for name, src, tgt, d, dmap in _REP_TABLE:
-        if name == slug:
-            source = get_algebra(src).with_field(d)
-            target = get_algebra(tgt).with_field(d)
-            n = source.dim
-            D = [_entries_matrix(target.dim, d, dmap.get(i, {}))
-                 for i in range(1, n + 1)]
-            t = _unit_translations(target.dim, d, _T_OVERRIDES.get(slug, {}))
-            return AffineRep(source, target, t, D, label=slug)
-    raise KeyError(f"no bundled rep named {slug!r}")
+    if slug not in _REP_SLUGS:
+        raise KeyError(f"no bundled rep named {slug!r}")
+    path = rep_path(slug)
+    return rep_from_dict(read_json(path), where=str(path), label=slug)
 
 
 def bundled_reps() -> dict[str, AffineRep]:
-    return {row[0]: bundled_rep(row[0]) for row in _REP_TABLE}
+    return {slug: bundled_rep(slug) for slug in _REP_SLUGS}
 
 
 def bundled_rep_names() -> tuple[str, ...]:
-    return tuple(row[0] for row in _REP_TABLE)
+    return _REP_SLUGS
 
 
 def data_dir() -> Path:
@@ -112,25 +49,3 @@ def rep_path(slug: str) -> Path:
 
 def algebra_path(name: str) -> Path:
     return data_dir() / "algebras" / f"{name}.json"
-
-
-_BUNDLED_ALGEBRAS = ("g6_18",)
-
-
-def regenerate_data(root: Path | None = None) -> list[Path]:
-    """Rewrite every bundled JSON file; returns the paths written."""
-    base = Path(root) if root is not None else data_dir()
-    written = []
-    reps = base / "reps"
-    reps.mkdir(parents=True, exist_ok=True)
-    for slug in bundled_rep_names():
-        path = reps / f"{slug}.json"
-        write_json(path, rep_to_dict(bundled_rep(slug)))
-        written.append(path)
-    algebras = base / "algebras"
-    algebras.mkdir(parents=True, exist_ok=True)
-    for name in _BUNDLED_ALGEBRAS:
-        path = algebras / f"{name}.json"
-        write_json(path, algebra_to_dict(get_algebra(name)))
-        written.append(path)
-    return written

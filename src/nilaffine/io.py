@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 
 def read_json(path: str | Path) -> object:
@@ -28,9 +28,16 @@ def stable_json(doc: object) -> str:
     """Canonical serialization: sorted keys, two-space indent, newline at end.
 
     Identical documents serialize to identical bytes, which the CLI's
-    --json mode and the bundled-file drift test both rely on.
+    --json mode relies on. An integer beyond the interpreter's digit limit
+    for int-to-str conversion raises PreconditionError, whose message does
+    not echo the number.
     """
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2,
+                          ensure_ascii=False) + "\n"
+    except ValueError as exc:
+        raise PreconditionError(
+            "the report holds an integer too long to render as JSON") from exc
 
 
 def write_json(path: str | Path, doc: object) -> None:

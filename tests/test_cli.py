@@ -316,6 +316,65 @@ def test_oversized_integer_is_a_parse_error(tmp_path):
     assert "big.json" in proc.stderr
 
 
+def test_oversized_residual_is_a_clean_error(tmp_path):
+    # legal input whose identity-(2) residual c^2 is beyond the
+    # interpreter's digit limit for int-to-str conversion
+    c = 10 ** 2999 + 7
+    doc = {"algebra": "R2", "product": [
+        {"i": 1, "j": 1, "terms": [{"k": 2, "c": c}]},
+        {"i": 2, "j": 2, "terms": [{"k": 1, "c": c}]}]}
+    f = tmp_path / "big.lr.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "nilaffine", "check-lr",
+                           "--json", str(f)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr) < 200
+
+
+class TestEachFactOnce:
+    def count_calls(self, monkeypatch, owner, name):
+        counted = []
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("flag", ([], ["--json"]))
+    def test_check_lie_decides_each_property_once(self, capsys, monkeypatch,
+                                                  flag):
+        argv = ["check-lie", "--algebra", "g6_18"] + flag
+        before = run_out(capsys, argv)
+        counts = {name: self.count_calls(monkeypatch, LieAlgebra, name)
+                  for name in ("is_abelian", "is_nilpotent",
+                               "is_two_step_solvable", "center")}
+        assert run_out(capsys, argv) == before
+        assert {name: len(calls) for name, calls in counts.items()} == \
+            dict.fromkeys(counts, 1)
+
+    @pytest.mark.parametrize("name", ("h3", "g6_18"))
+    def test_obstruct_checks_its_verdict_once(self, capsys, monkeypatch,
+                                              name):
+        calls = self.count_calls(monkeypatch, cli, "verify_certificate")
+        assert run(["obstruct-abelian", "--algebra", name]) in (0, 1)
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_failed_cross_check_is_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_certificate",
+                            lambda outcome, L: False)
+        assert run(["obstruct-abelian", "--algebra", "h3"]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nilaffine", "obstruct-abelian",

@@ -2,8 +2,7 @@ import pytest
 
 from nilaffine.affine import check_simply_transitive, rep_from_dict
 from nilaffine.corpus import (algebra_path, bundled_rep, bundled_rep_names,
-                              bundled_reps, data_dir, regenerate_data,
-                              rep_path)
+                              bundled_reps, data_dir, rep_path)
 from nilaffine.io import read_json
 from nilaffine.liealg import algebra_from_dict, get_algebra
 
@@ -45,15 +44,6 @@ def test_bundled_algebra_file_matches_catalog():
     assert path.is_file()
     loaded = algebra_from_dict(read_json(path), where=str(path))
     assert loaded == get_algebra("g6_18")
-
-
-def test_files_match_regeneration(tmp_path):
-    written = regenerate_data(tmp_path)
-    assert len(written) == len(EXPECTED_SLUGS) + 1
-    for fresh in written:
-        shipped = data_dir() / fresh.relative_to(tmp_path)
-        assert shipped.is_file(), shipped
-        assert fresh.read_bytes() == shipped.read_bytes(), shipped
 
 
 def test_no_stray_data_files():

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from nilaffine.affine import AffineRep, rep_from_dict, rep_to_dict
-from nilaffine.corpus import bundled_rep
+from nilaffine.affine import (AffineRep, check_simply_transitive,
+                             rep_from_dict, rep_to_dict)
+from nilaffine.corpus import bundled_rep, bundled_reps
 from nilaffine.errors import (IncompleteStructureError, ParseError,
                               PreconditionError)
-from nilaffine.liealg import LieAlgebra, abelian, get_algebra
+from nilaffine.liealg import LieAlgebra, abelian, get_algebra, is_derivation
 from nilaffine.linalg import EngelFailure, Matrix, as_vector, vec_is_zero, vec_sub
 from nilaffine.lr import (LRStructure, LRViolation, check_complete, check_lr,
                           lr_from_dict, lr_to_dict, lr_to_rep, rep_to_lr)
+from nilaffine.obstruction import obstruct_abelian
 from nilaffine.scalars import Scalar
 
 HALF = Fraction(1, 2)
@@ -242,15 +244,64 @@ class TestCompleteness:
             check_complete(s)
 
 
+# Algebras whose obstruct_abelian verdict is Found: the obstruction
+# suite's negative controls and two filiform algebras L_n, [X_1, X_i] = X_{i+1}.
+WITNESS_ALGEBRAS = [get_algebra(name) for name in
+                    ("R1", "R2", "R3", "R4", "R5", "R6",
+                     "h3", "h3+R", "f4", "h3+R2", "g5_6")] + [
+    LieAlgebra.from_table(f"L{n}", n, {(1, i): [(i + 1, 1)]
+                                       for i in range(2, n)})
+    for n in (5, 6)]
+
+
+@pytest.fixture(scope="module")
+def witnesses():
+    return [obstruct_abelian(L) for L in WITNESS_ALGEBRAS]
+
+
+def reparametrized(rep):
+    """The same action with its abelian source re-parametrized through an
+    invertible A: t'_i = t(A e_i) and D'_i = D(A e_i), so the translations
+    are no longer the identity."""
+    n = rep.source.dim
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows[0][0], rows[1][0], rows[n - 1][1] = 2, 1, -3
+    cols = [Matrix.from_rows(rows, rep.d).column(i) for i in range(n)]
+    return AffineRep(rep.source, rep.target, [rep.t_of(c) for c in cols],
+                     [rep.D_of(c) for c in cols])
+
+
+def assert_lr_correspondence(s):
+    """The paper's theorem on one product read off a passing rep: it is a
+    complete LR-structure, each -L(X_i) is a derivation, and the rebuilt
+    rep passes and converts back to the same product."""
+    assert check_lr(s).ok
+    assert check_complete(s).complete
+    for i in range(s.algebra.dim):
+        assert is_derivation(s.algebra, -s.left_matrix(i)), i + 1
+    back = lr_to_rep(s)
+    assert check_simply_transitive(back).overall
+    assert rep_to_lr(back) == s
+
+
 class TestRoundTrips:
-    def test_rep_to_lr_to_rep_exact(self):
-        for slug in ("r3_to_h3", "r4_to_r4", "r4_to_h3R", "r4_to_f4"):
-            rep = bundled_rep(slug)
+    def test_rep_to_lr_to_rep_exact(self, witnesses):
+        reps = {slug: rep for slug, rep in bundled_reps().items()
+                if rep.source.is_abelian()}
+        assert len(reps) == 4
+        for slug, rep in reps.items():
             s = rep_to_lr(rep)
-            assert check_lr(s).ok
-            assert check_complete(s).complete
-            back = lr_to_rep(s)
-            assert back == rep, slug
+            assert_lr_correspondence(s)
+            assert lr_to_rep(s) == rep, slug
+            moved = reparametrized(rep)
+            assert moved.t_matrix() != rep.t_matrix()
+            assert rep_to_lr(moved) == s, slug
+        for outcome in witnesses:
+            assert outcome.verdict == "Found", outcome.algebra.name
+            s = rep_to_lr(outcome.witness_rep)
+            assert s == outcome.witness_lr
+            assert_lr_correspondence(s)
+            assert lr_to_rep(s) == outcome.witness_rep, outcome.algebra.name
 
     def test_lr_to_rep_builds_identity_translations(self):
         rep = lr_to_rep(h3_halved())

@@ -11,7 +11,7 @@ from nilaffine.liealg import (LieAlgebra, catalog_names, derivation_space,
                               get_algebra, is_derivation, transport)
 from nilaffine.io import stable_json
 from nilaffine.linalg import Matrix
-from nilaffine.lr import LRStructure, rep_to_lr
+from nilaffine.lr import LRStructure, lr_to_rep, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
                                    _build_equations, obstruct_abelian,
                                    parametric_derivation, variable_namer,
@@ -501,17 +501,36 @@ class TestEachFactOnce:
         monkeypatch.setattr(lr, "check_simply_transitive", counting)
         return counted
 
-    def test_found_decision_and_its_check(self, calls):
+    @pytest.fixture
+    def lr_checks(self, monkeypatch):
+        counted = {"check_lr": 0, "check_complete": 0}
+        for name in counted:
+            def counting(s, real=getattr(lr, name), name=name):
+                counted[name] += 1
+                return real(s)
+            monkeypatch.setattr(lr, name, counting)
+        return counted
+
+    def test_found_decision_and_its_check(self, calls, lr_checks):
         L, outcome = filiform_found()
         assert len(calls) == 1
         assert verify_certificate(outcome, L)
         assert len(calls) == 2
+        assert lr_checks == {"check_lr": 0, "check_complete": 0}
 
-    def test_public_conversion_checks_once(self, calls):
+    def test_public_conversion_checks_once(self, calls, lr_checks):
         rep = filiform_found()[1].witness_rep
         calls.clear()
         rep_to_lr(rep)
         assert len(calls) == 1
+        assert lr_checks["check_lr"] == 0
+
+    def test_rebuild_checks_its_input_once(self, calls, lr_checks):
+        s = filiform_found()[1].witness_lr
+        calls.clear()
+        lr_to_rep(s)
+        assert calls == []
+        assert lr_checks == {"check_lr": 1, "check_complete": 1}
 
 
 class TestRenderedVerdictIsRecorded:
