@@ -20,8 +20,8 @@ negated linear parts (normalizing translations to the identity first),
 lr_to_rep rebuilds the representation. Each direction checks its input
 and only builds its output: that a passing rep yields a complete
 structure, and a complete structure a passing rep, is the theorem the
-conversions rest on, and the test suite checks it on the bundled reps
-and the solver's witnesses instead of every call re-proving it.
+conversions rest on; the test suite checks it on the bundled reps and
+the solver's witnesses.
 """
 
 from __future__ import annotations
