@@ -28,9 +28,9 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DerivationError, FieldMismatchError, ParseError,
                      PreconditionError, ShapeError)
-from .liealg import (LieAlgebra, _leibniz_failure, _semidirect_into,
-                     _sparse_element, algebra_from_dict, algebra_to_dict,
-                     catalog, resolve_name)
+from .liealg import (LieAlgebra, _catalog_key, _leibniz_failure,
+                     _semidirect_into, _sparse_element, algebra_from_dict,
+                     algebra_to_dict, catalog, resolve_name)
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _dense,
                      as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
@@ -303,12 +303,8 @@ def check_simply_transitive(rep: AffineRep) -> RepVerdict:
 
 def _algebra_ref_to_json(L: LieAlgebra) -> object:
     """Catalog name when the algebra is (a re-contexted) catalog entry."""
-    try:
-        key = resolve_name(L.name)
-    except ParseError:
-        return algebra_to_dict(L)
-    entry = catalog()[key]
-    if L == entry.with_field(L.d):
+    key = _catalog_key(L.name)
+    if key is not None and L == catalog()[key].with_field(L.d):
         return key
     return algebra_to_dict(L)
 

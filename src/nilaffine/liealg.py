@@ -13,6 +13,7 @@ in :mod:`nilaffine.linalg`, so results are decisions, not approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError
@@ -402,7 +403,9 @@ def abelian(dim: int, d: int = 1, name: str | None = None) -> LieAlgebra:
     return LieAlgebra(name or f"R{dim}", dim, {}, d)
 
 
+@cache
 def _build_catalog() -> dict[str, LieAlgebra]:
+    """The bundled algebras, built on first use and shared (they are immutable)."""
     cat: dict[str, LieAlgebra] = {}
     for n in range(1, 7):
         cat[f"R{n}"] = abelian(n)
@@ -442,17 +445,22 @@ _CANONICAL_BY_NORMALIZED = {
 
 
 def catalog() -> dict[str, LieAlgebra]:
-    """Fresh copy of the bundled algebra catalog, keyed by canonical name."""
-    return _build_catalog()
+    """Fresh dict of the bundled algebras, keyed by canonical name."""
+    return dict(_build_catalog())
 
 
 def catalog_names() -> tuple[str, ...]:
     return tuple(_build_catalog())
 
 
+def _catalog_key(name: str) -> str | None:
+    """Canonical catalog key for a (possibly aliased or unicode) name, or None."""
+    return _CANONICAL_BY_NORMALIZED.get(_normalize_name(name))
+
+
 def resolve_name(name: str) -> str:
     """Canonical catalog key for a (possibly aliased or unicode) name."""
-    key = _CANONICAL_BY_NORMALIZED.get(_normalize_name(name))
+    key = _catalog_key(name)
     if key is None:
         raise ParseError(f"unknown algebra name {name!r}; "
                          f"known: {', '.join(catalog_names())}")

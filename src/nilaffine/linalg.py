@@ -248,12 +248,6 @@ class Matrix:
             _axpy(acc, a, _sparse(self.column(k)))
         return _dense(acc, self.rows, self.d)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self._e[c * self.cols + r]
-                            for r in range(self.cols) for c in range(self.rows)),
-                      self.d)
-
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
 
@@ -447,26 +441,6 @@ def annihilator(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector,
     return Matrix.from_rows(vectors, d).nullspace()
 
 
-def _extend_independent(collected: list[Vector], reduced: list[Vector],
-                        candidate: Vector) -> bool:
-    """Gaussian bookkeeping: append candidate if independent of collected."""
-    v = list(candidate)
-    for basis_vec in reduced:
-        lead = next(i for i, x in enumerate(basis_vec) if not x.is_zero())
-        f = v[lead]
-        if not f.is_zero():
-            for j in range(lead, len(v)):
-                if not basis_vec[j].is_zero():
-                    v[j] = v[j] - f * basis_vec[j]
-    if all(x.is_zero() for x in v):
-        return False
-    lead = next(i for i, x in enumerate(v) if not x.is_zero())
-    inv = v[lead].inverse()
-    reduced.append(tuple(inv * x for x in v))
-    collected.append(candidate)
-    return True
-
-
 # ------------------------------------------------------------------ flags
 
 
@@ -564,9 +538,7 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
         current = nxt
         chain.append(current)
 
-    collected: list[Vector] = []
-    reduced: list[Vector] = []
-    for level in chain:
-        for v in level:
-            _extend_independent(collected, reduced, v)
-    return Flag(basis=tuple(reversed(collected)), d=d)
+    # keep each chain vector independent of those before it: the pivot columns
+    vectors = [v for level in chain for v in level]
+    _, pivots, _ = Matrix.from_columns(vectors, d).rref()
+    return Flag(basis=tuple(vectors[p] for p in reversed(pivots)), d=d)

@@ -31,13 +31,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .affine import AffineRep, check_simply_transitive
 from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
 from .linalg import Matrix
-from .lr import LRStructure, _lr_of_passing_rep, rep_to_lr
+from .lr import LRStructure, _lr_of_passing_rep
 from .scalars import Scalar
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
@@ -399,10 +400,6 @@ class LinearSystem:
         self.solved[pivot] = form
         return True
 
-    def forced_constants(self) -> dict[int, Fraction]:
-        return {v: p.constant_value() for v, p in self.solved.items()
-                if p.is_constant()}
-
 
 # ------------------------------------------------------------------ outcomes
 
@@ -427,19 +424,67 @@ class ObstructionCertificate:
 
 @dataclass(frozen=True)
 class ObstructionOutcome:
-    algebra: LieAlgebra
+    """A verdict with the one copy of the solution it rests on.
+
+    The eliminated map and, for Found, the assignment of the free
+    coefficients are stored; the forced values, the witness rep and its
+    LR product are read off them (the last two built once, on first use).
+    """
+
     space: DerivationSpace
     verdict: str                                   # Obstructed | Found | Undetermined
-    forced: tuple[tuple[int, Fraction], ...]
     eliminated: tuple[tuple[int, Poly], ...]
     certificate: ObstructionCertificate | None = None
-    witness_rep: AffineRep | None = None
-    witness_lr: LRStructure | None = None
     witness_assignment: tuple[tuple[int, Fraction], ...] | None = None
     residual: tuple[tuple[tuple, Poly], ...] = ()
     samples: int = 0
     seed: int = 0
     two_step_solvable: bool | None = None          # as decided by the solver
+
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self.space.algebra
+
+    @property
+    def forced(self) -> tuple[tuple[int, Fraction], ...]:
+        """The constant forms of the eliminated map, in variable order."""
+        return tuple((v, form.constant_value()) for v, form in self.eliminated
+                     if form.is_constant())
+
+    @cached_property
+    def coefficients(self) -> dict[int, Fraction] | None:
+        """Every u_ik of the witness: the assignment, and the eliminated
+        forms evaluated there (KeyError if the assignment misses one)."""
+        if self.witness_assignment is None:
+            return None
+        u = dict(self.witness_assignment)
+        for v, form in self.eliminated:
+            u[v] = form.evaluate(u)
+        return u
+
+    @cached_property
+    def witness_rep(self) -> AffineRep | None:
+        """D_i = sum_k u_ik E_k with identity translations, on R^n -> L."""
+        u = self.coefficients
+        if u is None:
+            return None
+        L, basis = self.algebra, self.space.basis
+        n, r = L.dim, len(basis)
+        D = []
+        for i in range(n):
+            acc = Matrix.zero(n, n, 1)
+            for k, E in enumerate(basis):
+                coeff = u[i * r + k]
+                if coeff:
+                    acc = acc + Scalar.of(coeff, 1) * E
+            D.append(acc)
+        return AffineRep(abelian(n), L, [L.basis_vector(i) for i in range(n)],
+                         D, label=f"abelian witness on {L.name}")
+
+    @cached_property
+    def witness_lr(self) -> LRStructure | None:
+        rep = self.witness_rep
+        return None if rep is None else _lr_of_passing_rep(rep)
 
     def variable_name(self, v: int) -> str:
         return variable_namer(self.space)(v)
@@ -490,9 +535,9 @@ class ObstructionOutcome:
         if self.witness_rep is not None:
             doc["witness"] = {
                 "assignment": {name(v): frac(c)
-                               for v, c in (self.witness_assignment or ())},
+                               for v, c in self.witness_assignment},
                 "rep": rep_to_dict(self.witness_rep),
-                "lr": lr_to_dict(self.witness_lr) if self.witness_lr else None,
+                "lr": lr_to_dict(self.witness_lr),
             }
         if self.residual:
             doc["residual"] = [
@@ -656,14 +701,12 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             break
 
     eliminated = tuple(sorted(system.solved.items()))
-    forced = tuple(sorted(system.forced_constants().items()))
 
     leftover = [(tag, system.reduce(poly)) for tag, poly in pending]
     for tag, reduced in leftover:
         if reduced and reduced.is_constant():
             return ObstructionOutcome(
-                algebra=L, space=space, verdict="Obstructed", forced=forced,
-                eliminated=eliminated,
+                space=space, verdict="Obstructed", eliminated=eliminated,
                 certificate=_certificate_from_tag(tag,
                                                   reduced.constant_value()),
                 samples=samples, seed=seed, two_step_solvable=metabelian)
@@ -672,32 +715,14 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
 
     free = [v for v in range(n * r) if v not in system.solved]
     for values in _candidates(len(free), samples, seed):
-        assignment = dict(zip(free, values))
-        full = dict(assignment)
-        for v, form in system.solved.items():
-            full[v] = form.evaluate(assignment)
-        if any(poly.evaluate(full) for _, poly in residual):
+        found = ObstructionOutcome(
+            space=space, verdict="Found", eliminated=eliminated,
+            witness_assignment=tuple(zip(free, values)), residual=residual,
+            samples=samples, seed=seed, two_step_solvable=metabelian)
+        if any(poly.evaluate(found.coefficients) for _, poly in residual):
             continue
-        D = []
-        for i in range(n):
-            acc = Matrix.zero(n, n, 1)
-            for k in range(r):
-                coeff = full[i * r + k]
-                if coeff:
-                    acc = acc + Scalar.of(coeff, 1) * space.basis[k]
-            D.append(acc)
-        source = abelian(n)
-        rep = AffineRep(source, L, [L.basis_vector(i) for i in range(n)],
-                        D, label=f"abelian witness on {L.name}")
-        if not check_simply_transitive(rep).overall:
-            continue
-        return ObstructionOutcome(
-            algebra=L, space=space, verdict="Found", forced=forced,
-            eliminated=eliminated, witness_rep=rep,
-            witness_lr=_lr_of_passing_rep(rep),
-            witness_assignment=tuple(sorted(assignment.items())),
-            residual=residual, samples=samples, seed=seed,
-            two_step_solvable=metabelian)
+        if check_simply_transitive(found.witness_rep).overall:
+            return found
 
     if not metabelian:
         raise InternalError(
@@ -705,8 +730,8 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             f"abelian simply transitive actions, yet the pipeline did not "
             f"reach Obstructed; this is a bug")
     return ObstructionOutcome(
-        algebra=L, space=space, verdict="Undetermined", forced=forced,
-        eliminated=eliminated, residual=residual, samples=samples, seed=seed,
+        space=space, verdict="Undetermined", eliminated=eliminated,
+        residual=residual, samples=samples, seed=seed,
         two_step_solvable=metabelian)
 
 
@@ -718,30 +743,20 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
 
     Obstructed: the tagged equation is rebuilt from scratch and the
     eliminated-variable map substituted in; the result must be exactly
-    the stated nonzero constant. Found: the witness is re-verified through
-    the public LR conversion, which runs the full simple-transitivity
-    verdict; the product it yields must equal the outcome's witness
-    product, and the assignment with the eliminated map must rebuild the
-    witness (see :func:`_assignment_rebuilds`). For both, the forced
-    values must be the constant forms of the eliminated map. An
-    Undetermined outcome makes no claim, so there is nothing to falsify
-    and the result is vacuously True.
+    the stated nonzero constant. Found: the claim is the witness rep,
+    which must build from the outcome's coefficients, act on L and pass
+    the full simple-transitivity verdict; its product and the forced
+    values are read off the same data, so they cannot disagree with it.
+    An Undetermined outcome makes no claim, so there is nothing to
+    falsify and the result is vacuously True.
     """
     if outcome.verdict == "Undetermined":
         return True
-    forced = tuple(sorted((v, form.constant_value())
-                          for v, form in outcome.eliminated
-                          if form.is_constant()))
-    if outcome.forced != forced:
-        return False
-
     if outcome.verdict == "Found":
-        rep = outcome.witness_rep
-        if rep is None or outcome.witness_lr is None or rep.target != L:
-            return False
         try:
-            return (rep_to_lr(rep) == outcome.witness_lr
-                    and _assignment_rebuilds(outcome, rep))
+            rep = outcome.witness_rep
+            return (rep is not None and rep.target == L
+                    and check_simply_transitive(rep).overall)
         except Exception:
             return False
 
@@ -775,34 +790,3 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     except Exception:
         return False
     return reduced.is_constant() and reduced.constant_value() == cert.constant
-
-
-def _assignment_rebuilds(outcome: ObstructionOutcome, rep: AffineRep) -> bool:
-    """Whether the outcome's coefficients describe the witness rep.
-
-    The assignment must give a value to exactly the variables the
-    eliminated map leaves free; the eliminated forms, evaluated there,
-    give the rest. Then every D_i must equal sum_k u_ik E_k over the
-    outcome's derivation basis, and the translations must be the
-    identity, the normalization the coefficients are written in.
-    """
-    n, r = rep.target.dim, outcome.space.dimension
-    values = dict(outcome.witness_assignment or ())
-    solved = dict(outcome.eliminated)
-    if values.keys() & solved.keys() or \
-            values.keys() | solved.keys() != set(range(n * r)):
-        return False
-    full = dict(values)
-    for v, form in solved.items():
-        full[v] = form.evaluate(values)
-    if rep.t_matrix() != Matrix.identity(n, rep.d):
-        return False
-    for i in range(n):
-        D = Matrix.zero(n, n, rep.d)
-        for k, E in enumerate(outcome.space.basis):
-            coeff = full[i * r + k]
-            if coeff:
-                D = D + Scalar.of(coeff, rep.d) * E
-        if D != rep.D[i]:
-            return False
-    return True

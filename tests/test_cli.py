@@ -44,9 +44,8 @@ class TestExitCodes:
 
         def stub(algebra, samples=25, seed=0):
             return ObstructionOutcome(
-                algebra=algebra, space=derivation_space(algebra),
-                verdict="Undetermined", forced=(), eliminated=(),
-                samples=samples, seed=seed)
+                space=derivation_space(algebra), verdict="Undetermined",
+                eliminated=(), samples=samples, seed=seed)
         monkeypatch.setattr(cli, "obstruct_abelian", stub)
         assert run(["obstruct-abelian", "--algebra", "h3"]) == 2
         assert "Undetermined" in capsys.readouterr().out
@@ -350,8 +349,8 @@ class TestEachFactOnce:
         argv = ["check-lie", "--algebra", "g6_18"] + flag
         before = run_out(capsys, argv)
         counts = {name: self.count_calls(monkeypatch, LieAlgebra, name)
-                  for name in ("is_abelian", "is_nilpotent",
-                               "is_two_step_solvable", "center")}
+                  for name in ("is_abelian", "lower_central_series",
+                               "derived_series", "center")}
         assert run_out(capsys, argv) == before
         assert {name: len(calls) for name, calls in counts.items()} == \
             dict.fromkeys(counts, 1)

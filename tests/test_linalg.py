@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from nilaffine import linalg
+from nilaffine.corpus import bundled_reps
 from nilaffine.errors import ParseError, ShapeError
 from nilaffine.linalg import (EngelFailure, Flag, Matrix, annihilator,
                               as_vector, engel_flag, matrix_from_json,
@@ -172,6 +174,36 @@ class TestEngelFlag:
             c1 = Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1)
             c2 = Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1)
             assert (c1 * a + c2 * b).is_nilpotent()
+
+
+    def test_basis_is_the_greedy_selection_from_the_chain(self, monkeypatch):
+        # the flag keeps each chain vector that raises the rank of those
+        # kept before it, and lists them in reverse
+        chain = []
+        real = linalg.row_space_basis
+
+        def recording(vectors, d, length):
+            level = real(vectors, d, length)
+            chain.append(level)
+            return level
+        monkeypatch.setattr(linalg, "row_space_basis", recording)
+        families = [
+            [Matrix.zero(3, 3)],
+            [Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])],
+            [Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+             Matrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 0]])],
+            [Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+             Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])],
+        ] + [list(rep.D) for rep in bundled_reps().values()]
+        for family in families:
+            chain.clear()
+            flag = engel_flag(family)
+            d = family[0].d
+            kept = []
+            for v in (v for level in chain for v in level):
+                if Matrix.from_rows(kept + [v], d).rref()[2] > len(kept):
+                    kept.append(v)
+            assert chain and flag.basis == tuple(reversed(kept))
 
 
 class TestBasisHelpers:

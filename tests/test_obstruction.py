@@ -6,12 +6,12 @@ import pytest
 
 from nilaffine import lr, obstruction
 from nilaffine.affine import check_simply_transitive
-from nilaffine.errors import PreconditionError
+from nilaffine.errors import ParseError, PreconditionError
 from nilaffine.liealg import (LieAlgebra, catalog_names, derivation_space,
                               get_algebra, is_derivation, transport)
 from nilaffine.io import stable_json
 from nilaffine.linalg import Matrix
-from nilaffine.lr import LRStructure, lr_to_rep, rep_to_lr
+from nilaffine.lr import lr_to_rep, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
                                    _build_equations, obstruct_abelian,
                                    parametric_derivation, variable_namer,
@@ -160,13 +160,6 @@ class TestLinearSystem:
         with pytest.raises(Contradiction) as exc:
             sys_.add(Poly.var(0) + Poly.const(3))
         assert exc.value.constant == 2
-
-    def test_forced_constants(self):
-        sys_ = LinearSystem()
-        sys_.add(Poly.var(0) + Poly.var(1))
-        assert sys_.forced_constants() == {}
-        sys_.add(Poly.var(1) - Poly.const(3))
-        assert sys_.forced_constants() == {0: Fraction(-3), 1: Fraction(3)}
 
     def test_solved_map_is_fully_reduced(self):
         rng = random.Random(11)
@@ -383,6 +376,9 @@ class TestObstructed:
 
     def test_wrong_algebra_fails(self, outcome):
         assert not verify_certificate(outcome, get_algebra("h3"))
+        found = obstruct_abelian(get_algebra("h3"))
+        assert verify_certificate(found, get_algebra("h3"))
+        assert not verify_certificate(found, get_algebra("R3"))
 
     def test_not_two_step_solvable_and_never_found(self, outcome):
         L = get_algebra("g6_18")
@@ -434,28 +430,8 @@ class TestNegativeControls:
         assert outcome.verdict == "Found"
         assert calls == []
 
-    def test_found_survives_witness_tamper(self):
-        L = get_algebra("h3")
-        outcome = obstruct_abelian(L)
-        wrong_target = dataclasses.replace(
-            outcome, witness_rep=obstruct_abelian(get_algebra("R3")).witness_rep)
-        assert not verify_certificate(wrong_target, L)
-
 
 class TestForgedWitness:
-    def test_zero_product_rejected(self):
-        L = get_algebra("h3")
-        outcome = obstruct_abelian(L)
-        zero = LRStructure(L, [[L.zero_vector()] * L.dim] * L.dim)
-        assert outcome.witness_lr != zero
-        forged = dataclasses.replace(outcome, witness_lr=zero)
-        assert not verify_certificate(forged, L)
-
-    def test_missing_product_rejected(self):
-        L = get_algebra("h3")
-        forged = dataclasses.replace(obstruct_abelian(L), witness_lr=None)
-        assert not verify_certificate(forged, L)
-
     def test_rewritten_assignment_rejected(self):
         L = get_algebra("h3")
         outcome = obstruct_abelian(L)
@@ -469,15 +445,6 @@ class TestForgedWitness:
         outcome = obstruct_abelian(L)
         forged = dataclasses.replace(
             outcome, witness_assignment=outcome.witness_assignment[1:])
-        assert not verify_certificate(forged, L)
-
-    @pytest.mark.parametrize("name", ("h3", "g6_18"))
-    def test_rewritten_forced_values_rejected(self, name):
-        L = get_algebra(name)
-        outcome = obstruct_abelian(L)
-        v, c = outcome.forced[0]
-        forged = dataclasses.replace(
-            outcome, forced=((v, c + 1),) + outcome.forced[1:])
         assert not verify_certificate(forged, L)
 
 
@@ -544,6 +511,19 @@ class TestRenderedVerdictIsRecorded:
         monkeypatch.setattr(LieAlgebra, "is_two_step_solvable", refuse)
         assert stable_json(outcome.to_dict()) == before
         assert outcome.two_step_solvable == (name == "h3")
+
+    def test_off_catalog_render_raises_no_parse_error(self, monkeypatch):
+        outcome = filiform_found()[1]
+        raised = []
+        real = ParseError.__init__
+
+        def counting(self, *args):
+            raised.append(args)
+            real(self, *args)
+        monkeypatch.setattr(ParseError, "__init__", counting)
+        doc = outcome.to_dict()
+        assert doc["witness"]["rep"]["target"]["name"] == "L5"
+        assert raised == []
 
 
 class TestPreconditions:
