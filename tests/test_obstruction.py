@@ -430,6 +430,18 @@ class TestNegativeControls:
         assert outcome.verdict == "Found"
         assert calls == []
 
+    def test_found_survives_witness_tamper(self):
+        L = get_algebra("h3")
+        outcome = obstruct_abelian(L)
+        wrong_target = dataclasses.replace(outcome)
+        # witness_rep is a cached_property: seeding the instance cache with
+        # R3's witness stands in for a Found claim whose rep was swapped.
+        wrong_target.__dict__["witness_rep"] = (
+            obstruct_abelian(get_algebra("R3")).witness_rep)
+        assert wrong_target.witness_rep.target != L
+        assert verify_certificate(outcome, L)
+        assert not verify_certificate(wrong_target, L)
+
 
 class TestForgedWitness:
     def test_rewritten_assignment_rejected(self):
