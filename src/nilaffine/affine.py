@@ -28,9 +28,9 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DerivationError, FieldMismatchError, ParseError,
                      PreconditionError, ShapeError)
-from .liealg import (LieAlgebra, _catalog_key, _leibniz_failure,
-                     _semidirect_into, _sparse_element, algebra_from_dict,
-                     algebra_to_dict, catalog, resolve_name)
+from .liealg import (LieAlgebra, _catalog_key, _expect_field,
+                     _leibniz_failure, _semidirect_into, _sparse_element,
+                     algebra_from_dict, algebra_to_dict, catalog, resolve_name)
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _dense,
                      as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
@@ -346,18 +346,12 @@ def _resolve_context(data: dict, where: str) -> int | None:
     they come, default 1).
     """
     if "d" in data:
-        d = data["d"]
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ParseError(f"{where}.d: expected an integer")
-        return d
+        return _expect_field(data["d"], f"{where}.d")
     ds = set()
     for key in ("source", "target", "algebra"):
         sub = data.get(key)
         if isinstance(sub, dict) and "d" in sub:
-            val = sub["d"]
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ParseError(f"{where}.{key}.d: expected an integer")
-            ds.add(val)
+            ds.add(_expect_field(sub["d"], f"{where}.{key}.d"))
     if len(ds) > 1:
         raise ParseError(f"{where}: inline algebras disagree on d: {sorted(ds)}")
     return ds.pop() if ds else None

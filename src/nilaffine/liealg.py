@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError
 from .linalg import Matrix, Vector, _axpy, _dense, _sparse, row_space_basis
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar, check_context, scalar_from_json, scalar_to_json
 
 BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 
@@ -27,6 +27,9 @@ BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 # cells at n = 16 (0.3 s and 36 MB for the filiform L16), and 16 million
 # at n = 32. Without a bound a huge declared dim exhausts memory.
 MAX_DIM = 16
+# Largest field context d a document may declare. is_square_free decides d
+# in O(d^(1/3)) trial divisions: under a second at this bound.
+MAX_FIELD_D = 2 ** 63
 
 
 class JacobiViolation(NamedTuple):
@@ -489,6 +492,17 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
+def _expect_field(value, where: str) -> int:
+    d = _expect_int(value, where)
+    if d > MAX_FIELD_D:
+        raise ParseError(f"{where}: exceeds the largest supported field "
+                         f"context {MAX_FIELD_D} (2^63)")
+    try:
+        return check_context(d)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object, got {type(data).__name__}")
@@ -503,7 +517,7 @@ def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
     if dim > MAX_DIM:
         raise ParseError(f"{where}.dim: {dim} exceeds the largest supported "
                          f"dimension {MAX_DIM}")
-    d = _expect_int(data.get("d", 1), f"{where}.d")
+    d = _expect_field(data.get("d", 1), f"{where}.d")
     name = data.get("name", "L")
     if not isinstance(name, str):
         raise ParseError(f"{where}.name: expected a string")

@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .affine import AffineRep, check_simply_transitive
@@ -42,6 +43,7 @@ from .lr import LRStructure, _lr_of_passing_rep
 from .scalars import Scalar
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
+_exponent = itemgetter(1)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -102,10 +104,7 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Poly(out)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
@@ -194,26 +193,26 @@ class Poly:
     def render(self, name: Callable[[int], str]) -> str:
         if not self.terms:
             return "0"
-        keyed = sorted(self.terms.items(),
-                       key=lambda item: (_mono_degree(item[0]), item[0]))
-        pieces = []
-        for m, c in keyed:
+        names: dict[int, str] = {}
+        text: list[str] = []
+        for m, c in sorted(self.terms.items(),
+                           key=lambda item: (sum(map(_exponent, item[0])),
+                                             item[0])):
             factors = []
             for v, e in m:
-                factors.append(name(v) if e == 1 else f"{name(v)}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{abs(c)}*" + "*".join(factors)
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+                if v not in names:
+                    names[v] = name(v)
+                factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
+            n, q = c.numerator, c.denominator
+            size = str(abs(n)) if q == 1 else f"{abs(n)}/{q}"
+            if factors:
+                size = "" if size == "1" else size + "*"
+            if text:
+                text.append(" - " if n < 0 else " + ")
+            elif n < 0:
+                text.append("-")
+            text.append(size + "*".join(factors))
+        return "".join(text)
 
     def __repr__(self):
         return f"Poly({self.render(lambda v: f'x{v}')})"
@@ -252,37 +251,21 @@ class ParametricMatrix:
             return NotImplemented
         if other.size != self.size:
             raise ShapeError("size mismatch")
-        n = self.size
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = Poly()
-                for k in range(n):
-                    a = self.grid[r][k]
-                    if a:
-                        b = other.grid[k][c]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return ParametricMatrix(out)
+        cols = list(zip(*other.grid))
+        return ParametricMatrix(
+            [[sum((a * b for a, b in zip(row, col) if a and b), Poly())
+              for col in cols] for row in self.grid])
 
     def __sub__(self, other: "ParametricMatrix") -> "ParametricMatrix":
         if not isinstance(other, ParametricMatrix):
             return NotImplemented
         if other.size != self.size:
             raise ShapeError("size mismatch")
-        return ParametricMatrix(
-            [[self.grid[r][c] - other.grid[r][c] for c in range(self.size)]
-             for r in range(self.size)])
+        return ParametricMatrix([[a - b for a, b in zip(mine, theirs)]
+                                 for mine, theirs in zip(self.grid, other.grid)])
 
     def commutator(self, other: "ParametricMatrix") -> "ParametricMatrix":
         return (self @ other) - (other @ self)
-
-    def substitute(self, subs: Mapping[int, Poly]) -> "ParametricMatrix":
-        return ParametricMatrix(
-            [[p.substitute(subs) for p in row] for row in self.grid])
 
     def specialize(self, values: Mapping[int, Fraction], d: int = 1) -> Matrix:
         n = self.size
@@ -358,6 +341,23 @@ class Contradiction(Exception):
         self.constant = constant
 
 
+def _factor(x: int | None, form: Poly | None):
+    """x, or the terms of its affine form, as (variable, coefficient) pairs;
+    None stands for 1 in either place."""
+    return ((x, None),) if form is None else [
+        (fm[0][0] if fm else None, None if fc == 1 else fc)
+        for fm, fc in form.terms.items()]
+
+
+def _times(a: int | None, b: int | None) -> Monomial:
+    """The monomial of a product of two factors, each 1 (None) or a variable."""
+    if a is None or b is None:
+        return () if a is b else ((b if a is None else a, 1),)
+    if a == b:
+        return ((a, 2),)
+    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
+
+
 class LinearSystem:
     """Exact incremental elimination with a fully reduced solved map.
 
@@ -371,7 +371,30 @@ class LinearSystem:
         self.solved: dict[int, Poly] = {}
 
     def reduce(self, eq: Poly) -> Poly:
-        return eq.substitute(self.solved)
+        """eq with each solved variable replaced by its affine form, for eq
+        of degree <= 2 (else ValueError), the only degree forcing meets; the
+        checker keeps the general ``Poly.substitute``."""
+        solved, out, hit = self.solved, {}, False
+        for m, c in eq.terms.items():
+            if len(m) == 2 and m[0][1] == m[1][1] == 1:
+                (a, _), (b, _) = m
+            elif len(m) == 1 and m[0][1] <= 2:
+                a, b = m[0][0], m[0][0] if m[0][1] == 2 else None
+            elif m:
+                raise ValueError(f"reduce takes degree <= 2, got the term {m}")
+            else:
+                a = b = None
+            fa, fb = solved.get(a), solved.get(b)
+            if fa is None and fb is None:
+                out[m] = out[m] + c if m in out else c
+                continue
+            hit, second = True, _factor(b, fb)
+            for x, cx in _factor(a, fa):
+                cx = c if cx is None else c * cx
+                for y, cy in second:
+                    k, v = _times(x, y), cx if cy is None else cx * cy
+                    out[k] = out[k] + v if k in out else v
+        return _poly({k: v for k, v in out.items() if v}) if hit else eq
 
     def add(self, eq: Poly) -> bool:
         """Incorporate one affine equation eq = 0.
@@ -384,19 +407,12 @@ class LinearSystem:
             return False
         if reduced.is_constant():
             raise Contradiction(reduced.constant_value())
-        const, coeffs = reduced.affine_parts()
+        _, coeffs = reduced.affine_parts()
         pivot = min(coeffs)
-        pc = coeffs[pivot]
-        form_terms: dict[Monomial, Fraction] = {}
-        if const:
-            form_terms[()] = -const / pc
-        for v, c in coeffs.items():
-            if v != pivot:
-                form_terms[((v, 1),)] = -c / pc
-        form = _poly(form_terms)
-        if self.solved:
-            back = {pivot: form}
-            self.solved = {v: p.substitute(back) for v, p in self.solved.items()}
+        pc, lead = coeffs[pivot], ((pivot, 1),)
+        form = _poly({m: -c / pc for m, c in reduced.terms.items() if m != lead})
+        back = {pivot: form}
+        self.solved = {v: p.substitute(back) for v, p in self.solved.items()}
         self.solved[pivot] = form
         return True
 
@@ -682,6 +698,8 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     # and once the fixpoint is reached the first such reduction in tag
     # order becomes the certificate. Constants are stable under further
     # substitution, so deferring them never changes what they certify.
+    # Pending equations are kept reduced, which the grown map reduces to what
+    # the originals would; the last round forced no pivot, so they are final.
     system = LinearSystem()
     pending = list(equations)
     while True:
@@ -691,27 +709,27 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             reduced = system.reduce(poly)
             if not reduced:
                 continue
-            if not reduced.is_constant() and reduced.degree() <= 1:
+            if any(len(m) == 2 or m and m[0][1] == 2 for m in reduced.terms) \
+                    or reduced.is_constant():
+                still_pending.append((tag, reduced))
+            else:
                 system.add(reduced)
                 progressed = True
-            else:
-                still_pending.append((tag, poly))
         pending = still_pending
         if not progressed:
             break
 
     eliminated = tuple(sorted(system.solved.items()))
 
-    leftover = [(tag, system.reduce(poly)) for tag, poly in pending]
-    for tag, reduced in leftover:
-        if reduced and reduced.is_constant():
+    for tag, reduced in pending:
+        if reduced.is_constant():
             return ObstructionOutcome(
                 space=space, verdict="Obstructed", eliminated=eliminated,
                 certificate=_certificate_from_tag(tag,
                                                   reduced.constant_value()),
                 samples=samples, seed=seed, two_step_solvable=metabelian)
 
-    residual = tuple((tag, reduced) for tag, reduced in leftover if reduced)
+    residual = tuple(pending)
 
     free = [v for v in range(n * r) if v not in system.solved]
     for values in _candidates(len(free), samples, seed):
@@ -767,20 +785,13 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
         space = derivation_space(L)
         if space.basis != outcome.space.basis:
             return False
-        if cert.kind == "commutator":
-            if cert.position is None:
-                return False
-            i, j = cert.pair
-            gi = parametric_derivation(L, i - 1, space)
-            gj = parametric_derivation(L, j - 1, space)
+        i, j = cert.pair
+        gi = parametric_derivation(L, i - 1, space)
+        gj = parametric_derivation(L, j - 1, space)
+        if cert.kind == "commutator" and cert.position is not None:
             poly = gi.commutator(gj).entry(cert.position[0] - 1,
                                            cert.position[1] - 1)
-        elif cert.kind == "translation":
-            if cert.coordinate is None:
-                return False
-            i, j = cert.pair
-            gi = parametric_derivation(L, i - 1, space)
-            gj = parametric_derivation(L, j - 1, space)
+        elif cert.kind == "translation" and cert.coordinate is not None:
             a = cert.coordinate - 1
             poly = Poly.const(L.bracket_basis(i - 1, j - 1)[a].rat) \
                 + gi.entry(a, j - 1) - gj.entry(a, i - 1)

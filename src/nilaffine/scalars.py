@@ -38,22 +38,28 @@ def as_fraction(value: RationalLike) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+            shown = repr(value) if len(value) <= 40 else \
+                f"{value[:40]!r}... ({len(value)} characters)"
+            raise ValueError(f"not a rational literal: {shown}") from exc
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def is_square_free(d: int) -> bool:
+    """Trial division while p^3 <= d, O(d^(1/3)), leaves 1, a prime, a product
+    of two distinct primes or a prime squared: square-free unless a square."""
     if d < 1:
         return False
     p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
+    while p * p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return False
         p += 1
-    return True
+    return d == 1 or isqrt(d) ** 2 != d
 
 
-# Contexts that passed check_context. Trial division costs O(sqrt(d)), so
+# Contexts that passed check_context. Trial division costs O(d^(1/3)), so
 # each distinct d is tested once per process, not once per Scalar.
 _accepted_contexts: set[int] = set()
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -330,6 +331,54 @@ def test_oversized_residual_is_a_clean_error(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and len(proc.stderr) < 200
+
+
+def run_file(command, path):
+    return subprocess.run([sys.executable, "-m", "nilaffine", command,
+                           str(path)], capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_large_field_context_is_decided_quickly(tmp_path):
+    f = tmp_path / "field.json"
+    write_json(f, {"dim": 2, "d": 10 ** 18 + 3, "brackets": []})
+    start = time.perf_counter()
+    proc = run_file("check-lie", f)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0
+    assert "d = 1000000000000000003" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["check-lie", "check-rep", "check-lr"])
+@pytest.mark.parametrize("d", [2 ** 63 + 1, 4, 0])
+def test_bad_field_context_is_a_parse_error(tmp_path, command, d):
+    # 4 and 0 with brackets or catalog names reached Scalar unchecked
+    algebra = {"dim": 3, "d": d, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 3, "c": 1}]}]}
+    if command == "check-rep":
+        doc = {"source": "R3", "target": "h3", "d": d, "t": [], "D": []}
+    elif command == "check-lr":
+        doc = {"algebra": algebra, "product": []}
+    else:
+        doc = algebra
+    f = tmp_path / "field.json"
+    write_json(f, doc)
+    proc = run_file(command, f)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and ".d: " in proc.stderr
+    assert ("largest supported field context" if d > 2 ** 63
+            else "square-free") in proc.stderr
+
+
+def test_long_literal_is_not_echoed(tmp_path):
+    f = tmp_path / "literal.json"
+    write_json(f, {"dim": 2, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 1, "c": "1x" + "9" * 5000}]}]})
+    proc = run_file("check-lie", f)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 300 and "5002 characters" in proc.stderr
 
 
 class TestEachFactOnce:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilaffine import lr, obstruction
 from nilaffine.affine import check_simply_transitive
@@ -13,7 +15,8 @@ from nilaffine.io import stable_json
 from nilaffine.linalg import Matrix
 from nilaffine.lr import lr_to_rep, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
-                                   _build_equations, obstruct_abelian,
+                                   _build_equations, _mono_degree,
+                                   obstruct_abelian,
                                    parametric_derivation, variable_namer,
                                    verify_certificate)
 
@@ -557,3 +560,186 @@ class TestPreconditions:
                                   {(1, 2): ((3, 1),), (1, 3): ((1, 1),)})
         with pytest.raises(PreconditionError, match="Jacobi"):
             obstruct_abelian(L)
+
+
+# ------------------------------------------------------------------ degree-2 forcing
+
+
+def heisenberg(k):
+    """h_{2k+1}: [X_i, X_{k+i}] = X_{2k+1} for 1 <= i <= k."""
+    n = 2 * k + 1
+    return LieAlgebra.from_table(f"h{n}", n,
+                                 {(i, k + i): [(n, 1)] for i in range(1, k + 1)})
+
+
+def filiform_r(n):
+    """R_n: L_n plus [X_2, X_j] = X_{j+2} for 3 <= j <= n - 2."""
+    table = {(1, i): [(i + 1, 1)] for i in range(2, n)}
+    table.update({(2, j): [(j + 2, 1)] for j in range(3, n - 1)})
+    return LieAlgebra.from_table(f"R{n}", n, table)
+
+
+FORCING_FAMILY = ([get_algebra(name) for name in catalog_names()]
+                  + [filiform(n) for n in range(5, 9)]
+                  + [heisenberg(3), filiform_r(7), transported_g6_18()])
+
+
+def forcing_rounds(L):
+    """The defining equations and the solved map after each forcing round,
+    by the round structure of obstruct_abelian, reducing with the general
+    Poly.substitute."""
+    equations = [poly for _, poly in _build_equations(L, derivation_space(L))]
+    system, maps, pending = LinearSystem(), [], equations
+    while True:
+        progressed, still = False, []
+        for poly in pending:
+            reduced = poly.substitute(system.solved)
+            if reduced and not reduced.is_constant() and reduced.degree() <= 1:
+                system.add(reduced)
+                progressed = True
+            elif reduced:
+                still.append(poly)
+        maps.append(dict(system.solved))
+        pending = still
+        if not progressed:
+            return equations, maps
+
+
+def random_affine_map(rng, nvars):
+    """A fully reduced affine map: pivots to forms over the other variables."""
+    pivots = set(rng.sample(range(nvars), rng.randint(0, nvars - 1)))
+    free = [v for v in range(nvars) if v not in pivots]
+    solved = {}
+    for v in pivots:
+        form = Poly.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for u in rng.sample(free, rng.randint(0, min(3, len(free)))):
+            form = form + Poly.var(u) * Fraction(rng.choice([-2, -1, 1, 1, 3]),
+                                                 rng.randint(1, 2))
+        solved[v] = form
+    return solved
+
+
+def random_quadratic(rng, nvars, terms):
+    poly = Poly.const(rng.randint(-2, 2))
+    for _ in range(terms):
+        monomial = Poly.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 2)):
+            monomial = monomial * Poly.var(rng.randrange(nvars))
+        poly = poly + monomial
+    return poly
+
+
+class TestDegreeTwoReduce:
+    @pytest.mark.parametrize("L", FORCING_FAMILY, ids=lambda L: L.name)
+    def test_matches_substitute_after_first_and_last_round(self, L):
+        equations, maps = forcing_rounds(L)
+        assert tuple(sorted(maps[-1].items())) == \
+            obstruct_abelian(L).eliminated
+        for solved in (maps[0], maps[-1]):
+            system = LinearSystem()
+            system.solved = solved
+            for eq in equations:
+                assert system.reduce(eq) == eq.substitute(solved)
+
+    @given(st.integers(0, 2 ** 32), st.integers(2, 9), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_substitute_on_random_maps(self, seed, nvars, terms):
+        rng = random.Random(seed)
+        system = LinearSystem()
+        system.solved = random_affine_map(rng, nvars)
+        eq = random_quadratic(rng, nvars, terms)
+        assert system.reduce(eq) == eq.substitute(system.solved)
+        assert all(system.reduce(eq).terms.values())
+
+    def test_degree_three_raises(self):
+        x, y = Poly.var(0), Poly.var(1)
+        system = LinearSystem()
+        system.add(x - y)
+        for eq in (x * x * y, x * y * Poly.var(2) + Poly.const(1),
+                   Poly.var(3) * Poly.var(3) * Poly.var(3)):
+            with pytest.raises(ValueError):
+                system.reduce(eq)
+
+    @pytest.mark.parametrize("L", [heisenberg(3), filiform(8), filiform_r(7)],
+                             ids=lambda L: L.name)
+    def test_residual_is_the_original_equations_reduced(self, L):
+        outcome = obstruct_abelian(L)
+        solved = dict(outcome.eliminated)
+        expected = []
+        for tag, poly in _build_equations(L, outcome.space):
+            reduced = poly.substitute(solved)
+            if reduced:
+                expected.append((tag, reduced))
+        assert outcome.verdict == "Found"
+        assert list(outcome.residual) == expected
+
+    @pytest.mark.parametrize("name", ["g6_18", "h3"])
+    def test_checker_does_not_use_the_solver_reduce(self, name, monkeypatch):
+        L = get_algebra(name)
+        outcome = obstruct_abelian(L)
+
+        def refuse(self, eq):
+            raise AssertionError("the checker must not call LinearSystem.reduce")
+        monkeypatch.setattr(LinearSystem, "reduce", refuse)
+        assert verify_certificate(outcome, L)
+
+
+def render_before(poly, name):
+    """Poly.render as it was before the one-pass rewrite, kept verbatim."""
+    self = poly
+    if not self.terms:
+        return "0"
+    keyed = sorted(self.terms.items(),
+                   key=lambda item: (_mono_degree(item[0]), item[0]))
+    pieces = []
+    for m, c in keyed:
+        factors = []
+        for v, e in m:
+            factors.append(name(v) if e == 1 else f"{name(v)}^{e}")
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = f"{abs(c)}*" + "*".join(factors)
+        sign = "-" if c < 0 else "+"
+        pieces.append((sign, body))
+    first_sign, first_body = pieces[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+class TestRenderIsUnchanged:
+    @pytest.mark.parametrize("L", [filiform(n) for n in range(5, 9)]
+                             + [heisenberg(3), filiform_r(7)],
+                             ids=lambda L: L.name)
+    def test_every_residual(self, L):
+        outcome = obstruct_abelian(L)
+        name = variable_namer(outcome.space)
+        assert outcome.residual
+        for _, poly in outcome.residual:
+            assert poly.render(name) == render_before(poly, name)
+
+    def test_seeded_random_polys(self):
+        rng = random.Random(2024)
+        coefficients = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2),
+                        Fraction(-7, 3), Fraction(5, 4), Fraction(-1, 1)]
+        names = [lambda v: f"x{v}", lambda v: f"u{v // 3 + 1}_{v % 3 + 1}"]
+        polys = [Poly(), Poly.const(-1), Poly.const(Fraction(-2, 3)),
+                 Poly.const(5), Poly.var(0) * Poly.var(0),
+                 Poly.var(1) * Poly.var(1) * -1 + Poly.var(0) * Fraction(-1, 2)]
+        for _ in range(300):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                monomial = {}
+                for _ in range(rng.randint(0, 3)):
+                    v = rng.randrange(5)
+                    monomial[v] = monomial.get(v, 0) + 1
+                terms[tuple(sorted(monomial.items()))] = \
+                    Fraction(rng.choice(coefficients))
+            polys.append(Poly(terms))
+        for poly in polys:
+            for name in names:
+                assert poly.render(name) == render_before(poly, name)

@@ -208,3 +208,36 @@ class TestSerialization:
     def test_irrational_part_needs_context(self):
         with pytest.raises(ParseError):
             scalar_from_json(["1/2", "1/3"], 1)
+
+
+def square_free_by_squares(d):
+    """is_square_free as it was before the cube-root bound, kept verbatim."""
+    if d < 1:
+        return False
+    p = 2
+    while p * p <= d:
+        if d % (p * p) == 0:
+            return False
+        p += 1
+    return True
+
+
+class TestSquareFree:
+    def test_agrees_with_trial_division_by_squares(self):
+        assert all(is_square_free(d) == square_free_by_squares(d)
+                   for d in range(-3, 50000))
+
+    @pytest.mark.parametrize("d, expected", [
+        (10 ** 18 + 3, True), (2 ** 61 - 1, True), ((2 ** 31 - 1) ** 2, False),
+        ((2 ** 31 - 1) * (2 ** 31 + 11), True), (4 * (10 ** 18 + 3), False),
+        (1000003 ** 2 * 7, False)])
+    def test_large_contexts(self, d, expected):
+        assert is_square_free(d) is expected
+
+    def test_long_literal_is_quoted_briefly(self):
+        with pytest.raises(ValueError) as exc:
+            as_fraction("1x" + "9" * 5000)
+        message = str(exc.value)
+        assert len(message) < 120 and "5002 characters" in message
+        with pytest.raises(ValueError, match="not a rational literal: '1x'$"):
+            as_fraction("1x")
