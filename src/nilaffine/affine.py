@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import (DerivationError, FieldMismatchError, ParseError,
-                     PreconditionError, ShapeError)
+                     PreconditionError, ShapeError, quoted)
 from .liealg import (LieAlgebra, _catalog_key, _expect_field,
                      _leibniz_failure, _semidirect_into, _sparse_element,
                      algebra_from_dict, algebra_to_dict, catalog, resolve_name)
@@ -363,7 +363,7 @@ def rep_from_dict(data: object, where: str = "rep",
         raise ParseError(f"{where}: expected an object")
     unknown = set(data) - {"source", "target", "t", "D", "d"}
     if unknown:
-        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ParseError(f"{where}: unknown keys {quoted(sorted(unknown))}")
     for key in ("source", "target", "t", "D"):
         if key not in data:
             raise ParseError(f"{where}: missing required key {key!r}")

@@ -1,6 +1,16 @@
 """Exception types shared across the package."""
 
 
+def quoted(value: object) -> str:
+    """repr of a value for an error message; past 40 characters only its
+    first 40 and its length, so a huge input is never echoed whole."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{head}... ({len(text)} characters)"
+
+
 class NilaffineError(Exception):
     """Base class for all errors raised by this package."""
 

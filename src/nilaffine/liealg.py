@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ParseError, ShapeError
-from .linalg import Matrix, Vector, _axpy, _dense, _sparse, row_space_basis
+from .errors import ParseError, ShapeError, quoted
+from .linalg import (Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse,
+                     row_space_basis)
 from .scalars import Scalar, check_context, scalar_from_json, scalar_to_json
 
 BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 
-# Largest dimension a document may declare. derivation_space solves a dense
-# system of n^2 (n - 1) / 2 equations in n^2 unknowns: about half a million
-# cells at n = 16 (0.3 s and 36 MB for the filiform L16), and 16 million
-# at n = 32. Without a bound a huge declared dim exhausts memory.
+# Largest dimension a document may declare. derivation_space solves a
+# sparse system of n^2 (n - 1) / 2 equations in n^2 unknowns, and the
+# obstruction equations grow faster still. Without a bound a huge declared
+# dim exhausts memory.
 MAX_DIM = 16
 # Largest field context d a document may declare. is_square_free decides d
 # in O(d^(1/3)) trial divisions: under a second at this bound.
@@ -159,8 +160,10 @@ class LieAlgebra:
 
     def _bracket_span(self, left: Sequence[Vector],
                       right: Sequence[Vector]) -> tuple[Vector, ...]:
-        products = [self.bracket(a, b) for a in left for b in right]
-        return row_space_basis(products, self.d, self.dim)
+        """Canonical (RREF) basis of the span of the brackets [a, b]."""
+        left, right = map(_sparse, left), [_sparse(b) for b in right]
+        _, rows = _rref(self._bracket_into({}, a, b) for a in left for b in right)
+        return tuple(_dense(r, self.dim, self.d) for r in rows)
 
     def derived_series(self) -> tuple[tuple[Vector, ...], ...]:
         """Bases of g, [g, g], [[g, g], [g, g]], ... until stable or zero."""
@@ -304,37 +307,30 @@ class DerivationSpace:
 def derivation_space(L: LieAlgebra) -> DerivationSpace:
     """Solve the Leibniz identity for all of gl(n) at once.
 
-    Unknowns are the n^2 entries of D in row-major order; one linear
-    equation per basis pair per coordinate. The kernel is canonicalized
-    by row reduction, which makes basis order and anchor entries stable
-    across runs and platforms.
+    Unknowns are the n^2 entries of D in row-major order; one sparse
+    linear equation per basis pair per coordinate. The kernel is
+    canonicalized by row reduction, which makes basis order and anchor
+    entries stable across runs and platforms.
     """
-    n = L.dim
-    if n == 0:
-        return DerivationSpace(L, (), ())
-    zero, br = Scalar.zero(L.d), L._signed
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # row (i, j, k) holds coordinate k of D[X_i, X_j] - [D X_i, X_j]
-    # - [X_i, D X_j] as a form in the entries D_ab, at column a * n + b;
-    # with no basis pairs (n = 1) the identity is vacuous: one zero row
-    rows = [[zero] * (n * n) for _ in range(max(len(pairs) * n, 1))]
-    for p, (i, j) in enumerate(pairs):
-        for m, c in br.get((i, j), {}).items():
-            for k in range(n):
-                rows[p * n + k][k * n + m] += c
-        for m in range(n):
-            for k, c in br.get((m, j), {}).items():
-                rows[p * n + k][m * n + i] -= c
-            for k, c in br.get((i, m), {}).items():
-                rows[p * n + k][m * n + j] -= c
-    system = Matrix.from_rows(rows, L.d)
-    kernel = system.nullspace()
-    if not kernel:
-        return DerivationSpace(L, (), ())
-    reduced, pivots, rank = Matrix.from_rows(kernel, L.d).rref()
-    basis = tuple(Matrix(n, n, reduced.row(r), L.d) for r in range(rank))
-    anchors = tuple(divmod(p, n) for p in pivots)
-    return DerivationSpace(L, basis, anchors)
+    n, zero, br = L.dim, Scalar.zero(L.d), L._signed
+    system: list[dict[int, Scalar]] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            # row k holds coordinate k of D[X_i, X_j] - [D X_i, X_j]
+            # - [X_i, D X_j] as a form in the entries D_ab, at column a * n + b
+            rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+            for m, c in br.get((i, j), {}).items():
+                for k in range(n):
+                    rows[k][k * n + m] = c
+            for m in range(n):
+                for col, pair in ((m * n + i, (m, j)), (m * n + j, (i, m))):
+                    for k, c in br.get(pair, {}).items():
+                        rows[k][col] = rows[k].get(col, zero) - c
+            system += ({col: c for col, c in row.items() if c} for row in rows)
+    pivots, reduced = _rref(_nullspace(system, n * n, L.d))
+    return DerivationSpace(
+        L, tuple(Matrix(n, n, _dense(r, n * n, L.d), L.d) for r in reduced),
+        tuple(divmod(p, n) for p in pivots))
 
 
 # ------------------------------------------------------------------ semidirect
@@ -488,7 +484,7 @@ def algebra_to_dict(L: LieAlgebra) -> dict:
 
 def _expect_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
+        raise ParseError(f"{where}: expected an integer, got {quoted(value)}")
     return value
 
 
@@ -508,15 +504,15 @@ def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
         raise ParseError(f"{where}: expected an object, got {type(data).__name__}")
     unknown = set(data) - {"name", "dim", "d", "brackets"}
     if unknown:
-        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ParseError(f"{where}: unknown keys {quoted(sorted(unknown))}")
     if "dim" not in data:
         raise ParseError(f"{where}: missing required key 'dim'")
     dim = _expect_int(data["dim"], f"{where}.dim")
     if dim < 0:
         raise ParseError(f"{where}.dim: must be non-negative")
     if dim > MAX_DIM:
-        raise ParseError(f"{where}.dim: {dim} exceeds the largest supported "
-                         f"dimension {MAX_DIM}")
+        raise ParseError(f"{where}.dim: {quoted(dim)} exceeds the largest "
+                         f"supported dimension {MAX_DIM}")
     d = _expect_field(data.get("d", 1), f"{where}.d")
     name = data.get("name", "L")
     if not isinstance(name, str):
@@ -534,11 +530,12 @@ def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
                 raise ParseError(f"{loc}: missing key {key!r}")
         extra = set(entry) - {"i", "j", "terms"}
         if extra:
-            raise ParseError(f"{loc}: unknown keys {sorted(extra)}")
+            raise ParseError(f"{loc}: unknown keys {quoted(sorted(extra))}")
         i = _expect_int(entry["i"], f"{loc}.i")
         j = _expect_int(entry["j"], f"{loc}.j")
         if not (1 <= i <= dim and 1 <= j <= dim):
-            raise ParseError(f"{loc}: indices ({i}, {j}) out of range 1..{dim}")
+            raise ParseError(f"{loc}: indices ({quoted(i)}, {quoted(j)}) "
+                             f"out of range 1..{dim}")
         if i >= j:
             raise ParseError(f"{loc}: require i < j, got ({i}, {j})")
         if (i - 1, j - 1) in table:
@@ -553,7 +550,7 @@ def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
                 raise ParseError(f"{tloc}: expected an object with keys 'k' and 'c'")
             k = _expect_int(term["k"], f"{tloc}.k")
             if not 1 <= k <= dim:
-                raise ParseError(f"{tloc}.k: {k} out of range 1..{dim}")
+                raise ParseError(f"{tloc}.k: {quoted(k)} out of range 1..{dim}")
             if k in seen:
                 raise ParseError(f"{tloc}.k: duplicate target {k}")
             seen.add(k)

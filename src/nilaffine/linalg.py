@@ -1,14 +1,18 @@
-"""Exact dense linear algebra over Q(sqrt(d)).
+"""Exact linear algebra over Q(sqrt(d)).
 
-Matrices are immutable, stored row-major as tuples of :class:`Scalar`.
-Row reduction is deterministic: pivots are chosen in the leftmost nonzero
-column using the topmost candidate row, so equal inputs always produce
-identical output. On top of the basics this module provides the
-simultaneous strict triangularization test (:func:`engel_flag`): a family
-of matrices spans a nilpotent associative action exactly when iterated
-joint kernels exhaust the space, and the algorithm either produces an
-ordered basis witnessing strict lower-triangularity or the proper
-invariant subspace where the joint kernel stopped growing.
+Matrices are immutable tuples of :class:`Scalar`, row-major. Every
+elimination (``rref``, ``rank``, ``nullspace``, ``inverse``, row spaces and
+the Leibniz system of ``liealg.derivation_space``) runs on one sparse
+kernel, :func:`_rref`, over rows stored as ``{column: Scalar}`` dicts that
+hold no zero; the :class:`Matrix` methods are dense views over it. The
+kernel returns the reduced row echelon form, which is unique, so equal
+inputs always produce identical output. On top of the basics this module
+provides the simultaneous strict triangularization test
+(:func:`engel_flag`): a family of matrices spans a nilpotent associative
+action exactly when iterated joint kernels exhaust the space, and the
+algorithm either produces an ordered basis witnessing strict
+lower-triangularity or the proper invariant subspace where the joint
+kernel stopped growing.
 """
 
 from __future__ import annotations
@@ -65,6 +69,61 @@ def _axpy(acc: dict[int, Scalar], a: Scalar, v: dict[int, Scalar]) -> None:
                 del acc[k]
             else:
                 acc[k] = s
+
+
+def _rref(rows: Iterable[dict[int, Scalar]]
+          ) -> tuple[tuple[int, ...], list[dict[int, Scalar]]]:
+    """Reduced row echelon form of the span of sparse rows: (pivots, rows).
+
+    Rows are read top to bottom and cleared at the pivot columns found so
+    far. A row with anything left is scaled to 1 at its leftmost column,
+    which becomes a pivot, and that column is cleared from the earlier
+    pivot rows. So the pivot rows are always the RREF of the rows read,
+    and at the end the unique RREF of the span, in pivot order. The input
+    dicts are not changed.
+    """
+    reduced: dict[int, dict[int, Scalar]] = {}
+    for row in rows:
+        row = dict(row)
+        for p in [c for c in row if c in reduced]:
+            _axpy(row, -row[p], reduced[p])
+        if not row:
+            continue
+        c = min(row)
+        if row[c] != 1:
+            inv = row[c].inverse()
+            row = {k: inv * x for k, x in row.items()}
+        for prow in reduced.values():
+            f = prow.get(c)
+            if f is not None:
+                _axpy(prow, -f, row)
+        reduced[c] = row
+    pivots = tuple(sorted(reduced))
+    return pivots, [reduced[p] for p in pivots]
+
+
+def _nullspace(rows: Iterable[dict[int, Scalar]], cols: int,
+               d: int) -> list[dict[int, Scalar]]:
+    """Basis of {v : r . v = 0 for every row r}, over ``cols`` columns.
+
+    One vector per free column j of the RREF R: v_j = 1 and v_p = -R[p, j]
+    at each pivot p, scaled so its first nonzero coordinate is 1. With no
+    rows this is the standard basis.
+    """
+    pivots, reduced = _rref(rows)
+    one = Scalar.one(d)
+    free = set(range(cols)).difference(pivots)
+    basis = {j: {j: one} for j in sorted(free)}
+    for p, row in zip(pivots, reduced):
+        for j, c in row.items():
+            if j != p:
+                basis[j][p] = -c
+    for j, v in basis.items():
+        lead = v[min(v)]
+        if lead != one:
+            inv = lead.inverse()
+            basis[j] = {k: inv * x for k, x in v.items()}
+    return list(basis.values())
 
 
 class RrefResult(NamedTuple):
@@ -285,86 +344,32 @@ class Matrix:
     # -------------------------------------------------- reduction
 
     def rref(self) -> RrefResult:
-        """Reduced row echelon form with deterministic pivoting.
-
-        Row operations are sparse: the pivot row is scaled, and used for
-        elimination, only over its nonzero columns, and rows that are
-        already zero in the pivot column are left alone.
-        """
-        rows = [list(self.row(r)) for r in range(self.rows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            sel = None
-            for i in range(r, self.rows):
-                if not rows[i][c].is_zero():
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            prow = rows[r]
-            # columns left of c are zero in every row from r down
-            support = [j for j in range(c, self.cols) if not prow[j].is_zero()]
-            inv = prow[c].inverse()
-            for j in support:
-                prow[j] = inv * prow[j]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if i != r and not f.is_zero():
-                    for j in support:
-                        row[j] = row[j] - f * prow[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        flat = [x for row in rows for x in row]
-        return RrefResult(Matrix(self.rows, self.cols, flat, self.d),
-                          tuple(pivots), len(pivots))
+        """Reduced row echelon form (:func:`_rref`), zero rows last."""
+        pivots, rows = _rref(self._sparse_rows())
+        rows += [{}] * (self.rows - len(rows))
+        return RrefResult(Matrix._of_sparse_rows(rows, self.cols, self.d),
+                          pivots, len(pivots))
 
     def rank(self) -> int:
-        return self.rref().rank
+        return len(_rref(self._sparse_rows())[0])
 
     def nullspace(self) -> tuple[Vector, ...]:
-        """Basis of the right kernel {v : M v = 0}.
-
-        One vector per free column, each scaled so its first nonzero
-        coordinate is 1; for the zero matrix this yields the standard
-        basis.
-        """
-        R, pivots, rank = self.rref()
-        pivot_set = set(pivots)
-        basis: list[Vector] = []
-        zero, one = Scalar.zero(self.d), Scalar.one(self.d)
-        for j in range(self.cols):
-            if j in pivot_set:
-                continue
-            v = [zero] * self.cols
-            v[j] = one
-            for i, p in enumerate(pivots):
-                v[p] = -R.get(i, j)
-            for x in v:
-                if not x.is_zero():
-                    if x != one:
-                        inv = x.inverse()
-                        v = [inv * y for y in v]
-                    break
-            basis.append(tuple(v))
-        return tuple(basis)
+        """Basis of the right kernel {v : M v = 0}; see :func:`_nullspace`."""
+        return tuple(_dense(v, self.cols, self.d) for v in
+                     _nullspace(self._sparse_rows(), self.cols, self.d))
 
     def inverse(self) -> "Matrix":
+        """The right half of the RREF of [M | I]."""
         if not self.is_square():
             raise ShapeError("only square matrices can be inverted")
-        n = self.rows
-        aug = Matrix(n, 2 * n,
-                     tuple(x for r in range(n)
-                           for x in (*self.row(r), *Matrix.identity(n, self.d).row(r))),
-                     self.d)
-        R, pivots, rank = aug.rref()
-        if rank < n or any(p != i for i, p in enumerate(pivots)):
+        n, one = self.rows, Scalar.one(self.d)
+        pivots, rows = _rref({**row, n + r: one}
+                             for r, row in enumerate(self._sparse_rows()))
+        if pivots != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(n, n, tuple(R.get(r, n + c)
-                                  for r in range(n) for c in range(n)), self.d)
+        return Matrix._of_sparse_rows(
+            [{c - n: x for c, x in row.items() if c >= n} for row in rows],
+            n, self.d)
 
     # -------------------------------------------------- misc
 
@@ -427,18 +432,13 @@ def matrix_from_json(data: object, rows: int, cols: int, d: int, where: str) -> 
 
 def row_space_basis(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the span of the given coordinate vectors."""
-    vecs = [v for v in vectors if not vec_is_zero(v)]
-    if not vecs:
-        return ()
-    R, _, rank = Matrix.from_rows(vecs, d).rref()
-    return tuple(R.row(i) for i in range(rank))
+    return tuple(_dense(r, length, d) for r in _rref(map(_sparse, vectors))[1])
 
 
 def annihilator(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector, ...]:
     """Basis of {c : c . v = 0 for every v in the span}."""
-    if not vectors:
-        return tuple(Matrix.identity(length, d).row(i) for i in range(length))
-    return Matrix.from_rows(vectors, d).nullspace()
+    return tuple(_dense(v, length, d)
+                 for v in _nullspace(map(_sparse, vectors), length, d))
 
 
 # ------------------------------------------------------------------ flags

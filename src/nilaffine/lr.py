@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .affine import AffineRep, check_simply_transitive
 from .errors import (IncompleteStructureError, ParseError, PreconditionError,
-                     ShapeError)
+                     ShapeError, quoted)
 from .liealg import LieAlgebra, abelian
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _dense,
                      _sparse, as_vector, engel_flag)
@@ -339,7 +339,7 @@ def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
         raise ParseError(f"{where}: expected an object")
     unknown = set(data) - {"algebra", "product", "d"}
     if unknown:
-        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ParseError(f"{where}: unknown keys {quoted(sorted(unknown))}")
     if "algebra" not in data:
         raise ParseError(f"{where}: missing required key 'algebra'")
     d = _resolve_context(data, where)
@@ -360,7 +360,8 @@ def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ParseError(f"{loc}.{label}: expected an integer")
         if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"{loc}: pair ({i}, {j}) out of range 1..{n}")
+            raise ParseError(f"{loc}: pair ({quoted(i)}, {quoted(j)}) "
+                             f"out of range 1..{n}")
         if (i, j) in seen:
             raise ParseError(f"{loc}: duplicate pair ({i}, {j})")
         seen.add((i, j))
@@ -374,7 +375,7 @@ def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
             if isinstance(k, bool) or not isinstance(k, int):
                 raise ParseError(f"{tloc}.k: expected an integer")
             if not 1 <= k <= n:
-                raise ParseError(f"{tloc}.k: {k} out of range 1..{n}")
+                raise ParseError(f"{tloc}.k: {quoted(k)} out of range 1..{n}")
             grid[i - 1][j - 1][k - 1] = grid[i - 1][j - 1][k - 1] + \
                 scalar_from_json(term["c"], algebra.d, f"{tloc}.c")
     return LRStructure(algebra, grid)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import FieldMismatchError, ParseError
+from .errors import FieldMismatchError, ParseError, quoted
 
 RationalLike = Union[int, str, Fraction]
 
@@ -38,9 +38,7 @@ def as_fraction(value: RationalLike) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            shown = repr(value) if len(value) <= 40 else \
-                f"{value[:40]!r}... ({len(value)} characters)"
-            raise ValueError(f"not a rational literal: {shown}") from exc
+            raise ValueError(f"not a rational literal: {quoted(value)}") from exc
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -71,7 +69,8 @@ def check_context(d: int) -> int:
     if d not in _accepted_contexts:
         if not is_square_free(d):
             raise ValueError(
-                f"field context d must be square-free and positive, got {d}")
+                "field context d must be square-free and positive, "
+                f"got {quoted(d)}")
         _accepted_contexts.add(d)
     return d
 

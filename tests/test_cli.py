@@ -381,6 +381,36 @@ def test_long_literal_is_not_echoed(tmp_path):
     assert len(proc.stderr) < 300 and "5002 characters" in proc.stderr
 
 
+BIG = int("9" * 4000)
+ECHO_CASES = {
+    "dim-string": ("check-lie", {"dim": "x" * 5000, "brackets": []}),
+    "dim-list": ("check-lie", {"dim": [1] * 5000, "brackets": []}),
+    "dim-digits": ("check-lie", {"dim": BIG, "brackets": []}),
+    "d-negative-digits": ("check-lie", {"dim": 2, "d": -BIG, "brackets": []}),
+    "bracket-i-digits": ("check-lie", {"dim": 2, "brackets": [
+        {"i": BIG, "j": 2, "terms": [{"k": 1, "c": 1}]}]}),
+    "term-k-digits": ("check-lie", {"dim": 2, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": BIG, "c": 1}]}]}),
+    "unknown-key": ("check-lie", {"dim": 2, "y" * 5000: 1}),
+    "lr-pair-digits": ("check-lr", {"algebra": "h3", "product": [
+        {"i": BIG, "j": 1, "terms": []}]}),
+    "lr-k-digits": ("check-lr", {"algebra": "h3", "product": [
+        {"i": 1, "j": 1, "terms": [{"k": -BIG, "c": 1}]}]}),
+}
+
+
+@pytest.mark.parametrize("case", list(ECHO_CASES))
+def test_parse_errors_do_not_echo_long_values(tmp_path, case):
+    command, doc = ECHO_CASES[case]
+    f = tmp_path / "echo.json"
+    write_json(f, doc)
+    proc = run_file(command, f)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr) < 300
+    assert "characters)" in proc.stderr
+
+
 class TestEachFactOnce:
     def count_calls(self, monkeypatch, owner, name):
         counted = []

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import dense_derivation_space
 
 from nilaffine.errors import ParseError, ShapeError
 from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra,
@@ -285,6 +286,43 @@ class TestDerivations:
             moved = transport(L, p)
             assert derivation_space(moved).dimension == \
                 derivation_space(L).dimension
+
+
+def filiform(n):
+    """L_n: [X_1, X_i] = X_{i+1} for 2 <= i < n."""
+    return LieAlgebra.from_table(f"L{n}", n,
+                                 {(1, i): [(i + 1, 1)] for i in range(2, n)})
+
+
+def heisenberg(k):
+    """h_{2k+1}: [X_i, X_{k+i}] = X_{2k+1} for 1 <= i <= k."""
+    n = 2 * k + 1
+    return LieAlgebra.from_table(f"h{n}", n,
+                                 {(i, k + i): [(n, 1)] for i in range(1, k + 1)})
+
+
+def filiform_r(n):
+    """R_n: L_n plus [X_2, X_j] = X_{j+2} for 3 <= j <= n - 2."""
+    table = {(1, i): [(i + 1, 1)] for i in range(2, n)}
+    table.update({(2, j): [(j + 2, 1)] for j in range(3, n - 1)})
+    return LieAlgebra.from_table(f"R{n}", n, table)
+
+
+SPARSE_DERIVATION_CASES = (
+    [get_algebra(name) for name in catalog_names()]
+    + [get_algebra(name).with_field(3).renamed(f"{name} d=3")
+       for name in catalog_names()]
+    + [filiform(n) for n in range(5, 9)] + [heisenberg(3), filiform_r(7)]
+    + [transport(get_algebra("g6_18"), rand_invertible(random.Random(61), 6),
+                 name="g6_18~"), abelian(0), abelian(1)])
+
+
+@pytest.mark.parametrize("L", SPARSE_DERIVATION_CASES, ids=lambda L: L.name)
+def test_derivation_space_matches_dense_reference(L):
+    got, want = derivation_space(L), dense_derivation_space(L)
+    assert got.anchors == want.anchors
+    assert got.basis == want.basis
+    assert all(x.d == L.d for m in got.basis for x in m.entries())
 
 
 class TestTransport:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import (dense_inverse, dense_nullspace, dense_rref,
+                             dense_row_space_basis)
 
 from nilaffine import linalg
 from nilaffine.corpus import bundled_reps
@@ -303,6 +305,72 @@ class TestSparseMatmul:
         product = Matrix.zero(3, 0, 3) @ Matrix.zero(0, 2, 3)
         assert (product.rows, product.cols) == (3, 2)
         assert product.is_zero()
+
+
+def with_zero_and_repeated_rows(m):
+    """m with a zero row, a repeat of its first row and a multiple of its
+    last row inserted (an m with no rows gains only the zero row)."""
+    rows = [list(r) for r in m.row_list()]
+    zero = [Scalar.zero(m.d)] * m.cols
+    if rows:
+        rows.insert(len(rows) // 2, list(rows[0]))
+        rows.append([Scalar(-3, 1, m.d) * x for x in rows[-1]])
+    rows.insert(1 if rows else 0, zero)
+    return Matrix(len(rows), m.cols, [x for r in rows for x in r], m.d)
+
+
+KERNEL_SHAPES = ((0, 3), (3, 0), (1, 1), (0, 0), (4, 4), (6, 6),
+                 (9, 4), (14, 6), (3, 8), (5, 12))
+
+
+class TestKernelMatchesDenseReference:
+    """The sparse kernel against the dense elimination it replaced."""
+
+    def matrices(self, d, shape, density):
+        rows, cols = shape
+        rng = random.Random(f"{d}-{rows}-{cols}-{density}")
+        for _ in range(3):
+            m = sparse_rand_matrix(rng, rows, cols, d, density)
+            yield m
+            yield with_zero_and_repeated_rows(m)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES,
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("density", (0.0, 0.15, 0.7, 1.0))
+    def test_rref_nullspace_and_row_space(self, d, shape, density):
+        for m in self.matrices(d, shape, density):
+            got, want = m.rref(), dense_rref(m)
+            assert (got.pivots, got.rank) == (want.pivots, want.rank)
+            assert got.matrix == want.matrix
+            assert all(x.d == d for x in got.matrix.entries())
+            assert m.rank() == want.rank
+            assert m.nullspace() == dense_nullspace(m)
+            rows = m.row_list()
+            assert row_space_basis(rows, d, m.cols) == \
+                dense_row_space_basis(rows, d, m.cols)
+            assert annihilator(rows, d, m.cols) == (
+                dense_nullspace(m) if rows else
+                tuple(Matrix.identity(m.cols, d).row_list()))
+
+    @pytest.mark.parametrize("d", (1, 3))
+    @pytest.mark.parametrize("n", (0, 1, 4, 6))
+    @pytest.mark.parametrize("density", (0.0, 0.15, 0.7, 1.0))
+    def test_inverse(self, d, n, density):
+        rng = random.Random(f"{d}-{n}-{density}")
+        for _ in range(3):
+            m = sparse_rand_matrix(rng, n, n, d, density)
+            rows = m.row_list()
+            # and m with its last row made a repeat of the first: singular
+            for m in (m, Matrix(n, n, [x for r in rows[:-1] + rows[:1]
+                                       for x in r], d)):
+                try:
+                    want = dense_inverse(m)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        m.inverse()
+                    continue
+                assert m.inverse() == want
 
 
 class TestJsonHelpers:
