@@ -31,8 +31,8 @@ from .errors import (DerivationError, FieldMismatchError, ParseError,
 from .liealg import (LieAlgebra, _catalog_key, _expect_field,
                      _leibniz_failure, _semidirect_into, _sparse_element,
                      algebra_from_dict, algebra_to_dict, catalog, resolve_name)
-from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _dense,
-                     as_vector, engel_flag, matrix_from_json, matrix_to_json,
+from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
+                     _dense, as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
 from .scalars import Scalar
 
@@ -74,9 +74,7 @@ class AffineRep:
             if mat.rows != n or mat.cols != n:
                 raise ShapeError(f"linear part {i + 1} is {mat.rows}x{mat.cols}, "
                                  f"expected {n}x{n}")
-            if mat.d != target.d:
-                mat = Matrix(n, n, mat.entries(), target.d)
-            dm.append(mat)
+            dm.append(mat.with_field(target.d))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "t", tuple(tv))
@@ -105,11 +103,8 @@ class AffineRep:
         """Linear part of an arbitrary source vector, by linearity."""
         if len(x) != self.source.dim:
             raise ShapeError(f"expected a source vector of length {self.source.dim}")
-        acc = Matrix.zero(self.target.dim, self.target.dim, self.d)
-        for c, mat in zip(x, self.D):
-            if not c.is_zero():
-                acc = acc + c * mat
-        return acc
+        n = self.target.dim
+        return _combination(zip(x, self.D), n, n, self.d)
 
     def __eq__(self, other):
         if not isinstance(other, AffineRep):
@@ -191,8 +186,7 @@ def check_homomorphism(rep: AffineRep) -> HomReport:
             _semidirect_into(rep.target, vec, rows, parts[j], parts[i])
             if vec or any(rows):
                 violations.append(HomViolation(
-                    (i + 1, j + 1), _dense(vec, n, d),
-                    Matrix._of_sparse_rows(rows, n, d)))
+                    (i + 1, j + 1), _dense(vec, n, d), Matrix._of(rows, n, d)))
     return HomReport(not violations, tuple(violations))
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .affine import (AffineRep, check_simply_transitive, rep_from_dict,
                      rep_of_files, rep_to_dict)
@@ -47,11 +48,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, doc: dict, lines: list[str]) -> None:
+def _emit(args, doc: dict | Callable[[], dict], lines: list[str]) -> None:
+    """Print the doc under --json, else the lines; a costly doc may come as
+    its builder, called only to print it."""
     if args.quiet:
         return
     if args.json:
-        sys.stdout.write(stable_json(doc))
+        sys.stdout.write(stable_json(doc() if callable(doc) else doc))
     else:
         print("\n".join(lines))
 
@@ -270,7 +273,6 @@ def _cmd_obstruct(parser, args) -> int:
         raise InternalError(
             f"the {out.verdict} verdict on {L.name!r} fails its independent "
             f"check; this is a bug")
-    doc = out.to_dict()
     lines = [f"algebra {L.name}: dim {L.dim}, "
              f"derivation space dim {out.space.dimension}",
              f"verdict: {out.verdict}"]
@@ -293,7 +295,7 @@ def _cmd_obstruct(parser, args) -> int:
     if out.verdict == "Undetermined":
         lines.append(f"residual equations: {len(out.residual)} "
                      f"(after {args.samples} samples, seed {args.seed})")
-    _emit(args, doc, lines)
+    _emit(args, out.to_dict, lines)
     return {"Found": 0, "Obstructed": 1, "Undetermined": 2}[out.verdict]
 
 

@@ -328,9 +328,11 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
                         rows[k][col] = rows[k].get(col, zero) - c
             system += ({col: c for col, c in row.items() if c} for row in rows)
     pivots, reduced = _rref(_nullspace(system, n * n, L.d))
-    return DerivationSpace(
-        L, tuple(Matrix(n, n, _dense(r, n * n, L.d), L.d) for r in reduced),
-        tuple(divmod(p, n) for p in pivots))
+    # row a of a basis matrix holds the columns a * n + b of its flat row
+    basis = tuple(Matrix._of(({col % n: c for col, c in flat.items() if col // n == a}
+                              for a in range(n)), n, L.d)
+                  for flat in reduced)
+    return DerivationSpace(L, basis, tuple(divmod(p, n) for p in pivots))
 
 
 # ------------------------------------------------------------------ semidirect
@@ -348,13 +350,12 @@ def semidirect_bracket(L: LieAlgebra, a: SemidirectElement | tuple[Vector, Matri
     vec: dict[int, Scalar] = {}
     rows: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
     _semidirect_into(L, vec, rows, _sparse_element(*a), _sparse_element(*b))
-    return SemidirectElement(_dense(vec, L.dim, L.d),
-                             Matrix._of_sparse_rows(rows, L.dim, L.d))
+    return SemidirectElement(_dense(vec, L.dim, L.d), Matrix._of(rows, L.dim, L.d))
 
 
 def _sparse_element(x: Vector, m: Matrix) -> tuple:
     """(x, D) as the sparse vector x with the sparse rows and columns of D."""
-    return _sparse(x), m._sparse_rows(), m._sparse_cols()
+    return _sparse(x), m._rows, m._sparse_cols()
 
 
 def _semidirect_into(L: LieAlgebra, vec: dict[int, Scalar],
@@ -382,16 +383,16 @@ def transport(L: LieAlgebra, p: Matrix, name: str | None = None) -> "LieAlgebra"
     """
     if p.rows != L.dim or p.cols != L.dim:
         raise ShapeError(f"change of basis must be {L.dim}x{L.dim}")
-    if p.d != L.d:
-        p = Matrix(p.rows, p.cols, p.entries(), L.d)
-    pinv = p.inverse()
+    p = p.with_field(L.d)
+    cols, inv_cols = p._sparse_cols(), p.inverse()._sparse_cols()
     table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            w = pinv.apply(L.bracket(p.column(i), p.column(j)))
-            terms = tuple((k, c) for k, c in enumerate(w) if not c.is_zero())
-            if terms:
-                table[(i, j)] = terms
+            w: dict[int, Scalar] = {}
+            for m, c in L._bracket_into({}, cols[i], cols[j]).items():
+                _axpy(w, c, inv_cols[m])
+            if w:
+                table[(i, j)] = tuple(w.items())
     return LieAlgebra(name or f"{L.name}~", L.dim, table, L.d)
 
 

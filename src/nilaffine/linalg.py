@@ -1,18 +1,19 @@
 """Exact linear algebra over Q(sqrt(d)).
 
-Matrices are immutable tuples of :class:`Scalar`, row-major. Every
-elimination (``rref``, ``rank``, ``nullspace``, ``inverse``, row spaces and
-the Leibniz system of ``liealg.derivation_space``) runs on one sparse
-kernel, :func:`_rref`, over rows stored as ``{column: Scalar}`` dicts that
-hold no zero; the :class:`Matrix` methods are dense views over it. The
+A :class:`Matrix` stores each row once, as a ``{column: Scalar}`` dict that
+holds no zero. Every elimination (``rref``, ``rank``, ``nullspace``,
+``inverse``, row spaces and the Leibniz system of
+``liealg.derivation_space``) runs on one sparse kernel, :func:`_rref`, over
+rows in that format, and products and sums combine them with
+:func:`_axpy`; only the accessors and the JSON writer give dense views. The
 kernel returns the reduced row echelon form, which is unique, so equal
-inputs always produce identical output. On top of the basics this module
-provides the simultaneous strict triangularization test
-(:func:`engel_flag`): a family of matrices spans a nilpotent associative
-action exactly when iterated joint kernels exhaust the space, and the
-algorithm either produces an ordered basis witnessing strict
-lower-triangularity or the proper invariant subspace where the joint
-kernel stopped growing.
+inputs always produce identical output. Vectors stay dense tuples of
+:class:`Scalar`. On top of the basics this module provides the
+simultaneous strict triangularization test (:func:`engel_flag`): a family
+of matrices spans a nilpotent associative action exactly when iterated
+joint kernels exhaust the space, and the algorithm either produces an
+ordered basis witnessing strict lower-triangularity or the proper
+invariant subspace where the joint kernel stopped growing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .scalars import RationalLike, Scalar, scalar_from_json, scalar_to_json
 
 Vector = tuple[Scalar, ...]
 EntryLike = Union[Scalar, RationalLike]
+SparseRow = dict[int, Scalar]
 
 
 def as_vector(entries: Iterable[EntryLike], d: int) -> Vector:
@@ -32,32 +34,21 @@ def as_vector(entries: Iterable[EntryLike], d: int) -> Vector:
                  for e in entries)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+# A sparse vector is a dict {index: Scalar} that holds no zero value. Matrix
+# rows are stored in this form, and the identity checks (Jacobi, Leibniz,
+# homomorphism, LR) run on it and build a dense residual only for a
+# violation.
+
+def _sparse(v: Vector) -> SparseRow:
+    return {k: c for k, c in enumerate(v) if c}
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_is_zero(a: Vector) -> bool:
-    return all(x.is_zero() for x in a)
-
-
-# A sparse vector is a dict {index: Scalar} that holds no zero value. The
-# identity checks (Jacobi, Leibniz, homomorphism, LR) run on these and
-# build a dense residual only for a violation.
-
-def _sparse(v: Vector) -> dict[int, Scalar]:
-    return {k: c for k, c in enumerate(v) if not c.is_zero()}
-
-
-def _dense(v: dict[int, Scalar], n: int, d: int) -> Vector:
+def _dense(v: SparseRow, n: int, d: int) -> Vector:
     zero = Scalar.zero(d)
     return tuple(v.get(k, zero) for k in range(n))
 
 
-def _axpy(acc: dict[int, Scalar], a: Scalar, v: dict[int, Scalar]) -> None:
+def _axpy(acc: SparseRow, a: Scalar, v: SparseRow) -> None:
     """acc += a * v in place for a nonzero a, dropping entries that cancel."""
     for k, c in v.items():
         s = acc.get(k)
@@ -71,8 +62,16 @@ def _axpy(acc: dict[int, Scalar], a: Scalar, v: dict[int, Scalar]) -> None:
                 acc[k] = s
 
 
-def _rref(rows: Iterable[dict[int, Scalar]]
-          ) -> tuple[tuple[int, ...], list[dict[int, Scalar]]]:
+def _transpose(rows: Sequence[SparseRow], cols: int) -> list[SparseRow]:
+    """The columns of the matrix with these sparse rows, as sparse rows."""
+    out: list[SparseRow] = [{} for _ in range(cols)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
+def _rref(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
     """Reduced row echelon form of the span of sparse rows: (pivots, rows).
 
     Rows are read top to bottom and cleared at the pivot columns found so
@@ -82,7 +81,7 @@ def _rref(rows: Iterable[dict[int, Scalar]]
     and at the end the unique RREF of the span, in pivot order. The input
     dicts are not changed.
     """
-    reduced: dict[int, dict[int, Scalar]] = {}
+    reduced: dict[int, SparseRow] = {}
     for row in rows:
         row = dict(row)
         for p in [c for c in row if c in reduced]:
@@ -102,8 +101,7 @@ def _rref(rows: Iterable[dict[int, Scalar]]
     return pivots, [reduced[p] for p in pivots]
 
 
-def _nullspace(rows: Iterable[dict[int, Scalar]], cols: int,
-               d: int) -> list[dict[int, Scalar]]:
+def _nullspace(rows: Iterable[SparseRow], cols: int, d: int) -> list[SparseRow]:
     """Basis of {v : r . v = 0 for every row r}, over ``cols`` columns.
 
     One vector per free column j of the RREF R: v_j = 1 and v_p = -R[p, j]
@@ -133,9 +131,15 @@ class RrefResult(NamedTuple):
 
 
 class Matrix:
-    """Immutable dense matrix over Q(sqrt(d))."""
+    """Immutable matrix over Q(sqrt(d)), stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "d", "_e")
+    ``_rows`` holds one ``{column: Scalar}`` dict per row with the nonzero
+    entries only. The dicts are built once and never changed, so results
+    of arithmetic may share them with their operands. ``get``, ``row``,
+    ``column``, ``row_list``, ``entries`` and ``str`` are dense views.
+    """
+
+    __slots__ = ("rows", "cols", "d", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Scalar], d: int):
         if rows < 0 or cols < 0:
@@ -148,15 +152,25 @@ class Matrix:
             raise TypeError(f"matrix entries must be Scalar, got {type(bad).__name__}")
         if any(e.d != d for e in entries):
             entries = tuple(Scalar.of(e, d) for e in entries)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_e", entries)
+        self._set(tuple(_sparse(entries[r * cols:(r + 1) * cols])
+                        for r in range(rows)), cols, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def _set(self, rows: tuple[SparseRow, ...], cols: int, d: int) -> None:
+        for name, value in (("rows", len(rows)), ("cols", cols), ("d", d),
+                            ("_rows", rows)):
+            object.__setattr__(self, name, value)
+
     # -------------------------------------------------- constructors
+
+    @classmethod
+    def _of(cls, rows: Iterable[SparseRow], cols: int, d: int) -> "Matrix":
+        """Wrap sparse rows that hold no zero; they are stored, not copied."""
+        m = object.__new__(cls)
+        m._set(tuple(rows), cols, d)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[EntryLike]], d: int = 1) -> "Matrix":
@@ -200,43 +214,39 @@ class Matrix:
         if not mats:
             raise ShapeError("cannot stack zero matrices")
         cols, d = mats[0].cols, mats[0].d
-        flat: list[Scalar] = []
-        total = 0
-        for m in mats:
-            if m.cols != cols or m.d != d:
-                raise ShapeError("stack requires equal widths and contexts")
-            flat.extend(m._e)
-            total += m.rows
-        return cls(total, cols, flat, d)
+        if any(m.cols != cols or m.d != d for m in mats):
+            raise ShapeError("stack requires equal widths and contexts")
+        return cls._of((row for m in mats for row in m._rows), cols, d)
 
-    # -------------------------------------------------- access
+    def with_field(self, d: int) -> "Matrix":
+        """The same entries read in the field Q(sqrt(d))."""
+        if d == self.d:
+            return self
+        return Matrix._of(({c: Scalar.of(x, d) for c, x in row.items()}
+                           for row in self._rows), self.cols, d)
+
+    # -------------------------------------------------- dense views
 
     def get(self, r: int, c: int) -> Scalar:
-        return self._e[r * self.cols + c]
+        return self.row(r)[c]
 
     def row(self, r: int) -> Vector:
-        return self._e[r * self.cols:(r + 1) * self.cols]
+        return _dense(self._rows[r], self.cols, self.d)
 
     def column(self, c: int) -> Vector:
-        return tuple(self._e[r * self.cols + c] for r in range(self.rows))
+        if not 0 <= c < self.cols:
+            raise IndexError(f"column {c} out of range for {self.cols} columns")
+        zero = Scalar.zero(self.d)
+        return tuple(row.get(c, zero) for row in self._rows)
 
     def row_list(self) -> tuple[Vector, ...]:
         return tuple(self.row(r) for r in range(self.rows))
 
     def entries(self) -> tuple[Scalar, ...]:
-        return self._e
+        return tuple(x for r in range(self.rows) for x in self.row(r))
 
-    def _sparse_rows(self) -> list[dict[int, Scalar]]:
-        return [_sparse(self.row(r)) for r in range(self.rows)]
-
-    def _sparse_cols(self) -> list[dict[int, Scalar]]:
-        return [_sparse(self.column(c)) for c in range(self.cols)]
-
-    @classmethod
-    def _of_sparse_rows(cls, rows: Sequence[dict[int, Scalar]], cols: int,
-                        d: int) -> "Matrix":
-        return cls(len(rows), cols,
-                   tuple(x for r in rows for x in _dense(r, cols, d)), d)
+    def _sparse_cols(self) -> list[SparseRow]:
+        return _transpose(self._rows, self.cols)
 
     # -------------------------------------------------- arithmetic
 
@@ -252,18 +262,16 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self._e, other._e)), self.d)
+        one = Scalar.one(self.d)
+        return _combination(((one, self), (one, other)), self.rows, self.cols, self.d)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self._e, other._e)), self.d)
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self._e), self.d)
+        return self * -1
 
     def __mul__(self, other) -> "Matrix":
         if isinstance(other, (Scalar, int)) and not isinstance(other, bool):
@@ -271,8 +279,9 @@ class Matrix:
             if c.d != self.d:
                 raise FieldMismatchError(
                     f"mixed field contexts: d={self.d} and d={c.d}")
-            return Matrix(self.rows, self.cols,
-                          tuple(c * a for a in self._e), self.d)
+            # a product of nonzero field elements is nonzero
+            return Matrix._of(({k: c * x for k, x in row.items()} if c else {}
+                               for row in self._rows), self.cols, self.d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -289,23 +298,21 @@ class Matrix:
             raise FieldMismatchError(
                 f"mixed field contexts: d={self.d} and d={other.d}")
         # row r of the product is the sum of a_rk times row k of other
-        other_rows = other._sparse_rows()
         rows = []
-        for row in self._sparse_rows():
-            acc: dict[int, Scalar] = {}
+        for row in self._rows:
+            acc: SparseRow = {}
             for k, a in row.items():
-                _axpy(acc, a, other_rows[k])
+                _axpy(acc, a, other._rows[k])
             rows.append(acc)
-        return Matrix._of_sparse_rows(rows, other.cols, self.d)
+        return Matrix._of(rows, other.cols, self.d)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} for a "
                              f"{self.rows}x{self.cols} matrix")
-        acc: dict[int, Scalar] = {}
-        for k, a in _sparse(v).items():
-            _axpy(acc, a, _sparse(self.column(k)))
-        return _dense(acc, self.rows, self.d)
+        zero = Scalar.zero(self.d)
+        return tuple(sum((x * v[c] for c, x in row.items() if v[c]), zero)
+                     for row in self._rows)
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
@@ -313,14 +320,13 @@ class Matrix:
     # -------------------------------------------------- predicates
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self._e)
+        return not any(self._rows)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_strictly_lower_triangular(self) -> bool:
-        return all(self.get(r, c).is_zero()
-                   for r in range(self.rows) for c in range(r, self.cols))
+        return all(c < r for r, row in enumerate(self._rows) for c in row)
 
     def is_nilpotent(self) -> bool:
         """Whether some power vanishes; decided by repeated squaring.
@@ -330,8 +336,6 @@ class Matrix:
         """
         if not self.is_square():
             raise ShapeError("nilpotency is defined for square matrices")
-        if self.rows == 0:
-            return True
         p = self
         k = 1
         while k < self.rows:
@@ -345,18 +349,17 @@ class Matrix:
 
     def rref(self) -> RrefResult:
         """Reduced row echelon form (:func:`_rref`), zero rows last."""
-        pivots, rows = _rref(self._sparse_rows())
-        rows += [{}] * (self.rows - len(rows))
-        return RrefResult(Matrix._of_sparse_rows(rows, self.cols, self.d),
-                          pivots, len(pivots))
+        pivots, rows = _rref(self._rows)
+        rows += ({} for _ in range(self.rows - len(rows)))
+        return RrefResult(Matrix._of(rows, self.cols, self.d), pivots, len(pivots))
 
     def rank(self) -> int:
-        return len(_rref(self._sparse_rows())[0])
+        return len(_rref(self._rows)[0])
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel {v : M v = 0}; see :func:`_nullspace`."""
-        return tuple(_dense(v, self.cols, self.d) for v in
-                     _nullspace(self._sparse_rows(), self.cols, self.d))
+        return tuple(_dense(v, self.cols, self.d)
+                     for v in _nullspace(self._rows, self.cols, self.d))
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [M | I]."""
@@ -364,29 +367,30 @@ class Matrix:
             raise ShapeError("only square matrices can be inverted")
         n, one = self.rows, Scalar.one(self.d)
         pivots, rows = _rref({**row, n + r: one}
-                             for r, row in enumerate(self._sparse_rows()))
+                             for r, row in enumerate(self._rows))
         if pivots != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix._of_sparse_rows(
-            [{c - n: x for c, x in row.items() if c >= n} for row in rows],
-            n, self.d)
+        return Matrix._of(({c - n: x for c, x in row.items() if c >= n}
+                           for row in rows), n, self.d)
 
     # -------------------------------------------------- misc
 
     def __eq__(self, other):
+        # no stored zeros, so equal entries mean equal row dicts; rational
+        # Scalars compare equal across contexts
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            all(a == b for a, b in zip(self._e, other._e))
+        return (self.rows, self.cols, self._rows) == \
+            (other.rows, other.cols, other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self._rows)))
 
     def __str__(self):
         if not self.rows:
             return "[]"
-        cells = [[str(self.get(r, c)) for c in range(self.cols)]
-                 for r in range(self.rows)]
+        cells = [[str(x) for x in self.row(r)] for r in range(self.rows)]
         widths = [max(len(cells[r][c]) for r in range(self.rows))
                   for c in range(self.cols)]
         return "\n".join(
@@ -396,6 +400,17 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, d={self.d})"
+
+
+def _combination(terms: Iterable[tuple[Scalar, Matrix]], rows: int, cols: int,
+                 d: int) -> Matrix:
+    """The sum of c * M over the (c, M) terms, all rows x cols."""
+    acc: list[SparseRow] = [{} for _ in range(rows)]
+    for c, m in terms:
+        if c:
+            for a, row in zip(acc, m._rows):
+                _axpy(a, c, row)
+    return Matrix._of(acc, cols, d)
 
 
 # ------------------------------------------------------------------ json
@@ -519,26 +534,25 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
     elif size is None or d is None:
         raise ShapeError("engel_flag on an empty family needs explicit size and d")
 
-    chain: list[tuple[Vector, ...]] = []
-    current: tuple[Vector, ...] = ()
+    # each U_k is kept as the sparse RREF basis of its span
+    chain: list[list[SparseRow]] = []
+    current: list[SparseRow] = []
     while len(current) < size:
-        if not family:
-            nxt = tuple(Matrix.identity(size, d).row(i) for i in range(size))
-        else:
-            ann = annihilator(current, d, size)
-            if not ann:
-                nxt = current
-            else:
-                c = Matrix.from_rows(ann, d)
-                stacked = Matrix.stack([c @ m for m in family])
-                nxt_raw = stacked.nullspace()
-                nxt = row_space_basis(nxt_raw, d, size)
+        # v is in U_{k+1} exactly when c . (M v) = 0 for every c in the
+        # annihilator of U_k and every M: the rows of C M for every M. With
+        # no M that is every v.
+        c = Matrix._of(_nullspace(current, size, d), size, d)
+        system = [row for m in family for row in (c @ m)._rows]
+        nxt = _rref(_nullspace(system, size, d))[1]
         if len(nxt) == len(current):
-            return EngelFailure(size=size, d=d, stalled=current)
+            return EngelFailure(size=size, d=d, stalled=tuple(
+                _dense(v, size, d) for v in current))
         current = nxt
         chain.append(current)
 
-    # keep each chain vector independent of those before it: the pivot columns
+    # keep each chain vector independent of those before it: the pivot
+    # columns of the matrix with the chain vectors as its columns
     vectors = [v for level in chain for v in level]
-    _, pivots, _ = Matrix.from_columns(vectors, d).rref()
-    return Flag(basis=tuple(vectors[p] for p in reversed(pivots)), d=d)
+    _, pivots, _ = Matrix._of(_transpose(vectors, size), len(vectors), d).rref()
+    return Flag(basis=tuple(_dense(vectors[p], size, d) for p in reversed(pivots)),
+                d=d)

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .affine import AffineRep, check_simply_transitive
 from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
-from .linalg import Matrix
+from .linalg import Matrix, _combination
 from .lr import LRStructure, _lr_of_passing_rep
 from .scalars import Scalar
 
@@ -288,11 +288,9 @@ def parametric_derivation(L: LieAlgebra, index: int,
     grid = [[Poly() for _ in range(n)] for _ in range(n)]
     for k, E in enumerate(space.basis):
         u = Poly.var(index * r + k)
-        for a in range(n):
-            for b in range(n):
-                e = E.get(a, b)
-                if not e.is_zero():
-                    grid[a][b] = grid[a][b] + u * e.rat
+        for a, row in enumerate(E._rows):
+            for b, e in row.items():
+                grid[a][b] = grid[a][b] + u * e.rat
     return ParametricMatrix(grid)
 
 
@@ -486,14 +484,9 @@ class ObstructionOutcome:
             return None
         L, basis = self.algebra, self.space.basis
         n, r = L.dim, len(basis)
-        D = []
-        for i in range(n):
-            acc = Matrix.zero(n, n, 1)
-            for k, E in enumerate(basis):
-                coeff = u[i * r + k]
-                if coeff:
-                    acc = acc + Scalar.of(coeff, 1) * E
-            D.append(acc)
+        D = [_combination(((Scalar.of(u[i * r + k], 1), E)
+                           for k, E in enumerate(basis)), n, n, 1)
+             for i in range(n)]
         return AffineRep(abelian(n), L, [L.basis_vector(i) for i in range(n)],
                          D, label=f"abelian witness on {L.name}")
 
@@ -584,34 +577,29 @@ def _build_equations(L: LieAlgebra, space: DerivationSpace
     is left out; every translation coordinate is kept.
     """
     n, r = L.dim, space.dimension
-    # rows[k] = {a: {b: E_k[a][b]}} and linear[a][b] = [(k, E_k[a][b]), ...],
-    # both over the nonzero entries only
-    rows: list[dict[int, dict[int, Fraction]]] = []
+    # linear[a][b] = [(k, E_k[a][b]), ...] over the nonzero entries only;
+    # the context is d = 1, so each entry is its rational part
+    basis = space.basis
     linear: list[list[list[tuple[int, Fraction]]]] = \
         [[[] for _ in range(n)] for _ in range(n)]
-    for k, E in enumerate(space.basis):
-        sparse: dict[int, dict[int, Fraction]] = {}
-        for a in range(n):
-            for b in range(n):
-                e = E.get(a, b).rat
-                if e:
-                    sparse.setdefault(a, {})[b] = e
-                    linear[a][b].append((k, e))
-        rows.append(sparse)
+    for k, E in enumerate(basis):
+        for a, row in enumerate(E._rows):
+            for b, e in row.items():
+                linear[a][b].append((k, e.rat))
 
-    def product(x, y) -> dict[tuple[int, int], Fraction]:
+    def product(x: Matrix, y: Matrix) -> dict[tuple[int, int], Fraction]:
         out: dict[tuple[int, int], Fraction] = {}
-        for a, row in x.items():
+        for a, row in enumerate(x._rows):
             for m, xv in row.items():
-                for b, yv in y.get(m, {}).items():
-                    out[a, b] = out.get((a, b), 0) + xv * yv
+                for b, yv in y._rows[m].items():
+                    out[a, b] = out.get((a, b), 0) + xv.rat * yv.rat
         return out
 
     # quadratic[(a, b)] = [(k, l, C_kl[a][b]), ...] over the nonzero entries
     quadratic: dict[tuple[int, int], list[tuple[int, int, Fraction]]] = {}
     for k in range(r):
         for l in range(k + 1, r):
-            kl, lk = product(rows[k], rows[l]), product(rows[l], rows[k])
+            kl, lk = product(basis[k], basis[l]), product(basis[l], basis[k])
             for pos in kl.keys() | lk.keys():
                 c = kl.get(pos, 0) - lk.get(pos, 0)
                 if c:

@@ -6,11 +6,27 @@ the reference the sparse kernel is compared with. The only edits: the
 methods are plain functions of ``self``, and each call of ``.rref()`` or
 ``.nullspace()`` goes to the copy here, so nothing below runs the kernel
 under test.
+
+``vec_add``, ``vec_sub`` and ``vec_is_zero`` are the dense vector helpers
+the package no longer needs, kept here for the tests that compare against
+dense arithmetic.
 """
 
 from nilaffine.liealg import DerivationSpace, LieAlgebra
-from nilaffine.linalg import Matrix, RrefResult, Vector, vec_is_zero
+from nilaffine.linalg import Matrix, RrefResult, Vector
 from nilaffine.scalars import Scalar
+
+
+def vec_add(a: Vector, b: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vec_sub(a: Vector, b: Vector) -> Vector:
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vec_is_zero(a: Vector) -> bool:
+    return all(x.is_zero() for x in a)
 
 
 def dense_rref(self) -> RrefResult:

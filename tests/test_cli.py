@@ -442,6 +442,16 @@ class TestEachFactOnce:
         capsys.readouterr()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("flag", ([], ["--quiet"]))
+    def test_obstruct_builds_its_json_doc_only_to_print_it(self, capsys,
+                                                           monkeypatch, flag):
+        def refuse(outcome):
+            raise AssertionError("JSON doc built without --json")
+        monkeypatch.setattr(ObstructionOutcome, "to_dict", refuse)
+        assert run(["obstruct-abelian", "--algebra", "h3"] + flag) == 0
+        out = capsys.readouterr().out
+        assert ("verdict: Found" in out) == (not flag)
+
     def test_failed_cross_check_is_three(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_certificate",
                             lambda outcome, L: False)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import dense_derivation_space
+from dense_reference import dense_derivation_space, vec_add, vec_is_zero
 
 from nilaffine.errors import ParseError, ShapeError
 from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra,
@@ -11,7 +11,7 @@ from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra,
                               catalog_names, derivation_space, get_algebra,
                               is_derivation, leibniz_residual, resolve_name,
                               semidirect_bracket, transport)
-from nilaffine.linalg import Matrix, as_vector, vec_add, vec_is_zero
+from nilaffine.linalg import Matrix, as_vector
 from nilaffine.scalars import Scalar
 
 CATALOG_DER_DIMS = {

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from dense_reference import (dense_inverse, dense_nullspace, dense_rref,
                              dense_row_space_basis)
 
@@ -12,7 +14,7 @@ from nilaffine.linalg import (EngelFailure, Flag, Matrix, annihilator,
                               as_vector, engel_flag, matrix_from_json,
                               matrix_to_json, row_space_basis,
                               vector_from_json, vector_to_json)
-from nilaffine.scalars import Scalar
+from nilaffine.scalars import Scalar, scalar_to_json
 
 
 def rand_matrix(rng, rows, cols, d=1, lo=-6, hi=6):
@@ -178,17 +180,25 @@ class TestEngelFlag:
             assert (c1 * a + c2 * b).is_nilpotent()
 
 
-    def test_basis_is_the_greedy_selection_from_the_chain(self, monkeypatch):
+    def test_basis_is_the_greedy_selection_from_the_chain(self):
         # the flag keeps each chain vector that raises the rank of those
-        # kept before it, and lists them in reverse
-        chain = []
-        real = linalg.row_space_basis
+        # kept before it, and lists them in reverse; the chain of joint
+        # preimages U_{k+1} = {v : M v in U_k for all M} is recomputed
+        # here by the dense reference elimination
+        def reference_chain(family, size, d):
+            chain, current = [], ()
+            while len(current) < size:
+                basis = Matrix.from_rows(current, d) if current else \
+                    Matrix.zero(0, size, d)
+                ann = Matrix.from_rows(dense_nullspace(basis), d)
+                stacked = Matrix.stack([ann @ m for m in family])
+                nxt = dense_row_space_basis(dense_nullspace(stacked), d, size)
+                if len(nxt) == len(current):
+                    break
+                chain.append(nxt)
+                current = nxt
+            return chain
 
-        def recording(vectors, d, length):
-            level = real(vectors, d, length)
-            chain.append(level)
-            return level
-        monkeypatch.setattr(linalg, "row_space_basis", recording)
         families = [
             [Matrix.zero(3, 3)],
             [Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])],
@@ -198,9 +208,9 @@ class TestEngelFlag:
              Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])],
         ] + [list(rep.D) for rep in bundled_reps().values()]
         for family in families:
-            chain.clear()
             flag = engel_flag(family)
-            d = family[0].d
+            d, size = family[0].d, family[0].rows
+            chain = reference_chain(family, size, d)
             kept = []
             for v in (v for level in chain for v in level):
                 if Matrix.from_rows(kept + [v], d).rref()[2] > len(kept):
@@ -391,3 +401,134 @@ class TestJsonHelpers:
     def test_not_a_list(self):
         with pytest.raises(ParseError):
             vector_from_json("nope", 2, 1, "v")
+
+
+# ------------------------------------------------------------------ storage
+
+
+def lists(m):
+    return [list(row) for row in m.row_list()]
+
+
+def list_matmul(a, b, cols, d):
+    """a b for a b with ``cols`` columns."""
+    return [[sum((x * b[k][c] for k, x in enumerate(row)), Scalar.zero(d))
+             for c in range(cols)] for row in a]
+
+
+def list_det(a, d):
+    """Laplace expansion along the first row."""
+    if not a:
+        return Scalar.one(d)
+    total = Scalar.zero(d)
+    for c, x in enumerate(a[0]):
+        minor = [row[:c] + row[c + 1:] for row in a[1:]]
+        term = x * list_det(minor, d)
+        total = total + term if c % 2 == 0 else total - term
+    return total
+
+
+def list_str(a):
+    if not a:
+        return "[]"
+    cells = [[str(x) for x in row] for row in a]
+    widths = [max(len(row[c]) for row in cells) for c in range(len(a[0]))]
+    return "\n".join("[" + "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+                     + "]" for row in cells)
+
+
+def entries_of(d):
+    """Small entries, zero about a third of the time, so sums and products
+    cancel often; at d = 3 some have a sqrt(3) part."""
+    irr = st.integers(-1, 1) if d != 1 else st.just(0)
+    return st.builds(lambda r, i: Scalar(r, i, d), st.integers(-2, 2), irr)
+
+
+def matrix_lists(d, rows, cols):
+    return st.lists(st.lists(entries_of(d), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def matrix_of(a, rows, cols, d):
+    return Matrix(rows, cols, [x for row in a for x in row], d)
+
+
+def stored_zero_free(m):
+    return all(x for row in m._rows for x in row.values())
+
+
+class TestStoredRows:
+    """Matrix arithmetic on its stored sparse rows against plain lists."""
+
+    @pytest.mark.parametrize("d", (1, 3))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_matches_lists(self, d, data):
+        rows, cols, width = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a, b = (data.draw(matrix_lists(d, rows, cols)) for _ in range(2))
+        inner = data.draw(matrix_lists(d, cols, width))
+        c = data.draw(entries_of(d))
+        v = data.draw(st.lists(entries_of(d), min_size=cols, max_size=cols))
+        A, B = matrix_of(a, rows, cols, d), matrix_of(b, rows, cols, d)
+        C = matrix_of(inner, cols, width, d)
+        results = {
+            "+": (A + B, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+            "-": (A - B, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+            "neg": (-A, [[-x for x in p] for p in a]),
+            "c*": (c * A, [[c * x for x in p] for p in a]),
+            "0*": (0 * A, [[Scalar.zero(d)] * cols for _ in a]),
+            "a-a": (A - A, [[Scalar.zero(d)] * cols for _ in a]),
+            "@": (A @ C, list_matmul(a, inner, width, d)),
+        }
+        for op, (got, want) in results.items():
+            assert stored_zero_free(got), op
+            assert lists(got) == want, op
+            assert str(got) == list_str(want), op
+            assert matrix_to_json(got) == \
+                [[scalar_to_json(x) for x in row] for row in want], op
+        assert A.apply(tuple(v)) == \
+            tuple(x[0] for x in list_matmul(a, [[y] for y in v], 1, d))
+        assert A - A == Matrix.zero(rows, cols, d)
+        assert hash(A - A) == hash(Matrix.zero(rows, cols, d))
+        assert A.is_strictly_lower_triangular() == all(
+            x.is_zero() for r, p in enumerate(a) for k, x in enumerate(p) if k >= r)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_square_predicates_and_inverse_match_lists(self, d, data):
+        n = data.draw(st.integers(0, 4))
+        a = data.draw(matrix_lists(d, n, n))
+        if data.draw(st.booleans()):   # strictly lower: nilpotent
+            a = [[x if k < r else Scalar.zero(d) for k, x in enumerate(p)]
+                 for r, p in enumerate(a)]
+        A = matrix_of(a, n, n, d)
+        power = [[Scalar.one(d) if r == k else Scalar.zero(d) for k in range(n)]
+                 for r in range(n)]
+        for _ in range(n):
+            power = list_matmul(power, a, n, d)
+        assert A.is_nilpotent() == all(x.is_zero() for p in power for x in p)
+        identity = lists(Matrix.identity(n, d))
+        if list_det(a, d).is_zero():
+            with pytest.raises(ZeroDivisionError):
+                A.inverse()
+        else:
+            inv = A.inverse()
+            assert stored_zero_free(inv)
+            assert list_matmul(a, lists(inv), n, d) == identity
+            assert list_matmul(lists(inv), a, n, d) == identity
+
+    def test_equality_and_hash_ignore_the_context_of_rational_entries(self):
+        assert Matrix.zero(2, d=1) == Matrix.zero(2, d=3)
+        assert hash(Matrix.zero(2, d=1)) == hash(Matrix.zero(2, d=3))
+        a, b = Matrix.from_rows([[1, 0], ["1/2", -3]], 1), \
+            Matrix.from_rows([[1, 0], ["1/2", -3]], 3)
+        assert a == b and hash(a) == hash(b)
+        assert Matrix.from_rows([[Scalar(0, 1, 3)]], 3) != \
+            Matrix.from_rows([[Scalar(0, 1, 2)]], 2)
+
+    def test_explicit_zeros_are_not_stored(self):
+        z = Scalar.zero(3)
+        m = Matrix(2, 2, [z, Scalar(1, 1, 3), Scalar(0, 0, 3), z], 3)
+        assert m._rows == ({1: Scalar(1, 1, 3)}, {})
+        assert m == Matrix.from_rows([[0, Scalar(1, 1, 3)], [0, 0]], 3)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import vec_is_zero, vec_sub
 
 from nilaffine.affine import (AffineRep, check_simply_transitive,
                              rep_from_dict, rep_to_dict)
@@ -9,7 +10,7 @@ from nilaffine.corpus import bundled_rep, bundled_reps
 from nilaffine.errors import (IncompleteStructureError, ParseError,
                               PreconditionError)
 from nilaffine.liealg import LieAlgebra, abelian, get_algebra, is_derivation
-from nilaffine.linalg import EngelFailure, Matrix, as_vector, vec_is_zero, vec_sub
+from nilaffine.linalg import EngelFailure, Matrix, as_vector
 from nilaffine.lr import (LRStructure, LRViolation, check_complete, check_lr,
                           lr_from_dict, lr_to_dict, lr_to_rep, rep_to_lr)
 from nilaffine.obstruction import obstruct_abelian
