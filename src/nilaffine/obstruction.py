@@ -10,20 +10,19 @@ choice of derivations D_1, ..., D_n of n satisfying
 for all i < j. Writing each D_i = sum_k u_ik E_k over a derivation-space
 basis turns the first family into linear equations and the second into
 quadratic ones in the coefficients u_ik, whose coefficients are the
-structure constants [E_k, E_l] of the derivation basis. The pipeline
-solves every equation of degree <= 1 by exact elimination, substitutes,
-and repeats until nothing new becomes linear. An equation reducing to a nonzero
-constant is an exact proof that no solution exists; the verdict Obstructed
-carries it as a certificate. Otherwise the free coefficients are sampled
-(zeros first, then seeded rationals) and any assignment satisfying the
-residual equations and the full simple-transitivity verdict yields Found
-with the witness attached. If neither happens the honest answer is
-Undetermined together with the residual system; no general polynomial
-solving is attempted.
-
-Equations are processed in a canonical sorted order, so verdicts, forced
-values and certificates do not depend on how the caller happened to
-enumerate anything.
+structure constants [E_k, E_l] of the derivation basis. Round 1 solves
+the translation equations by exact elimination. Each commutator equation
+is then built with that solution substituted, and later rounds solve
+whatever became linear until nothing new does. Every round takes the
+equations in a canonical tag order, so verdicts, forced values and
+certificates do not depend on how the caller enumerated anything. An
+equation reducing to a nonzero constant is an exact proof that no solution
+exists; the verdict Obstructed carries it as a certificate. Otherwise the
+free coefficients are sampled (zeros first, then seeded rationals) and any
+assignment satisfying the residual equations and the full
+simple-transitivity verdict yields Found with the witness attached. If
+neither happens the honest answer is Undetermined together with the
+residual system; no general polynomial solving is attempted.
 """
 
 from __future__ import annotations
@@ -193,16 +192,11 @@ class Poly:
     def render(self, name: Callable[[int], str]) -> str:
         if not self.terms:
             return "0"
-        names: dict[int, str] = {}
         text: list[str] = []
         for m, c in sorted(self.terms.items(),
                            key=lambda item: (sum(map(_exponent, item[0])),
                                              item[0])):
-            factors = []
-            for v, e in m:
-                if v not in names:
-                    names[v] = name(v)
-                factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
+            factors = [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m]
             n, q = c.numerator, c.denominator
             size = str(abs(n)) if q == 1 else f"{abs(n)}/{q}"
             if factors:
@@ -272,6 +266,13 @@ class ParametricMatrix:
         return Matrix.from_rows(
             [[self.grid[r][c].evaluate(values) for c in range(n)]
              for r in range(n)], d) if n else Matrix.zero(0, 0, d)
+
+
+def _commutator_entry(x: ParametricMatrix, y: ParametricMatrix, r: int,
+                      c: int) -> Poly:
+    """Entry (r, c) of x.commutator(y), without building the rest of it."""
+    return sum((x.grid[r][m] * y.grid[m][c] - y.grid[r][m] * x.grid[m][c]
+                for m in range(x.size)), Poly())
 
 
 def parametric_derivation(L: LieAlgebra, index: int,
@@ -512,7 +513,9 @@ class ObstructionOutcome:
         from .lr import lr_to_dict
         from .scalars import scalar_to_json
 
-        name = variable_namer(self.space)
+        name = variable_namer(self.space)    # called once per variable
+        name = list(map(name, range(self.algebra.dim
+                                    * self.space.dimension))).__getitem__
 
         def frac(value: Fraction):
             return scalar_to_json(Scalar.of(value, 1))
@@ -559,33 +562,50 @@ class ObstructionOutcome:
 # ------------------------------------------------------------------ pipeline
 
 
-def _build_equations(L: LieAlgebra, space: DerivationSpace
-                     ) -> list[tuple[tuple, Poly]]:
-    """All defining equations with canonical 1-based tags.
-
-    Tags sort the work: ("commutator", i, j, r, c) and
-    ("translation", i, j, a). The certificate, if any, inherits the tag
-    of the first equation (in this order) that pins a nonzero constant.
-
-    With D_i = sum_k u_ik E_k, entry (a, b) of [D_i, D_j] is
-    sum_{k, l} C_kl[a][b] u_ik u_jl, where C_kl = [E_k, E_l] are the
-    structure constants of the derivation basis, and coordinate a of the
-    translation condition is [X_i, X_j]_a + sum_k E_k[a][j] u_ik
-    - sum_k E_k[a][i] u_jk. For i < j every (k, l) and every k names a
-    distinct monomial, so the coefficients go into the equations as they
-    are. A commutator entry with no nonzero C_kl is identically zero and
-    is left out; every translation coordinate is kept.
-    """
+def _translation_equations(L: LieAlgebra, space: DerivationSpace
+                           ) -> list[tuple[tuple, Poly]]:
+    """Coordinate a of the translation condition for i < j, tagged
+    ("translation", i, j, a) (1-based), in tag order: with D_i = sum_k u_ik
+    E_k it is [X_i, X_j]_a + sum_k E_k[a][j] u_ik - sum_k E_k[a][i] u_jk.
+    Each k names a distinct monomial, and every coordinate is kept."""
     n, r = L.dim, space.dimension
     # linear[a][b] = [(k, E_k[a][b]), ...] over the nonzero entries only;
     # the context is d = 1, so each entry is its rational part
-    basis = space.basis
     linear: list[list[list[tuple[int, Fraction]]]] = \
         [[[] for _ in range(n)] for _ in range(n)]
-    for k, E in enumerate(basis):
+    for k, E in enumerate(space.basis):
         for a, row in enumerate(E._rows):
             for b, e in row.items():
                 linear[a][b].append((k, e.rat))
+    equations: list[tuple[tuple, Poly]] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = L.bracket_basis(i, j)
+            for a in range(n):
+                terms: dict[Monomial, Fraction] = {}
+                if bracket[a].rat:
+                    terms[()] = bracket[a].rat
+                for k, e in linear[a][j]:
+                    terms[((i * r + k, 1),)] = e
+                for k, e in linear[a][i]:
+                    terms[((j * r + k, 1),)] = -e
+                equations.append((("translation", i + 1, j + 1, a + 1),
+                                  _poly(terms)))
+    return equations
+
+
+def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
+                          solved: Mapping[int, Poly]
+                          ) -> list[tuple[tuple, Poly]]:
+    """Entry (a, b) of [D_i, D_j] for i < j with the affine map ``solved``
+    substituted, tagged ("commutator", i, j, a, b) (1-based), in tag order,
+    leaving out the entries that vanish. The entry is sum_{k, l} C_kl[a][b]
+    u_ik u_jl, C_kl = [E_k, E_l] the derivation basis' structure constants;
+    expanding each product over the forms of u_ik and u_jl is
+    ``Poly.substitute`` of it, and a u_ik forced to 0 drops its products.
+    With an empty map these are the defining equations."""
+    n, r = L.dim, space.dimension
+    basis = space.basis
 
     def product(x: Matrix, y: Matrix) -> dict[tuple[int, int], Fraction]:
         out: dict[tuple[int, int], Fraction] = {}
@@ -604,30 +624,61 @@ def _build_equations(L: LieAlgebra, space: DerivationSpace
                 c = kl.get(pos, 0) - lk.get(pos, 0)
                 if c:
                     quadratic.setdefault(pos, []).extend(((k, l, c), (l, k, -c)))
+    positions = sorted(quadratic.items())
 
-    symbols = [[(i * r + k, 1) for k in range(r)] for i in range(n)]
+    # factors[i][k]: u_ik, or the terms of its form (none when forced to 0)
+    factors = [[_factor(v, solved.get(v)) for v in range(i * r, i * r + r)]
+               for i in range(n)]
     equations: list[tuple[tuple, Poly]] = []
-    for i in range(n):
-        ui = symbols[i]
+    for i, fi in enumerate(factors):
         for j in range(i + 1, n):
-            uj = symbols[j]
-            bracket = L.bracket_basis(i, j)
-            for a in range(n):
-                terms: dict[Monomial, Fraction] = {}
-                if bracket[a].rat:
-                    terms[()] = bracket[a].rat
-                for k, e in linear[a][j]:
-                    terms[(ui[k],)] = e
-                for k, e in linear[a][i]:
-                    terms[(uj[k],)] = -e
-                equations.append((("translation", i + 1, j + 1, a + 1),
-                                  _poly(terms)))
-            for (a, b), entries in quadratic.items():
-                equations.append((
-                    ("commutator", i + 1, j + 1, a + 1, b + 1),
-                    _poly({(ui[k], uj[l]): c for k, l, c in entries})))
-    equations.sort(key=lambda item: item[0])
+            fj = factors[j]
+            for (a, b), entries in positions:
+                out: dict[Monomial, Fraction] = {}
+                for k, l, c in entries:
+                    for x, cx in fi[k]:
+                        cx = c if cx is None else c * cx
+                        for y, cy in fj[l]:
+                            m, v = _times(x, y), cx if cy is None else cx * cy
+                            out[m] = out[m] + v if m in out else v
+                if poly := _poly({m: v for m, v in out.items() if v}):
+                    equations.append((("commutator", i + 1, j + 1, a + 1,
+                                       b + 1), poly))
     return equations
+
+
+def _build_equations(L: LieAlgebra, space: DerivationSpace
+                     ) -> list[tuple[tuple, Poly]]:
+    """All defining equations, in tag order (commutators sort first)."""
+    return _commutator_equations(L, space, {}) + _translation_equations(L, space)
+
+
+def _force(system: LinearSystem, pending: list[tuple[tuple, Poly]]
+           ) -> list[tuple[tuple, Poly]]:
+    """Force each tagged equation that is (or becomes) affine, in the order
+    given, until a round forces nothing; return the rest, fully reduced.
+
+    Each comes in reduced by ``system`` and is reduced again only after a
+    new pivot. A nonzero constant is an inconsistency: it stays pending, not
+    poisoning the map, and the first in tag order becomes the certificate
+    (constants are stable under substitution, so deferring them is safe)."""
+    marked = [(tag, poly, len(system.solved)) for tag, poly in pending]
+    while True:
+        progressed, still = False, []
+        for tag, poly, mark in marked:
+            if mark != len(system.solved):
+                poly = system.reduce(poly)
+            if not poly:
+                continue
+            if any(len(m) == 2 or m and m[0][1] == 2 for m in poly.terms) \
+                    or poly.is_constant():
+                still.append((tag, poly, len(system.solved)))
+            else:
+                system.add(poly)
+                progressed = True
+        marked = still
+        if not progressed:
+            return [(tag, poly) for tag, poly, _ in marked]
 
 
 def _certificate_from_tag(tag: tuple, constant: Fraction) -> ObstructionCertificate:
@@ -678,34 +729,13 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     metabelian = L.is_two_step_solvable()
     space = derivation_space(L)
     n, r = L.dim, space.dimension
-    equations = _build_equations(L, space)
 
-    # Force every equation that is (or becomes) affine, in tag order, until
-    # nothing changes. An equation reducing to a nonzero constant is an
-    # inconsistency; it stays pending rather than poisoning the solved map,
-    # and once the fixpoint is reached the first such reduction in tag
-    # order becomes the certificate. Constants are stable under further
-    # substitution, so deferring them never changes what they certify.
-    # Pending equations are kept reduced, which the grown map reduces to what
-    # the originals would; the last round forced no pivot, so they are final.
+    # round 1 forces the (affine) translation conditions; the bilinear
+    # commutator conditions are then built on its map and join later rounds
     system = LinearSystem()
-    pending = list(equations)
-    while True:
-        progressed = False
-        still_pending: list[tuple[tuple, Poly]] = []
-        for tag, poly in pending:
-            reduced = system.reduce(poly)
-            if not reduced:
-                continue
-            if any(len(m) == 2 or m and m[0][1] == 2 for m in reduced.terms) \
-                    or reduced.is_constant():
-                still_pending.append((tag, reduced))
-            else:
-                system.add(reduced)
-                progressed = True
-        pending = still_pending
-        if not progressed:
-            break
+    leftover = _force(system, _translation_equations(L, space))
+    pending = _force(system, _commutator_equations(L, space, system.solved)
+                     + leftover)
 
     eliminated = tuple(sorted(system.solved.items()))
 
@@ -777,8 +807,8 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
         gi = parametric_derivation(L, i - 1, space)
         gj = parametric_derivation(L, j - 1, space)
         if cert.kind == "commutator" and cert.position is not None:
-            poly = gi.commutator(gj).entry(cert.position[0] - 1,
-                                           cert.position[1] - 1)
+            poly = _commutator_entry(gi, gj, cert.position[0] - 1,
+                                     cert.position[1] - 1)
         elif cert.kind == "translation" and cert.coordinate is not None:
             a = cert.coordinate - 1
             poly = Poly.const(L.bracket_basis(i - 1, j - 1)[a].rat) \

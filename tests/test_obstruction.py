@@ -15,8 +15,9 @@ from nilaffine.io import stable_json
 from nilaffine.linalg import Matrix
 from nilaffine.lr import lr_to_rep, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
-                                   _build_equations, _mono_degree,
-                                   obstruct_abelian,
+                                   _build_equations, _certificate_from_tag,
+                                   _commutator_entry, _commutator_equations,
+                                   _force, _mono_degree, obstruct_abelian,
                                    parametric_derivation, variable_namer,
                                    verify_certificate)
 
@@ -315,6 +316,19 @@ class TestBuilderMatchesGrids:
             assert all(poly.terms.values()), tag
 
 
+@pytest.mark.parametrize("L", [get_algebra("g6_18"), transported_g6_18()],
+                         ids=lambda L: L.name)
+def test_commutator_entry_matches_the_full_commutator(L):
+    space = derivation_space(L)
+    grids = [parametric_derivation(L, i, space) for i in range(L.dim)]
+    for i, j in [(0, 1), (0, 5), (2, 4), (4, 5)]:
+        full = grids[i].commutator(grids[j])
+        for r in range(L.dim):
+            for c in range(L.dim):
+                assert _commutator_entry(grids[i], grids[j], r, c) == \
+                    full.entry(r, c), (i, j, r, c)
+
+
 @pytest.fixture(scope="module")
 def outcome():
     return obstruct_abelian(get_algebra("g6_18"))
@@ -369,7 +383,9 @@ class TestObstructed:
     def test_checker_does_not_use_the_builder(self, outcome, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the checker called the solver's builder")
-        monkeypatch.setattr(obstruction, "_build_equations", refuse)
+        for builder in ("_build_equations", "_commutator_equations",
+                        "_translation_equations"):
+            monkeypatch.setattr(obstruction, builder, refuse)
         L = get_algebra("g6_18")
         assert verify_certificate(outcome, L)
         tampered = dataclasses.replace(
@@ -673,6 +689,18 @@ class TestDegreeTwoReduce:
         assert outcome.verdict == "Found"
         assert list(outcome.residual) == expected
 
+    @pytest.mark.parametrize("L", FORCING_FAMILY, ids=lambda L: L.name)
+    def test_commutators_built_on_the_first_round_map(self, L):
+        space = derivation_space(L)
+        _, maps = forcing_rounds(L)
+        defining = [(tag, poly) for tag, poly in _build_equations(L, space)
+                    if tag[0] == "commutator"]
+        substituted = [(tag, poly.substitute(maps[0]))
+                       for tag, poly in defining]
+        built = _commutator_equations(L, space, maps[0])
+        assert built == [(tag, poly) for tag, poly in substituted if poly]
+        assert all(all(poly.terms.values()) for _, poly in built)
+
     @pytest.mark.parametrize("name", ["g6_18", "h3"])
     def test_checker_does_not_use_the_solver_reduce(self, name, monkeypatch):
         L = get_algebra(name)
@@ -682,6 +710,59 @@ class TestDegreeTwoReduce:
             raise AssertionError("the checker must not call LinearSystem.reduce")
         monkeypatch.setattr(LinearSystem, "reduce", refuse)
         assert verify_certificate(outcome, L)
+
+
+def comm(index):
+    return ("commutator", 1, 2, 1, index)
+
+
+def trans(index):
+    return ("translation", 1, 2, index)
+
+
+class TestLaterRounds:
+    """The fixpoint loop on synthetic tagged equations, in tag order."""
+
+    x0, x1, x2, x3 = (Poly.var(v) for v in range(4))
+
+    def test_commutator_becomes_affine_after_round_one(self):
+        system = LinearSystem()
+        pending = _force(system, [(comm(1), self.x0 * self.x1 - self.x2),
+                                  (trans(1), self.x0 - Poly.const(1))])
+        assert pending == []
+        assert system.solved == {0: Poly.const(1), 1: self.x2}
+
+    def test_certificate_is_the_first_constant_in_tag_order(self):
+        # trans(2) turns constant in round 1, comm(2) only in round 2, yet
+        # comm(2) sorts first; comm(1) stays quadratic
+        system = LinearSystem()
+        pending = _force(system, [
+            (comm(1), self.x2 * self.x3 + self.x1),
+            (comm(2), self.x0 * self.x1 - self.x1 - Poly.const(2)),
+            (trans(1), self.x0 - Poly.const(1)),
+            (trans(2), self.x0 - Poly.const(2))])
+        assert pending == [(comm(1), self.x2 * self.x3 + self.x1),
+                           (comm(2), Poly.const(-2)),
+                           (trans(2), Poly.const(-1))]
+        tag, poly = next((tag, poly) for tag, poly in pending
+                         if poly.is_constant())
+        certificate = _certificate_from_tag(tag, poly.constant_value())
+        assert (certificate.kind, certificate.position,
+                certificate.constant) == ("commutator", (1, 2), -2)
+
+    def test_reduces_only_after_a_new_pivot(self, monkeypatch):
+        calls = []
+        reduce = LinearSystem.reduce
+
+        def counted(self, eq):
+            calls.append(eq)
+            return reduce(self, eq)
+        monkeypatch.setattr(LinearSystem, "reduce", counted)
+        system = LinearSystem()
+        system.solved = {0: Poly.const(1)}
+        quadratic = self.x1 * self.x2 + self.x3
+        assert _force(system, [(comm(1), quadratic)]) == [(comm(1), quadratic)]
+        assert calls == []
 
 
 def render_before(poly, name):
