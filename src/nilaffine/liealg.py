@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import ParseError, ShapeError, quoted
 from .linalg import (Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse,
                      row_space_basis)
-from .scalars import Scalar, check_context, scalar_from_json, scalar_to_json
+from .scalars import (Scalar, _rational_scalar, check_context, exact,
+                      scalar_from_json, scalar_to_json)
 
 BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 
@@ -310,24 +311,36 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     Unknowns are the n^2 entries of D in row-major order; one sparse
     linear equation per basis pair per coordinate. The kernel is
     canonicalized by row reduction, which makes basis order and anchor
-    entries stable across runs and platforms.
+    entries stable across runs and platforms. At d = 1 the system is
+    eliminated over int-or-Fraction coefficients (see
+    :func:`nilaffine.scalars.exact`) and the reduced rows become Scalars
+    once, at the end; other contexts eliminate Scalar rows.
     """
-    n, zero, br = L.dim, Scalar.zero(L.d), L._signed
-    system: list[dict[int, Scalar]] = []
+    n, br = L.dim, L._signed
+    rational = L.d == 1
+    if rational:
+        br = {pair: {k: exact(c.rat) for k, c in terms.items()}
+              for pair, terms in br.items()}
+    system: list[dict] = []
     for i in range(n):
         for j in range(i + 1, n):
             # row k holds coordinate k of D[X_i, X_j] - [D X_i, X_j]
             # - [X_i, D X_j] as a form in the entries D_ab, at column a * n + b
-            rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+            rows: list[dict] = [{} for _ in range(n)]
             for m, c in br.get((i, j), {}).items():
                 for k in range(n):
                     rows[k][k * n + m] = c
             for m in range(n):
                 for col, pair in ((m * n + i, (m, j)), (m * n + j, (i, m))):
                     for k, c in br.get(pair, {}).items():
-                        rows[k][col] = rows[k].get(col, zero) - c
+                        s = rows[k].get(col)
+                        rows[k][col] = -c if s is None else s - c
             system += ({col: c for col, c in row.items() if c} for row in rows)
-    pivots, reduced = _rref(_nullspace(system, n * n, L.d))
+    one = 1 if rational else Scalar.one(L.d)
+    pivots, reduced = _rref(_nullspace(system, n * n, one))
+    if rational:
+        reduced = [{col: _rational_scalar(c) for col, c in flat.items()}
+                   for flat in reduced]
     # row a of a basis matrix holds the columns a * n + b of its flat row
     basis = tuple(Matrix._of(({col % n: c for col, c in flat.items() if col // n == a}
                               for a in range(n)), n, L.d)

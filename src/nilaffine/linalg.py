@@ -6,14 +6,19 @@ holds no zero. Every elimination (``rref``, ``rank``, ``nullspace``,
 ``liealg.derivation_space``) runs on one sparse kernel, :func:`_rref`, over
 rows in that format, and products and sums combine them with
 :func:`_axpy`; only the accessors and the JSON writer give dense views. The
-kernel returns the reduced row echelon form, which is unique, so equal
-inputs always produce identical output. Vectors stay dense tuples of
-:class:`Scalar`. On top of the basics this module provides the
-simultaneous strict triangularization test (:func:`engel_flag`): a family
-of matrices spans a nilpotent associative action exactly when iterated
-joint kernels exhaust the space, and the algorithm either produces an
-ordered basis witnessing strict lower-triangularity or the proper
-invariant subspace where the joint kernel stopped growing.
+kernels are generic over the exact coefficient type: they test for zero by
+truthiness and divide only through :func:`_divided`, so they run on
+``Scalar`` rows and equally on rational rows of ``int`` and ``Fraction``
+entries (see :mod:`nilaffine.scalars`), which is how ``derivation_space``
+eliminates at d = 1. The kernel returns
+the reduced row echelon form, which is unique, so equal inputs always
+produce identical output. Vectors stay dense tuples of :class:`Scalar`. On
+top of the basics this module provides the simultaneous strict
+triangularization test (:func:`engel_flag`): a family of matrices spans a
+nilpotent associative action exactly when iterated joint kernels exhaust
+the space, and the algorithm either produces an ordered basis witnessing
+strict lower-triangularity or the proper invariant subspace where the joint
+kernel stopped growing.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import FieldMismatchError, ParseError, ShapeError
-from .scalars import RationalLike, Scalar, scalar_from_json, scalar_to_json
+from .scalars import (Rational, RationalLike, Scalar, quotient, scalar_from_json,
+                      scalar_to_json)
 
 Vector = tuple[Scalar, ...]
 EntryLike = Union[Scalar, RationalLike]
 SparseRow = dict[int, Scalar]
+Coefficient = Union[Scalar, Rational]   # one type per row set, never mixed
 
 
 def as_vector(entries: Iterable[EntryLike], d: int) -> Vector:
@@ -48,7 +55,7 @@ def _dense(v: SparseRow, n: int, d: int) -> Vector:
     return tuple(v.get(k, zero) for k in range(n))
 
 
-def _axpy(acc: SparseRow, a: Scalar, v: SparseRow) -> None:
+def _axpy(acc: SparseRow, a: Coefficient, v: SparseRow) -> None:
     """acc += a * v in place for a nonzero a, dropping entries that cancel."""
     for k, c in v.items():
         s = acc.get(k)
@@ -56,10 +63,20 @@ def _axpy(acc: SparseRow, a: Scalar, v: SparseRow) -> None:
             acc[k] = a * c
         else:
             s = s + a * c
-            if s.is_zero():
-                del acc[k]
-            else:
+            if s:
                 acc[k] = s
+            else:
+                del acc[k]
+
+
+def _divided(row: SparseRow, lead: Coefficient) -> SparseRow:
+    """row / lead for a nonzero lead: times one ``Scalar.inverse`` for Scalar
+    rows, and by :func:`~nilaffine.scalars.quotient` for rational rows, so
+    an entry that lead divides stays an int."""
+    if isinstance(lead, Scalar):
+        inv = lead.inverse()
+        return {k: inv * x for k, x in row.items()}
+    return {k: quotient(x, lead) for k, x in row.items()}
 
 
 def _transpose(rows: Sequence[SparseRow], cols: int) -> list[SparseRow]:
@@ -90,8 +107,7 @@ def _rref(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
             continue
         c = min(row)
         if row[c] != 1:
-            inv = row[c].inverse()
-            row = {k: inv * x for k, x in row.items()}
+            row = _divided(row, row[c])
         for prow in reduced.values():
             f = prow.get(c)
             if f is not None:
@@ -101,15 +117,16 @@ def _rref(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
     return pivots, [reduced[p] for p in pivots]
 
 
-def _nullspace(rows: Iterable[SparseRow], cols: int, d: int) -> list[SparseRow]:
+def _nullspace(rows: Iterable[SparseRow], cols: int,
+               one: Coefficient) -> list[SparseRow]:
     """Basis of {v : r . v = 0 for every row r}, over ``cols`` columns.
 
     One vector per free column j of the RREF R: v_j = 1 and v_p = -R[p, j]
     at each pivot p, scaled so its first nonzero coordinate is 1. With no
-    rows this is the standard basis.
+    rows this is the standard basis. ``one`` is the 1 of the rows'
+    coefficient type: ``Scalar.one(d)``, or the int 1 for rational rows.
     """
     pivots, reduced = _rref(rows)
-    one = Scalar.one(d)
     free = set(range(cols)).difference(pivots)
     basis = {j: {j: one} for j in sorted(free)}
     for p, row in zip(pivots, reduced):
@@ -118,9 +135,8 @@ def _nullspace(rows: Iterable[SparseRow], cols: int, d: int) -> list[SparseRow]:
                 basis[j][p] = -c
     for j, v in basis.items():
         lead = v[min(v)]
-        if lead != one:
-            inv = lead.inverse()
-            basis[j] = {k: inv * x for k, x in v.items()}
+        if lead != 1:
+            basis[j] = _divided(v, lead)
     return list(basis.values())
 
 
@@ -358,8 +374,8 @@ class Matrix:
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel {v : M v = 0}; see :func:`_nullspace`."""
-        return tuple(_dense(v, self.cols, self.d)
-                     for v in _nullspace(self._rows, self.cols, self.d))
+        return tuple(_dense(v, self.cols, self.d) for v in
+                     _nullspace(self._rows, self.cols, Scalar.one(self.d)))
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [M | I]."""
@@ -452,8 +468,8 @@ def row_space_basis(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vec
 
 def annihilator(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector, ...]:
     """Basis of {c : c . v = 0 for every v in the span}."""
-    return tuple(_dense(v, length, d)
-                 for v in _nullspace(map(_sparse, vectors), length, d))
+    return tuple(_dense(v, length, d) for v in
+                 _nullspace(map(_sparse, vectors), length, Scalar.one(d)))
 
 
 # ------------------------------------------------------------------ flags
@@ -537,13 +553,14 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
     # each U_k is kept as the sparse RREF basis of its span
     chain: list[list[SparseRow]] = []
     current: list[SparseRow] = []
+    one = Scalar.one(d)
     while len(current) < size:
         # v is in U_{k+1} exactly when c . (M v) = 0 for every c in the
         # annihilator of U_k and every M: the rows of C M for every M. With
         # no M that is every v.
-        c = Matrix._of(_nullspace(current, size, d), size, d)
+        c = Matrix._of(_nullspace(current, size, one), size, d)
         system = [row for m in family for row in (c @ m)._rows]
-        nxt = _rref(_nullspace(system, size, d))[1]
+        nxt = _rref(_nullspace(system, size, one))[1]
         if len(nxt) == len(current):
             return EngelFailure(size=size, d=d, stalled=tuple(
                 _dense(v, size, d) for v in current))

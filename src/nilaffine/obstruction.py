@@ -23,6 +23,16 @@ assignment satisfying the residual equations and the full
 simple-transitivity verdict yields Found with the witness attached. If
 neither happens the honest answer is Undetermined together with the
 residual system; no general polynomial solving is attempted.
+
+Coefficients. The structure constants, the derivation basis and the
+products C_kl enter the equations as ``int`` where integral and
+``Fraction`` otherwise (:func:`nilaffine.scalars.exact`), and forcing
+divides only through :func:`nilaffine.scalars.quotient`, so the
+equations, the eliminated map and the residuals hold ``int`` and
+``Fraction`` coefficients (see :mod:`nilaffine.scalars`). What leaves the
+solver as a number is a ``Fraction``: the forced values, the certificate
+constant, the witness assignment and coefficients, and
+``Poly.constant_value`` and ``Poly.evaluate``.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
 from .linalg import Matrix, _combination
 from .lr import LRStructure, _lr_of_passing_rep
-from .scalars import Scalar
+from .scalars import Rational, Scalar, as_fraction, exact, quotient
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
 _exponent = itemgetter(1)
@@ -63,11 +73,15 @@ def _mono_degree(m: Monomial) -> int:
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q with integer variable ids."""
+    """Sparse multivariate polynomial over Q with integer variable ids.
+
+    Coefficients are ``int`` or ``Fraction`` (see :mod:`nilaffine.scalars`);
+    the values read off a polynomial are ``Fraction``.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
         cleaned = {m: c for m, c in (terms or {}).items() if c}
         object.__setattr__(self, "terms", cleaned)
 
@@ -76,12 +90,12 @@ class Poly:
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = Fraction(c)
+        c = exact(as_fraction(c))
         return cls({(): c} if c else {})
 
     @classmethod
     def var(cls, v: int) -> "Poly":
-        return cls({((v, 1),): Fraction(1)})
+        return cls({((v, 1),): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -89,7 +103,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == Poly.const(other)
         return NotImplemented
 
@@ -99,7 +113,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -109,16 +123,16 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            f = exact(other)
             return Poly({m: c * f for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
+                out[m] = out.get(m, 0) + ca * cb
         return Poly(out)
 
     __rmul__ = __mul__
@@ -130,17 +144,17 @@ class Poly:
         return all(m == () for m in self.terms)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def variables(self) -> set[int]:
         return {v for m in self.terms for v, _ in m}
 
-    def affine_parts(self) -> tuple[Fraction, dict[int, Fraction]]:
+    def affine_parts(self) -> tuple[Rational, dict[int, Rational]]:
         """(constant, {var: coefficient}) for a polynomial of degree <= 1."""
         if self.degree() > 1:
             raise ValueError("polynomial is not affine")
-        const = Fraction(0)
-        coeffs: dict[int, Fraction] = {}
+        const: Rational = 0
+        coeffs: dict[int, Rational] = {}
         for m, c in self.terms.items():
             if m == ():
                 const = c
@@ -154,9 +168,9 @@ class Poly:
             return self
         if not any(v in subs for m in self.terms for v, _ in m):
             return self
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for m, c in self.terms.items():
-            term: dict[Monomial, Fraction] = {(): c}
+            term: dict[Monomial, Rational] = {(): c}
             for v, e in m:
                 factor = subs.get(v)
                 if factor is None:
@@ -164,7 +178,7 @@ class Poly:
                             for tm, tc in term.items()}
                     continue
                 for _ in range(e):
-                    grown: dict[Monomial, Fraction] = {}
+                    grown: dict[Monomial, Rational] = {}
                     for tm, tc in term.items():
                         for fm, fc in factor.terms.items():
                             k = _mono_mul(tm, fm)
@@ -176,7 +190,7 @@ class Poly:
 
     def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
         """The value at ``values``; every variable must have one (KeyError)."""
-        total = Fraction(0)
+        total: Rational = 0
         for m, c in self.terms.items():
             prod = c
             for v, e in m:
@@ -187,7 +201,7 @@ class Poly:
                     prod *= x if e == 1 else x ** e
             if prod:
                 total += prod
-        return total
+        return Fraction(total)
 
     def render(self, name: Callable[[int], str]) -> str:
         if not self.terms:
@@ -212,7 +226,7 @@ class Poly:
         return f"Poly({self.render(lambda v: f'x{v}')})"
 
 
-def _poly(terms: dict[Monomial, Fraction]) -> Poly:
+def _poly(terms: dict[Monomial, Rational]) -> Poly:
     """Wrap a term dict that holds no zero coefficient, without copying it."""
     p = object.__new__(Poly)
     object.__setattr__(p, "terms", terms)
@@ -363,11 +377,14 @@ class LinearSystem:
     Pivots are the lowest variable ids, mirroring reduced row echelon
     form with columns ordered by id; since the row span determines the
     echelon form uniquely, the final solved map depends only on the set
-    of equations, not the insertion order.
+    of equations, not the insertion order. ``_uses`` indexes the solved
+    forms by the free variables they contain, so a new pivot is
+    substituted only into the forms that contain it.
     """
 
     def __init__(self):
         self.solved: dict[int, Poly] = {}
+        self._uses: dict[int, set[int]] = {}   # free var -> pivots using it
 
     def reduce(self, eq: Poly) -> Poly:
         """eq with each solved variable replaced by its affine form, for eq
@@ -406,13 +423,32 @@ class LinearSystem:
             return False
         if reduced.is_constant():
             raise Contradiction(reduced.constant_value())
-        _, coeffs = reduced.affine_parts()
-        pivot = min(coeffs)
-        pc, lead = coeffs[pivot], ((pivot, 1),)
-        form = _poly({m: -c / pc for m, c in reduced.terms.items() if m != lead})
-        back = {pivot: form}
-        self.solved = {v: p.substitute(back) for v, p in self.solved.items()}
-        self.solved[pivot] = form
+        pivot = min(m[0][0] for m in reduced.terms if m)
+        lead = ((pivot, 1),)
+        pc = reduced.terms[lead]
+        form = {m: quotient(-c, pc) for m, c in reduced.terms.items()
+                if m != lead}
+        uses = self._uses
+        # back-substitute into the forms that contain the pivot: form q's
+        # term c * pivot becomes c * form
+        for q in uses.pop(pivot, ()):
+            terms = dict(self.solved[q].terms)
+            c = terms.pop(lead)
+            for m, f in form.items():
+                v = exact(terms.get(m, 0) + c * f)
+                if v:
+                    terms[m] = v
+                else:
+                    del terms[m]
+                if m and v:
+                    uses.setdefault(m[0][0], set()).add(q)
+                elif m:
+                    uses[m[0][0]].discard(q)
+            self.solved[q] = _poly(terms)
+        for m in form:
+            if m:
+                uses.setdefault(m[0][0], set()).add(pivot)
+        self.solved[pivot] = _poly(form)
         return True
 
 
@@ -562,6 +598,13 @@ class ObstructionOutcome:
 # ------------------------------------------------------------------ pipeline
 
 
+def _rational_rows(space: DerivationSpace) -> list[list[dict[int, Rational]]]:
+    """The sparse rows of each derivation basis matrix, entries made exact;
+    the context is d = 1, so each entry is its rational part."""
+    return [[{b: exact(e.rat) for b, e in row.items()} for row in E._rows]
+            for E in space.basis]
+
+
 def _translation_equations(L: LieAlgebra, space: DerivationSpace
                            ) -> list[tuple[tuple, Poly]]:
     """Coordinate a of the translation condition for i < j, tagged
@@ -569,22 +612,21 @@ def _translation_equations(L: LieAlgebra, space: DerivationSpace
     E_k it is [X_i, X_j]_a + sum_k E_k[a][j] u_ik - sum_k E_k[a][i] u_jk.
     Each k names a distinct monomial, and every coordinate is kept."""
     n, r = L.dim, space.dimension
-    # linear[a][b] = [(k, E_k[a][b]), ...] over the nonzero entries only;
-    # the context is d = 1, so each entry is its rational part
-    linear: list[list[list[tuple[int, Fraction]]]] = \
+    # linear[a][b] = [(k, E_k[a][b]), ...] over the nonzero entries only
+    linear: list[list[list[tuple[int, Rational]]]] = \
         [[[] for _ in range(n)] for _ in range(n)]
-    for k, E in enumerate(space.basis):
-        for a, row in enumerate(E._rows):
+    for k, rows in enumerate(_rational_rows(space)):
+        for a, row in enumerate(rows):
             for b, e in row.items():
-                linear[a][b].append((k, e.rat))
+                linear[a][b].append((k, e))
     equations: list[tuple[tuple, Poly]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            bracket = L.bracket_basis(i, j)
+            bracket = L._signed.get((i, j), {})
             for a in range(n):
-                terms: dict[Monomial, Fraction] = {}
-                if bracket[a].rat:
-                    terms[()] = bracket[a].rat
+                terms: dict[Monomial, Rational] = {}
+                if a in bracket:
+                    terms[()] = exact(bracket[a].rat)
                 for k, e in linear[a][j]:
                     terms[((i * r + k, 1),)] = e
                 for k, e in linear[a][i]:
@@ -605,18 +647,18 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
     ``Poly.substitute`` of it, and a u_ik forced to 0 drops its products.
     With an empty map these are the defining equations."""
     n, r = L.dim, space.dimension
-    basis = space.basis
+    basis = _rational_rows(space)
 
-    def product(x: Matrix, y: Matrix) -> dict[tuple[int, int], Fraction]:
-        out: dict[tuple[int, int], Fraction] = {}
-        for a, row in enumerate(x._rows):
+    def product(x, y) -> dict[tuple[int, int], Rational]:
+        out: dict[tuple[int, int], Rational] = {}
+        for a, row in enumerate(x):
             for m, xv in row.items():
-                for b, yv in y._rows[m].items():
-                    out[a, b] = out.get((a, b), 0) + xv.rat * yv.rat
+                for b, yv in y[m].items():
+                    out[a, b] = out.get((a, b), 0) + xv * yv
         return out
 
     # quadratic[(a, b)] = [(k, l, C_kl[a][b]), ...] over the nonzero entries
-    quadratic: dict[tuple[int, int], list[tuple[int, int, Fraction]]] = {}
+    quadratic: dict[tuple[int, int], list[tuple[int, int, Rational]]] = {}
     for k in range(r):
         for l in range(k + 1, r):
             kl, lk = product(basis[k], basis[l]), product(basis[l], basis[k])
@@ -634,7 +676,7 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
         for j in range(i + 1, n):
             fj = factors[j]
             for (a, b), entries in positions:
-                out: dict[Monomial, Fraction] = {}
+                out: dict[Monomial, Rational] = {}
                 for k, l, c in entries:
                     for x, cx in fi[k]:
                         cx = c if cx is None else c * cx
@@ -755,7 +797,9 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             space=space, verdict="Found", eliminated=eliminated,
             witness_assignment=tuple(zip(free, values)), residual=residual,
             samples=samples, seed=seed, two_step_solvable=metabelian)
-        if any(poly.evaluate(found.coefficients) for _, poly in residual):
+        # integral values as ints, so that evaluating runs on int arithmetic
+        u = {v: exact(x) for v, x in found.coefficients.items()}
+        if any(poly.evaluate(u) for _, poly in residual):
             continue
         if check_simply_transitive(found.witness_rep).overall:
             return found

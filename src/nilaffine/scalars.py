@@ -8,7 +8,16 @@ case, so the invariant ``d == 1 implies irr == 0`` always holds. Values
 from contexts with different ``d`` never mix silently: combining them
 raises :class:`~nilaffine.errors.FieldMismatchError`.
 
-Floats are rejected everywhere; all arithmetic is exact.
+Floats are rejected everywhere; all arithmetic is exact. ``Scalar`` is the
+type of the public API, and ``Scalar.rat`` and ``Scalar.irr`` are always
+``Fraction``. Inside the rational kernels (elimination at d = 1, the
+obstruction equations and their forcing) a rational is an ``int`` or a
+``Fraction``, because int arithmetic is many times faster. Inputs enter
+through :func:`exact`, which makes every integral value an int, and every
+division goes through :func:`quotient`, which gives an int when it leaves no
+remainder; so a ``Fraction`` appears only for a value that is not integral
+or that was computed from one. ``quotient`` and :meth:`Scalar.inverse` are
+the only places that divide.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from typing import Union
 from .errors import FieldMismatchError, ParseError, quoted
 
 RationalLike = Union[int, str, Fraction]
+Rational = Union[int, Fraction]   # a rational in the kernels, see exact()
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -40,6 +50,23 @@ def as_fraction(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {quoted(value)}") from exc
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def exact(q: Rational) -> Rational:
+    """q as an int when it is integral, else the Fraction q."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def quotient(a: Rational, b: Rational) -> Rational:
+    """a / b for exact rationals and a nonzero b: an int when b divides a,
+    else a Fraction (ZeroDivisionError when b is zero)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return exact(Fraction(a, b))
 
 
 def is_square_free(d: int) -> bool:
@@ -128,7 +155,8 @@ class Scalar:
         return not self.irr
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        # is_zero inlined: elimination tests every entry by truthiness
+        return not (not self.rat and not self.irr)
 
     # -------------------------------------------------- arithmetic
 
@@ -289,6 +317,11 @@ def _scalar(rat: Fraction, irr: Fraction, d: int) -> Scalar:
     _set_irr(s, irr)
     _set_d(s, d)
     return s
+
+
+def _rational_scalar(q: Rational) -> Scalar:
+    """The d = 1 Scalar of an exact rational, the exit of a rational kernel."""
+    return _scalar(q if type(q) is Fraction else Fraction(q), _ZERO, 1)
 
 
 def _encode_fraction(f: Fraction):

@@ -325,6 +325,60 @@ def test_derivation_space_matches_dense_reference(L):
     assert all(x.d == L.d for m in got.basis for x in m.entries())
 
 
+def diagonal(entries):
+    n = len(entries)
+    return Matrix.from_rows([[entries[r] if r == c else 0 for c in range(n)]
+                             for r in range(n)], 1)
+
+
+# diagonal entries for non-integral transports; cycled from a seeded offset
+DIAGONAL_ENTRIES = (Fraction(1, 2), 3, Fraction(-2, 3), -1, 2, Fraction(5, 7))
+
+
+def non_integral_transport(L, seed):
+    """L in the basis Y_i = s_i X_i, s cycling DIAGONAL_ENTRIES from a seeded
+    offset; some structure constant is then not an integer."""
+    offset = random.Random(seed).randrange(len(DIAGONAL_ENTRIES))
+    entries = [DIAGONAL_ENTRIES[(offset + k) % len(DIAGONAL_ENTRIES)]
+               for k in range(L.dim)]
+    return transport(L, diagonal(entries), name=f"{L.name}~q{seed}")
+
+
+RATIONAL_PATH_CASES = (
+    [get_algebra(name) for name in catalog_names()]
+    + [filiform(n) for n in range(5, 9)] + [heisenberg(3), filiform_r(7)]
+    + [non_integral_transport(L, seed)
+       for L in (get_algebra("g6_18"), get_algebra("g5_6"), filiform(5),
+                 filiform(7), heisenberg(3), filiform_r(7))
+       for seed in (0, 1)])
+
+
+class TestRationalPath:
+    """derivation_space eliminates over int-or-Fraction at d = 1 and over
+    Scalars elsewhere; both must give the same canonical basis."""
+
+    @pytest.mark.parametrize("L", RATIONAL_PATH_CASES, ids=lambda L: L.name)
+    def test_matches_the_scalar_path(self, L):
+        rational, scalar = derivation_space(L), derivation_space(L.with_field(3))
+        assert all(x.d == 3 for m in scalar.basis for x in m.entries())
+        assert rational.anchors == scalar.anchors
+        assert rational.basis == tuple(m.with_field(1) for m in scalar.basis)
+        for m in rational.basis:
+            for x in m.entries():
+                assert x.d == 1
+                assert type(x.rat) is Fraction and type(x.irr) is Fraction
+
+    def test_transports_reach_the_fraction_branch(self):
+        for L in RATIONAL_PATH_CASES:
+            if "~q" in L.name:
+                assert any(c.rat.denominator != 1
+                           for terms in L.table.values() for _, c in terms)
+        # and the reduced rows themselves hold a proper fraction somewhere
+        assert any(x.rat.denominator != 1
+                   for L in RATIONAL_PATH_CASES
+                   for m in derivation_space(L).basis for x in m.entries())
+
+
 class TestTransport:
     def test_identity_is_noop(self):
         f = get_algebra("f4")

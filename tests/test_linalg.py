@@ -333,6 +333,84 @@ KERNEL_SHAPES = ((0, 3), (3, 0), (1, 1), (0, 0), (4, 4), (6, 6),
                  (9, 4), (14, 6), (3, 8), (5, 12))
 
 
+def assert_exact_rational(x):
+    """An int or a Fraction; never a bool or a float."""
+    assert type(x) in (int, Fraction), x
+
+
+class TestRationalRows:
+    """_rref and _nullspace on int rows with non-unit pivots against the
+    same rows as Scalars; rational results stay int where integral."""
+
+    @staticmethod
+    def int_rows(rng, rows, cols, density):
+        # entries avoid +-1 half the time, so most pivots are not units
+        values = (-6, -4, -3, -2, 2, 3, 4, 6, -1, 1)
+        return [{c: rng.choice(values) for c in range(cols)
+                 if rng.random() < density} for _ in range(rows)]
+
+    @staticmethod
+    def as_scalars(rows, d=1):
+        return [{c: Scalar.of(x, d) for c, x in row.items()} for row in rows]
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES,
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("density", (0.2, 0.6, 1.0))
+    def test_matches_scalar_rows(self, shape, density):
+        rows, cols = shape
+        rng = random.Random(f"int-{rows}-{cols}-{density}")
+        for _ in range(4):
+            ints = self.int_rows(rng, rows, cols, density)
+            ints += [dict(ints[0])] if ints else []     # a dependent row
+            before = [dict(row) for row in ints]
+            pivots, reduced = linalg._rref(ints)
+            assert ints == before                       # input not changed
+            assert (pivots, self.as_scalars(reduced)) == \
+                linalg._rref(self.as_scalars(ints))
+            kernel = linalg._nullspace(ints, cols, 1)
+            assert self.as_scalars(kernel) == linalg._nullspace(
+                self.as_scalars(ints), cols, Scalar.one(1))
+            for row in reduced + kernel:
+                assert all(row.values())
+                for x in row.values():
+                    assert_exact_rational(x)
+
+    def test_ints_stay_ints_while_every_division_is_exact(self):
+        # echelon rows with leads +-1, then integer combinations of them:
+        # every division is by +-1, so no Fraction may appear
+        rng = random.Random("unit-pivots")
+        for _ in range(20):
+            leads = sorted(rng.sample(range(8), 4))
+            rows = [{lead: rng.choice((-1, 1)),
+                     **{c: rng.randint(-3, 3) for c in range(lead + 1, 8)}}
+                    for lead in leads]
+            rows = [{c: x for c, x in row.items() if x} for row in rows]
+            combos = []
+            for _ in range(3):
+                acc = {}
+                for row in rows:
+                    linalg._axpy(acc, rng.choice((-2, 1, 3)), row)
+                combos.append(acc)
+            pivots, reduced = linalg._rref(rows + combos)
+            assert pivots == tuple(leads)
+            assert all(type(x) is int for row in reduced for x in row.values())
+
+    def test_non_unit_pivot_scales_to_fractions_only_where_needed(self):
+        pivots, reduced = linalg._rref([{0: 2, 1: 4, 2: 3}, {1: 3, 2: 6}])
+        assert pivots == (0, 1)
+        assert reduced == [{0: 1, 2: Fraction(-5, 2)}, {1: 1, 2: 2}]
+        assert type(reduced[1][2]) is int
+        assert linalg._nullspace([{0: 2, 1: 4}], 2, 1) == [{0: 1, 1: Fraction(-1, 2)}]
+
+    def test_matches_scalar_rows_in_another_context(self):
+        rng = random.Random("int-d3")
+        ints = self.int_rows(rng, 5, 7, 0.6)
+        pivots, reduced = linalg._rref(self.as_scalars(ints, 3))
+        assert all(x.d == 3 for row in reduced for x in row.values())
+        assert (pivots, [{c: x.rat for c, x in row.items()} for row in reduced]) \
+            == linalg._rref(ints)
+
+
 class TestKernelMatchesDenseReference:
     """The sparse kernel against the dense elimination it replaced."""
 

@@ -824,3 +824,182 @@ class TestRenderIsUnchanged:
         for poly in polys:
             for name in names:
                 assert poly.render(name) == render_before(poly, name)
+
+
+# ------------------------------------------------------------------ exact types
+
+
+def diagonal_transport(L, entries, tag):
+    n = L.dim
+    p = Matrix.from_rows([[entries[r % len(entries)] if r == c else 0
+                           for c in range(n)] for r in range(n)], 1)
+    return transport(L, p, name=f"{L.name}~{tag}")
+
+
+NON_INTEGRAL_DIAGONALS = {
+    "a": (Fraction(1, 2), 3, Fraction(-2, 3)),
+    "b": (1, 3, 2, Fraction(1, 2), Fraction(-2, 3)),
+}
+NON_INTEGRAL_TRANSPORTS = [
+    diagonal_transport(L, entries, tag)
+    for L in (get_algebra("g6_18"), filiform(5), get_algebra("g5_6"),
+              get_algebra("h3+R"), heisenberg(3))
+    for tag, entries in NON_INTEGRAL_DIAGONALS.items()]
+EXACTNESS_CASES = ([get_algebra(name) for name in catalog_names()]
+                   + [transported_g6_18()] + NON_INTEGRAL_TRANSPORTS)
+
+
+def assert_coefficients_exact(poly):
+    # type(...) rules out bool, a subclass of int, as well as float
+    for c in poly.terms.values():
+        assert type(c) in (int, Fraction), (c, type(c))
+
+
+class TestExactTypes:
+    """Inside the solver coefficients are int or Fraction; every value it
+    hands out is a Fraction."""
+
+    def test_transports_have_non_integral_constants(self):
+        for L in NON_INTEGRAL_TRANSPORTS:
+            assert any(c.rat.denominator != 1
+                       for terms in L.table.values() for _, c in terms), L.name
+
+    @pytest.mark.parametrize("L", EXACTNESS_CASES, ids=lambda L: L.name)
+    def test_equations_and_outcome_coefficients(self, L):
+        space = derivation_space(L)
+        for _, poly in _build_equations(L, space):
+            assert_coefficients_exact(poly)
+        outcome = obstruct_abelian(L)
+        for _, form in outcome.eliminated:
+            assert_coefficients_exact(form)
+        for _, poly in outcome.residual:
+            assert_coefficients_exact(poly)
+
+    @pytest.mark.parametrize("L", EXACTNESS_CASES, ids=lambda L: L.name)
+    def test_public_values_are_fractions(self, L):
+        outcome = obstruct_abelian(L)
+        assert all(type(c) is Fraction for _, c in outcome.forced)
+        assert all(type(c) is Fraction for c in outcome.forced_named().values())
+        zeros = {v: Fraction(0) for v in range(L.dim * outcome.space.dimension)}
+        for _, form in outcome.eliminated:
+            assert type(form.constant_value()) is Fraction
+            assert type(form.evaluate(zeros)) is Fraction
+        if outcome.verdict == "Obstructed":
+            assert type(outcome.certificate.constant) is Fraction
+            assert outcome.witness_assignment is None
+        else:
+            assert outcome.verdict == "Found"
+            assert all(type(c) is Fraction
+                       for _, c in outcome.witness_assignment)
+            assert all(type(c) is Fraction
+                       for c in outcome.coefficients.values())
+            for _, poly in outcome.residual:
+                assert type(poly.evaluate(outcome.coefficients)) is Fraction
+                assert type(poly.constant_value()) is Fraction
+
+    def test_poly_values_are_fractions(self):
+        p = Poly.var(0) * 2 + Poly.const(3)
+        assert p.terms == {((0, 1),): 2, (): 3}
+        assert all(type(c) is int for c in p.terms.values())
+        assert type(p.constant_value()) is Fraction
+        assert type(Poly().constant_value()) is Fraction
+        assert type(p.evaluate({0: 1})) is Fraction
+        assert type(Poly().evaluate({})) is Fraction
+        assert type(Poly.const(Fraction(4, 2)).terms[()]) is int
+        with pytest.raises(TypeError):
+            Poly.const(0.5)
+        with pytest.raises(TypeError):
+            Poly.var(0) * 0.5
+
+    @pytest.mark.parametrize("own", [get_algebra("g6_18"), filiform(5)],
+                             ids=lambda L: L.name)
+    @pytest.mark.parametrize("tag", sorted(NON_INTEGRAL_DIAGONALS))
+    def test_non_integral_basis_keeps_the_verdict(self, own, tag):
+        L = diagonal_transport(own, NON_INTEGRAL_DIAGONALS[tag], tag)
+        moved = obstruct_abelian(L)
+        assert moved.verdict == obstruct_abelian(own).verdict
+        assert moved.verdict == ("Obstructed" if own.name == "g6_18"
+                                 else "Found")
+        assert verify_certificate(moved, L)
+
+
+# ------------------------------------------------------------------ occurrence index
+
+
+def naive_solved(equations):
+    """The solved map of LinearSystem, by the textbook method: reduce each
+    equation by every solved form, pivot on its lowest variable and
+    substitute the new form into every solved form."""
+    solved = {}
+    for eq in equations:
+        reduced = eq.substitute(solved)
+        if not reduced:
+            continue
+        if reduced.is_constant():
+            raise Contradiction(reduced.constant_value())
+        pivot = min(reduced.variables())
+        coeff = reduced.terms[((pivot, 1),)]
+        form = (Poly.var(pivot) * coeff - reduced) * (Fraction(1) / coeff)
+        solved = {v: p.substitute({pivot: form}) for v, p in solved.items()}
+        solved[pivot] = form
+    return solved
+
+
+def affine_system(rng, nvars, count):
+    """Affine equations with non-unit coefficients, many of them linear
+    combinations of earlier ones, so that terms cancel on back-substitution."""
+    coefficients = (-3, -2, 2, 3, 4, Fraction(1, 2), Fraction(-2, 3), 1, -1)
+    equations = []
+    for _ in range(count):
+        if equations and rng.random() < 0.4:
+            eq = Poly()
+            for base in rng.sample(equations, min(len(equations), 3)):
+                eq = eq + base * rng.choice(coefficients)
+            eq = eq + Poly.var(rng.randrange(nvars)) * rng.choice((0, 0, 1, 2))
+        else:
+            eq = Poly.const(rng.randint(-4, 4))
+            for v in rng.sample(range(nvars), rng.randint(1, min(4, nvars))):
+                eq = eq + Poly.var(v) * rng.choice(coefficients)
+        equations.append(eq)
+    return equations
+
+
+class TestOccurrenceIndex:
+    @given(st.integers(0, 2 ** 32), st.integers(2, 12), st.integers(1, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_solved_map_equals_full_back_substitution(self, seed, nvars,
+                                                      count):
+        rng = random.Random(seed)
+        equations = affine_system(rng, nvars, count)
+        system = LinearSystem()
+        try:
+            want = naive_solved(equations)
+        except Contradiction as exc:
+            with pytest.raises(Contradiction) as got:
+                for eq in equations:
+                    system.add(eq)
+            assert got.value.constant == exc.constant
+            return
+        for eq in equations:
+            system.add(eq)
+        assert system.solved == want
+        # the index names exactly the forms that contain each variable
+        for v in range(nvars):
+            users = {q for q, form in system.solved.items()
+                     if v in form.variables()}
+            assert system._uses.get(v, set()) == users, v
+        for form in system.solved.values():
+            assert_coefficients_exact(form)
+
+    def test_cancellation_drops_the_variable_from_the_index(self):
+        system = LinearSystem()
+        system.add(Poly.var(0) - Poly.var(2) * 2 - Poly.var(3))   # x0 = 2x2 + x3
+        system.add(Poly.var(1) + Poly.var(2) * 3)                 # x1 = -3x2
+        system.add(Poly.var(2) * 2 + Poly.var(3) - Poly.const(5))  # x2 = (5 - x3)/2
+        assert system.solved == {0: Poly.const(5),
+                                 1: Poly.var(3) * Fraction(3, 2)
+                                 - Poly.const(Fraction(15, 2)),
+                                 2: Poly.const(Fraction(5, 2))
+                                 - Poly.var(3) * Fraction(1, 2)}
+        assert system._uses == {3: {1, 2}}
+        assert type(system.solved[0].terms[()]) is int
