@@ -379,7 +379,8 @@ class LinearSystem:
     echelon form uniquely, the final solved map depends only on the set
     of equations, not the insertion order. ``_uses`` indexes the solved
     forms by the free variables they contain, so a new pivot is
-    substituted only into the forms that contain it.
+    substituted only into the forms that contain it; ``add`` keeps it, so
+    a ``solved`` map assigned from outside serves ``reduce`` only.
     """
 
     def __init__(self):
