@@ -1,29 +1,30 @@
 """Exact linear algebra over Q(sqrt(d)).
 
 A :class:`Matrix` stores each row once, as a ``{column: Scalar}`` dict that
-holds no zero. Every elimination (``rref``, ``rank``, ``nullspace``,
-``inverse``, row spaces and the Leibniz system of
-``liealg.derivation_space``) runs on one sparse kernel, :func:`_rref`, over
-rows in that format, and products and sums combine them with
-:func:`_axpy`; only the accessors and the JSON writer give dense views. The
-kernels are generic over the exact coefficient type: they test for zero by
-truthiness and divide only through :func:`_divided`, so they run on
-``Scalar`` rows and equally on rational rows of ``int`` and ``Fraction``
-entries (see :mod:`nilaffine.scalars`), which is how ``derivation_space``
-eliminates at d = 1. The kernel returns
-the reduced row echelon form, which is unique, so equal inputs always
-produce identical output. Vectors stay dense tuples of :class:`Scalar`. On
-top of the basics this module provides the simultaneous strict
-triangularization test (:func:`engel_flag`): a family of matrices spans a
-nilpotent associative action exactly when iterated joint kernels exhaust
-the space, and the algorithm either produces an ordered basis witnessing
-strict lower-triangularity or the proper invariant subspace where the joint
+holds no zero. Every elimination runs on one sparse kernel, :func:`_rref`,
+over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
+the Leibniz system of ``liealg.derivation_space``, and, through its row
+step :func:`_install`, the linear forcing of ``obstruction.LinearSystem``.
+Products and sums combine rows with :func:`_axpy`; only the accessors and
+the JSON writer give dense views. The kernels are generic over the exact
+coefficient type: they test for zero by truthiness and divide only through
+:func:`_divided`, so they run on ``Scalar`` rows and equally on rational
+rows of ``int`` and ``Fraction`` entries (see :mod:`nilaffine.scalars`),
+as ``derivation_space`` at d = 1 and forcing do. The kernel returns the
+reduced row echelon form, which is unique, so equal inputs always produce
+identical output. Vectors stay dense tuples of :class:`Scalar`. On top of
+the basics this module provides the simultaneous strict triangularization
+test (:func:`engel_flag`): a family of matrices spans a nilpotent
+associative action exactly when iterated joint kernels exhaust the space,
+and the algorithm either produces an ordered basis witnessing strict
+lower-triangularity or the proper invariant subspace where the joint
 kernel stopped growing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import FieldMismatchError, ParseError, ShapeError
@@ -56,7 +57,19 @@ def _dense(v: SparseRow, n: int, d: int) -> Vector:
 
 
 def _axpy(acc: SparseRow, a: Coefficient, v: SparseRow) -> None:
-    """acc += a * v in place for a nonzero a, dropping entries that cancel."""
+    """acc += a * v in place for a nonzero a, dropping entries that cancel.
+    On rational rows an integral result is stored as an int."""
+    if not isinstance(a, Scalar):
+        for k, c in v.items():
+            s = acc.get(k)
+            s = a * c if s is None else s + a * c
+            if type(s) is Fraction and s.denominator == 1:   # exact(s) inline
+                s = s.numerator
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return
     for k, c in v.items():
         s = acc.get(k)
         if s is None:
@@ -88,31 +101,36 @@ def _transpose(rows: Sequence[SparseRow], cols: int) -> list[SparseRow]:
     return out
 
 
-def _rref(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
-    """Reduced row echelon form of the span of sparse rows: (pivots, rows).
+def _reduced(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
+    """A copy of row with each pivot column cleared by that pivot's row."""
+    row = dict(row)
+    for p in [c for c in row if c in pivots]:
+        _axpy(row, -row[p], pivots[p])
+    return row
 
-    Rows are read top to bottom and cleared at the pivot columns found so
-    far. A row with anything left is scaled to 1 at its leftmost column,
-    which becomes a pivot, and that column is cleared from the earlier
-    pivot rows. So the pivot rows are always the RREF of the rows read,
-    and at the end the unique RREF of the span, in pivot order. The input
-    dicts are not changed.
-    """
+
+def _install(pivots: dict[int, SparseRow], row: SparseRow) -> None:
+    """Make a nonzero row reduced by ``pivots`` the pivot row of its leftmost
+    column: scaled to 1 there, and that column cleared from the other pivot
+    rows, so an RREF stays one. A row led by 1 is stored, not copied."""
+    c = min(row)
+    if row[c] != 1:
+        row = _divided(row, row[c])
+    for prow in pivots.values():
+        f = prow.get(c)
+        if f is not None:
+            _axpy(prow, -f, row)
+    pivots[c] = row
+
+
+def _rref(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
+    """Reduced row echelon form of the span of sparse rows: (pivots, rows),
+    in pivot order. Each row is reduced by the pivot rows so far and
+    installed if anything is left; the input dicts are not changed."""
     reduced: dict[int, SparseRow] = {}
     for row in rows:
-        row = dict(row)
-        for p in [c for c in row if c in reduced]:
-            _axpy(row, -row[p], reduced[p])
-        if not row:
-            continue
-        c = min(row)
-        if row[c] != 1:
-            row = _divided(row, row[c])
-        for prow in reduced.values():
-            f = prow.get(c)
-            if f is not None:
-                _axpy(prow, -f, row)
-        reduced[c] = row
+        if row := _reduced(row, reduced):
+            _install(reduced, row)
     pivots = tuple(sorted(reduced))
     return pivots, [reduced[p] for p in pivots]
 

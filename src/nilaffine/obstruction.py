@@ -11,13 +11,14 @@ for all i < j. Writing each D_i = sum_k u_ik E_k over a derivation-space
 basis turns the first family into linear equations and the second into
 quadratic ones in the coefficients u_ik, whose coefficients are the
 structure constants [E_k, E_l] of the derivation basis. Round 1 solves
-the translation equations by exact elimination. Each commutator equation
-is then built with that solution substituted, and later rounds solve
-whatever became linear until nothing new does. Every round takes the
-equations in a canonical tag order, so verdicts, forced values and
-certificates do not depend on how the caller enumerated anything. An
-equation reducing to a nonzero constant is an exact proof that no solution
-exists; the verdict Obstructed carries it as a certificate. Otherwise the
+the translation equations by exact elimination on linalg's row kernel
+(:class:`LinearSystem`). Each commutator equation is then built with
+that solution substituted, and later rounds solve whatever became
+linear until nothing new does. Every round takes the equations in a
+canonical tag order, so verdicts, forced values and certificates do not
+depend on how the caller enumerated anything. An equation reducing to a
+nonzero constant is an exact proof that no solution exists; the verdict
+Obstructed carries it as a certificate. Otherwise the
 free coefficients are sampled (zeros first, then seeded rationals) and any
 assignment satisfying the residual equations and the full
 simple-transitivity verdict yields Found with the witness attached. If
@@ -26,7 +27,7 @@ residual system; no general polynomial solving is attempted.
 
 Coefficients. The structure constants, the derivation basis and the
 products C_kl enter the equations as ``int`` where integral and
-``Fraction`` otherwise (:func:`nilaffine.scalars.exact`), and forcing
+``Fraction`` otherwise (:func:`nilaffine.scalars.exact`), and the kernel
 divides only through :func:`nilaffine.scalars.quotient`, so the
 equations, the eliminated map and the residuals hold ``int`` and
 ``Fraction`` coefficients (see :mod:`nilaffine.scalars`). What leaves the
@@ -38,6 +39,7 @@ constant, the witness assignment and coefficients, and
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,9 +49,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .affine import AffineRep, check_simply_transitive
 from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
-from .linalg import Matrix, _combination
+from .linalg import Matrix, SparseRow, _combination, _install
 from .lr import LRStructure, _lr_of_passing_rep
-from .scalars import Rational, Scalar, as_fraction, exact, quotient
+from .scalars import Rational, Scalar, as_fraction, exact
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
 _exponent = itemgetter(1)
@@ -148,19 +150,6 @@ class Poly:
 
     def variables(self) -> set[int]:
         return {v for m in self.terms for v, _ in m}
-
-    def affine_parts(self) -> tuple[Rational, dict[int, Rational]]:
-        """(constant, {var: coefficient}) for a polynomial of degree <= 1."""
-        if self.degree() > 1:
-            raise ValueError("polynomial is not affine")
-        const: Rational = 0
-        coeffs: dict[int, Rational] = {}
-        for m, c in self.terms.items():
-            if m == ():
-                const = c
-            else:
-                coeffs[m[0][0]] = c
-        return const, coeffs
 
     def substitute(self, subs: Mapping[int, "Poly"]) -> "Poly":
         """Replace each variable in subs by its polynomial, expand exactly."""
@@ -354,12 +343,15 @@ class Contradiction(Exception):
         self.constant = constant
 
 
-def _factor(x: int | None, form: Poly | None):
-    """x, or the terms of its affine form, as (variable, coefficient) pairs;
-    None stands for 1 in either place."""
-    return ((x, None),) if form is None else [
-        (fm[0][0] if fm else None, None if fc == 1 else fc)
-        for fm, fc in form.terms.items()]
+_CONST = sys.maxsize   # the constant column, after every variable id
+
+
+def _factor(x: int | None, row: SparseRow | None):
+    """x, or the terms of its form read off its row x + ... = 0, as
+    (variable, coefficient) pairs; None stands for 1 in either place."""
+    return ((x, None),) if row is None else [
+        (None if v == _CONST else v, None if c == -1 else -c)
+        for v, c in row.items() if v != x]
 
 
 def _times(a: int | None, b: int | None) -> Monomial:
@@ -372,26 +364,30 @@ def _times(a: int | None, b: int | None) -> Monomial:
 
 
 class LinearSystem:
-    """Exact incremental elimination with a fully reduced solved map.
+    """Exact incremental elimination on ``linalg._rref``'s row step.
 
-    Pivots are the lowest variable ids, mirroring reduced row echelon
-    form with columns ordered by id; since the row span determines the
-    echelon form uniquely, the final solved map depends only on the set
-    of equations, not the insertion order. ``_uses`` indexes the solved
-    forms by the free variables they contain, so a new pivot is
-    substituted only into the forms that contain it; ``add`` keeps it, so
-    a ``solved`` map assigned from outside serves ``reduce`` only.
+    An affine equation is a sparse row over the variable ids and the
+    constant column ``_CONST``. ``rows`` maps each pivot p to its row
+    x_p + sum a_v x_v + c = 0, so x_p's solved form is -sum a_v x_v - c;
+    it is always the RREF of the equations added, which is unique, so it
+    does not depend on the order in which they came.
     """
 
     def __init__(self):
-        self.solved: dict[int, Poly] = {}
-        self._uses: dict[int, set[int]] = {}   # free var -> pivots using it
+        self.rows: dict[int, SparseRow] = {}
+
+    @property
+    def solved(self) -> dict[int, Poly]:
+        """The solved form of each pivot, as a new ``Poly`` map."""
+        return {p: _poly({((v, 1),) if v != _CONST else (): -c
+                          for v, c in row.items() if v != p})
+                for p, row in self.rows.items()}
 
     def reduce(self, eq: Poly) -> Poly:
         """eq with each solved variable replaced by its affine form, for eq
         of degree <= 2 (else ValueError), the only degree forcing meets; the
         checker keeps the general ``Poly.substitute``."""
-        solved, out, hit = self.solved, {}, False
+        rows, out, hit = self.rows, {}, False
         for m, c in eq.terms.items():
             if len(m) == 2 and m[0][1] == m[1][1] == 1:
                 (a, _), (b, _) = m
@@ -401,12 +397,12 @@ class LinearSystem:
                 raise ValueError(f"reduce takes degree <= 2, got the term {m}")
             else:
                 a = b = None
-            fa, fb = solved.get(a), solved.get(b)
-            if fa is None and fb is None:
+            ra, rb = rows.get(a), rows.get(b)
+            if ra is None and rb is None:
                 out[m] = out[m] + c if m in out else c
                 continue
-            hit, second = True, _factor(b, fb)
-            for x, cx in _factor(a, fa):
+            hit, second = True, _factor(b, rb)
+            for x, cx in _factor(a, ra):
                 cx = c if cx is None else c * cx
                 for y, cy in second:
                     k, v = _times(x, y), cx if cy is None else cx * cy
@@ -424,32 +420,8 @@ class LinearSystem:
             return False
         if reduced.is_constant():
             raise Contradiction(reduced.constant_value())
-        pivot = min(m[0][0] for m in reduced.terms if m)
-        lead = ((pivot, 1),)
-        pc = reduced.terms[lead]
-        form = {m: quotient(-c, pc) for m, c in reduced.terms.items()
-                if m != lead}
-        uses = self._uses
-        # back-substitute into the forms that contain the pivot: form q's
-        # term c * pivot becomes c * form
-        for q in uses.pop(pivot, ()):
-            terms = dict(self.solved[q].terms)
-            c = terms.pop(lead)
-            for m, f in form.items():
-                v = exact(terms.get(m, 0) + c * f)
-                if v:
-                    terms[m] = v
-                else:
-                    del terms[m]
-                if m and v:
-                    uses.setdefault(m[0][0], set()).add(q)
-                elif m:
-                    uses[m[0][0]].discard(q)
-            self.solved[q] = _poly(terms)
-        for m in form:
-            if m:
-                uses.setdefault(m[0][0], set()).add(pivot)
-        self.solved[pivot] = _poly(form)
+        _install(self.rows, {m[0][0] if m else _CONST: exact(c)
+                             for m, c in reduced.terms.items()})
         return True
 
 
@@ -461,10 +433,12 @@ class ObstructionCertificate:
     """Proof that the defining equations have no solution.
 
     kind "commutator": the equation is entry ``position`` (1-based) of
-    [D_i, D_j] for the source pair ``pair``; kind "translation": the
-    equation is coordinate ``coordinate`` of the translation condition
-    for ``pair``. In both cases substituting the eliminated-variable map
-    of the outcome into that equation leaves the nonzero ``constant``.
+    [D_i, D_j] for the source pair ``pair`` = (i, j), always with i < j;
+    kind "translation": the equation is coordinate ``coordinate`` of the
+    translation condition for ``pair``. All indices run over 1..n, n the
+    dimension, and the checker rejects any other. In both cases
+    substituting the eliminated-variable map of the outcome into that
+    equation leaves the nonzero ``constant``.
     """
 
     kind: str
@@ -638,15 +612,16 @@ def _translation_equations(L: LieAlgebra, space: DerivationSpace
 
 
 def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
-                          solved: Mapping[int, Poly]
+                          rows: Mapping[int, SparseRow]
                           ) -> list[tuple[tuple, Poly]]:
-    """Entry (a, b) of [D_i, D_j] for i < j with the affine map ``solved``
-    substituted, tagged ("commutator", i, j, a, b) (1-based), in tag order,
-    leaving out the entries that vanish. The entry is sum_{k, l} C_kl[a][b]
-    u_ik u_jl, C_kl = [E_k, E_l] the derivation basis' structure constants;
-    expanding each product over the forms of u_ik and u_jl is
-    ``Poly.substitute`` of it, and a u_ik forced to 0 drops its products.
-    With an empty map these are the defining equations."""
+    """Entry (a, b) of [D_i, D_j] for i < j with the solved forms of
+    ``rows`` (a ``LinearSystem.rows`` map) substituted, tagged
+    ("commutator", i, j, a, b) (1-based), in tag order, leaving out the
+    entries that vanish. The entry is sum_{k, l} C_kl[a][b] u_ik u_jl,
+    C_kl = [E_k, E_l] the derivation basis' structure constants; expanding
+    each product over the forms of u_ik and u_jl, read straight off their
+    rows, is ``Poly.substitute`` of it, and a u_ik forced to 0 drops its
+    products. With no rows these are the defining equations."""
     n, r = L.dim, space.dimension
     basis = _rational_rows(space)
 
@@ -670,7 +645,7 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
     positions = sorted(quadratic.items())
 
     # factors[i][k]: u_ik, or the terms of its form (none when forced to 0)
-    factors = [[_factor(v, solved.get(v)) for v in range(i * r, i * r + r)]
+    factors = [[_factor(v, rows.get(v)) for v in range(i * r, i * r + r)]
                for i in range(n)]
     equations: list[tuple[tuple, Poly]] = []
     for i, fi in enumerate(factors):
@@ -705,17 +680,17 @@ def _force(system: LinearSystem, pending: list[tuple[tuple, Poly]]
     new pivot. A nonzero constant is an inconsistency: it stays pending, not
     poisoning the map, and the first in tag order becomes the certificate
     (constants are stable under substitution, so deferring them is safe)."""
-    marked = [(tag, poly, len(system.solved)) for tag, poly in pending]
+    marked = [(tag, poly, len(system.rows)) for tag, poly in pending]
     while True:
         progressed, still = False, []
         for tag, poly, mark in marked:
-            if mark != len(system.solved):
+            if mark != len(system.rows):
                 poly = system.reduce(poly)
             if not poly:
                 continue
             if any(len(m) == 2 or m and m[0][1] == 2 for m in poly.terms) \
                     or poly.is_constant():
-                still.append((tag, poly, len(system.solved)))
+                still.append((tag, poly, len(system.rows)))
             else:
                 system.add(poly)
                 progressed = True
@@ -777,7 +752,7 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     # commutator conditions are then built on its map and join later rounds
     system = LinearSystem()
     leftover = _force(system, _translation_equations(L, space))
-    pending = _force(system, _commutator_equations(L, space, system.solved)
+    pending = _force(system, _commutator_equations(L, space, system.rows)
                      + leftover)
 
     eliminated = tuple(sorted(system.solved.items()))
@@ -792,7 +767,7 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
 
     residual = tuple(pending)
 
-    free = [v for v in range(n * r) if v not in system.solved]
+    free = [v for v in range(n * r) if v not in system.rows]
     for values in _candidates(len(free), samples, seed):
         found = ObstructionOutcome(
             space=space, verdict="Found", eliminated=eliminated,
@@ -844,20 +819,23 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     cert = outcome.certificate
     if cert is None or not cert.constant:
         return False
+    n = L.dim
     try:
+        i, j = cert.pair
+        a, b = (cert.position if cert.kind == "commutator"
+                else (cert.coordinate, 1))     # a translation has no b
+        if not (1 <= i < j <= n and 1 <= a <= n and 1 <= b <= n):
+            return False
         space = derivation_space(L)
         if space.basis != outcome.space.basis:
             return False
-        i, j = cert.pair
         gi = parametric_derivation(L, i - 1, space)
         gj = parametric_derivation(L, j - 1, space)
-        if cert.kind == "commutator" and cert.position is not None:
-            poly = _commutator_entry(gi, gj, cert.position[0] - 1,
-                                     cert.position[1] - 1)
-        elif cert.kind == "translation" and cert.coordinate is not None:
-            a = cert.coordinate - 1
-            poly = Poly.const(L.bracket_basis(i - 1, j - 1)[a].rat) \
-                + gi.entry(a, j - 1) - gj.entry(a, i - 1)
+        if cert.kind == "commutator":
+            poly = _commutator_entry(gi, gj, a - 1, b - 1)
+        elif cert.kind == "translation":
+            poly = Poly.const(L.bracket_basis(i - 1, j - 1)[a - 1].rat) \
+                + gi.entry(a - 1, j - 1) - gj.entry(a - 1, i - 1)
         else:
             return False
         reduced = poly.substitute(dict(outcome.eliminated))

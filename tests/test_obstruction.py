@@ -12,7 +12,7 @@ from nilaffine.errors import ParseError, PreconditionError
 from nilaffine.liealg import (LieAlgebra, catalog_names, derivation_space,
                               get_algebra, is_derivation, transport)
 from nilaffine.io import stable_json
-from nilaffine.linalg import Matrix
+from nilaffine.linalg import Matrix, _rref
 from nilaffine.lr import lr_to_rep, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
                                    _build_equations, _certificate_from_tag,
@@ -52,14 +52,6 @@ class TestPoly:
     def test_variables(self):
         p = Poly.var(2) * Poly.var(7) + Poly.var(2)
         assert p.variables() == {2, 7}
-
-    def test_affine_parts(self):
-        p = Poly.const(2) + Poly.var(1) * 3 - Poly.var(4)
-        const, coeffs = p.affine_parts()
-        assert const == 2
-        assert coeffs == {1: Fraction(3), 4: Fraction(-1)}
-        with pytest.raises(ValueError):
-            (Poly.var(0) * Poly.var(1)).affine_parts()
 
     def test_substitute_expands_powers(self):
         p = Poly.var(0) * Poly.var(0)
@@ -376,6 +368,11 @@ class TestObstructed:
             dataclasses.replace(good, constant=Fraction(0)),
             dataclasses.replace(good, constant=Fraction(1, 4)),
             dataclasses.replace(good, position=(6, 2)),
+            # out-of-range tags that negative indexing would read as valid
+            dataclasses.replace(good, position=(-2, 1)),
+            dataclasses.replace(good, position=(4, -5)),
+            dataclasses.replace(good, position=(-2, -5)),
+            dataclasses.replace(good, pair=(2, 1), constant=-good.constant),
         ):
             tampered = dataclasses.replace(outcome, certificate=bad)
             assert not verify_certificate(tampered, get_algebra("g6_18"))
@@ -621,6 +618,18 @@ def forcing_rounds(L):
             return equations, maps
 
 
+def system_with(solved):
+    """A LinearSystem whose rows hold the affine map ``solved``: the row of
+    pivot p is p - form(p) = 0, its constant in the constant column."""
+    system = LinearSystem()
+    for p, form in solved.items():
+        row = {p: 1}
+        for m, c in form.terms.items():
+            row[m[0][0] if m else obstruction._CONST] = -c
+        system.rows[p] = row
+    return system
+
+
 def random_affine_map(rng, nvars):
     """A fully reduced affine map: pivots to forms over the other variables."""
     pivots = set(rng.sample(range(nvars), rng.randint(0, nvars - 1)))
@@ -652,8 +661,8 @@ class TestDegreeTwoReduce:
         assert tuple(sorted(maps[-1].items())) == \
             obstruct_abelian(L).eliminated
         for solved in (maps[0], maps[-1]):
-            system = LinearSystem()
-            system.solved = solved
+            system = system_with(solved)
+            assert system.solved == solved
             for eq in equations:
                 assert system.reduce(eq) == eq.substitute(solved)
 
@@ -661,10 +670,10 @@ class TestDegreeTwoReduce:
     @settings(max_examples=300, deadline=None)
     def test_matches_substitute_on_random_maps(self, seed, nvars, terms):
         rng = random.Random(seed)
-        system = LinearSystem()
-        system.solved = random_affine_map(rng, nvars)
+        solved = random_affine_map(rng, nvars)
+        system = system_with(solved)
         eq = random_quadratic(rng, nvars, terms)
-        assert system.reduce(eq) == eq.substitute(system.solved)
+        assert system.reduce(eq) == eq.substitute(solved)
         assert all(system.reduce(eq).terms.values())
 
     def test_degree_three_raises(self):
@@ -697,7 +706,7 @@ class TestDegreeTwoReduce:
                     if tag[0] == "commutator"]
         substituted = [(tag, poly.substitute(maps[0]))
                        for tag, poly in defining]
-        built = _commutator_equations(L, space, maps[0])
+        built = _commutator_equations(L, space, system_with(maps[0]).rows)
         assert built == [(tag, poly) for tag, poly in substituted if poly]
         assert all(all(poly.terms.values()) for _, poly in built)
 
@@ -757,9 +766,9 @@ class TestLaterRounds:
         def counted(self, eq):
             calls.append(eq)
             return reduce(self, eq)
-        monkeypatch.setattr(LinearSystem, "reduce", counted)
         system = LinearSystem()
-        system.solved = {0: Poly.const(1)}
+        system.add(self.x0 - Poly.const(1))
+        monkeypatch.setattr(LinearSystem, "reduce", counted)
         quadratic = self.x1 * self.x2 + self.x3
         assert _force(system, [(comm(1), quadratic)]) == [(comm(1), quadratic)]
         assert calls == []
@@ -911,6 +920,15 @@ class TestExactTypes:
         with pytest.raises(TypeError):
             Poly.var(0) * 0.5
 
+    @pytest.mark.parametrize("L", NON_INTEGRAL_TRANSPORTS, ids=lambda L: L.name)
+    def test_integral_eliminated_coefficients_are_ints(self, L):
+        # the obstruct pool members are checked in test_reference_gate.py
+        coefficients = [c for _, form in obstruct_abelian(L).eliminated
+                        for c in form.terms.values()]
+        assert coefficients
+        assert [c for c in coefficients
+                if type(c) is Fraction and c.denominator == 1] == []
+
     @pytest.mark.parametrize("own", [get_algebra("g6_18"), filiform(5)],
                              ids=lambda L: L.name)
     @pytest.mark.parametrize("tag", sorted(NON_INTEGRAL_DIAGONALS))
@@ -923,7 +941,7 @@ class TestExactTypes:
         assert verify_certificate(moved, L)
 
 
-# ------------------------------------------------------------------ occurrence index
+# ------------------------------------------------------------------ shared kernel
 
 
 def naive_solved(equations):
@@ -964,7 +982,17 @@ def affine_system(rng, nvars, count):
     return equations
 
 
-class TestOccurrenceIndex:
+def kernel_rows(equations):
+    """The affine equations as linalg's sparse rows: one column per
+    variable id and the constant column last."""
+    return [{m[0][0] if m else obstruction._CONST: c
+             for m, c in eq.terms.items()} for eq in equations]
+
+
+class TestSharedKernel:
+    """LinearSystem eliminates on linalg's kernel: its rows are the RREF
+    of the equations added, and its solved map is the textbook one."""
+
     @given(st.integers(0, 2 ** 32), st.integers(2, 12), st.integers(1, 16))
     @settings(max_examples=300, deadline=None)
     def test_solved_map_equals_full_back_substitution(self, seed, nvars,
@@ -983,15 +1011,13 @@ class TestOccurrenceIndex:
         for eq in equations:
             system.add(eq)
         assert system.solved == want
-        # the index names exactly the forms that contain each variable
-        for v in range(nvars):
-            users = {q for q, form in system.solved.items()
-                     if v in form.variables()}
-            assert system._uses.get(v, set()) == users, v
+        pivots, rows = _rref(kernel_rows(equations))
+        assert system.rows == dict(zip(pivots, rows))
+        assert all(p < nvars for p in system.rows)
         for form in system.solved.values():
             assert_coefficients_exact(form)
 
-    def test_cancellation_drops_the_variable_from_the_index(self):
+    def test_cancellation_drops_the_variable_from_the_rows(self):
         system = LinearSystem()
         system.add(Poly.var(0) - Poly.var(2) * 2 - Poly.var(3))   # x0 = 2x2 + x3
         system.add(Poly.var(1) + Poly.var(2) * 3)                 # x1 = -3x2
@@ -1001,5 +1027,10 @@ class TestOccurrenceIndex:
                                  - Poly.const(Fraction(15, 2)),
                                  2: Poly.const(Fraction(5, 2))
                                  - Poly.var(3) * Fraction(1, 2)}
-        assert system._uses == {3: {1, 2}}
+        const = obstruction._CONST
+        assert system.rows == {0: {0: 1, const: -5},
+                               1: {1: 1, 3: Fraction(-3, 2),
+                                   const: Fraction(15, 2)},
+                               2: {2: 1, 3: Fraction(1, 2),
+                                   const: Fraction(-5, 2)}}
         assert type(system.solved[0].terms[()]) is int

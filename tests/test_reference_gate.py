@@ -4,6 +4,7 @@ of the rendered --json output. Reads perfbench/ and writes nothing there."""
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,33 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 DATA = Path(nilaffine.__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize("workload", ["obstruct-refute", "obstruct-scaling"])
-def test_every_pool_member_matches_the_reference(workload, tmp_path):
-    items = workloads.prepare(workload, None, tmp_path / "inputs", DATA)
-    assert {item.key for item in items} == set(REFERENCE[workload])
+@pytest.fixture(scope="module", params=["obstruct-refute", "obstruct-scaling"])
+def workload(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def decisions(workload, tmp_path_factory):
+    """Each pool member of the workload, decided once for every test."""
+    work = tmp_path_factory.mktemp(workload)
+    items = workloads.prepare(workload, None, work / "inputs", DATA)
+    return [decide.decide(item, work) for item in items]
+
+
+def test_every_pool_member_matches_the_reference(workload, decisions):
+    assert {result.item.key for result in decisions} == set(REFERENCE[workload])
     problems = []
-    for item in items:
-        problems += decide.check(decide.decide(item, tmp_path),
-                                 REFERENCE[workload])
+    for result in decisions:
+        problems += decide.check(result, REFERENCE[workload])
     assert problems == []
+
+
+def test_integral_eliminated_coefficients_are_ints(decisions):
+    """Forcing keeps an integral value an int: a Fraction in an eliminated
+    form always has a denominator above 1."""
+    coefficients = [(result.item.key, v, c) for result in decisions
+                    for v, form in result.value.eliminated
+                    for c in form.terms.values()]
+    assert coefficients
+    assert [(key, v, c) for key, v, c in coefficients
+            if type(c) is Fraction and c.denominator == 1] == []
