@@ -435,10 +435,11 @@ class ObstructionCertificate:
     kind "commutator": the equation is entry ``position`` (1-based) of
     [D_i, D_j] for the source pair ``pair`` = (i, j), always with i < j;
     kind "translation": the equation is coordinate ``coordinate`` of the
-    translation condition for ``pair``. All indices run over 1..n, n the
-    dimension, and the checker rejects any other. In both cases
-    substituting the eliminated-variable map of the outcome into that
-    equation leaves the nonzero ``constant``.
+    translation condition for ``pair``. A certificate sets only the one
+    of ``position`` and ``coordinate`` its kind uses, all indices run
+    over 1..n, n the dimension, and the checker rejects anything else.
+    In both cases substituting the eliminated-variable map of the outcome
+    into that equation leaves the nonzero ``constant``.
     """
 
     kind: str
@@ -824,7 +825,8 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
         i, j = cert.pair
         a, b = (cert.position if cert.kind == "commutator"
                 else (cert.coordinate, 1))     # a translation has no b
-        if not (1 <= i < j <= n and 1 <= a <= n and 1 <= b <= n):
+        if not (1 <= i < j <= n and 1 <= a <= n and 1 <= b <= n) \
+                or (cert.position is None) == (cert.coordinate is None):
             return False
         space = derivation_space(L)
         if space.basis != outcome.space.basis:

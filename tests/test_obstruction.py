@@ -373,6 +373,8 @@ class TestObstructed:
             dataclasses.replace(good, position=(4, -5)),
             dataclasses.replace(good, position=(-2, -5)),
             dataclasses.replace(good, pair=(2, 1), constant=-good.constant),
+            # a field the solver never sets for this kind
+            dataclasses.replace(good, coordinate=3),
         ):
             tampered = dataclasses.replace(outcome, certificate=bad)
             assert not verify_certificate(tampered, get_algebra("g6_18"))
