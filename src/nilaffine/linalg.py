@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import FieldMismatchError, ParseError, ShapeError
-from .scalars import (Rational, RationalLike, Scalar, quotient, scalar_from_json,
-                      scalar_to_json)
+from .scalars import (Rational, RationalLike, Scalar, check_context, quotient,
+                      scalar_from_json, scalar_to_json)
 
 Vector = tuple[Scalar, ...]
 EntryLike = Union[Scalar, RationalLike]
@@ -219,16 +219,19 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int | None = None, d: int = 1) -> "Matrix":
+        check_context(d)
         if cols is None:
             cols = rows
-        z = Scalar.zero(d)
-        return cls(rows, cols, (z,) * (rows * cols), d)
+        if rows < 0 or cols < 0:
+            raise ShapeError("matrix dimensions must be non-negative")
+        return cls._of(({} for _ in range(rows)), cols, d)
 
     @classmethod
     def identity(cls, n: int, d: int = 1) -> "Matrix":
-        z, o = Scalar.zero(d), Scalar.one(d)
-        return cls(n, n, tuple(o if r == c else z
-                               for r in range(n) for c in range(n)), d)
+        one = Scalar.one(d)
+        if n < 0:
+            raise ShapeError("matrix dimensions must be non-negative")
+        return cls._of(({r: one} for r in range(n)), n, d)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], d: int = 1) -> "Matrix":
@@ -471,9 +474,8 @@ def matrix_from_json(data: object, rows: int, cols: int, d: int, where: str) -> 
         raise ParseError(f"{where}: expected a list of {rows} rows")
     if len(data) != rows:
         raise ParseError(f"{where}: expected {rows} rows, got {len(data)}")
-    parsed = [vector_from_json(row, cols, d, f"{where}[{r}]")
-              for r, row in enumerate(data)]
-    return Matrix.from_rows(parsed, d) if rows else Matrix.zero(0, cols, d)
+    return Matrix._of((_sparse(vector_from_json(row, cols, d, f"{where}[{r}]"))
+                       for r, row in enumerate(data)), cols, d)
 
 
 # ------------------------------------------------------------------ subspaces

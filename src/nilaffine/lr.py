@@ -33,8 +33,8 @@ from .affine import AffineRep, check_simply_transitive
 from .errors import (IncompleteStructureError, ParseError, PreconditionError,
                      ShapeError, quoted)
 from .liealg import LieAlgebra, abelian
-from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _dense,
-                     _sparse, as_vector, engel_flag)
+from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
+                     _dense, _sparse, as_vector, engel_flag)
 from .scalars import Scalar, scalar_from_json, scalar_to_json
 
 
@@ -66,98 +66,105 @@ class CompletenessVerdict:
 class LRStructure:
     """Product constants over ordered basis pairs of a Lie algebra.
 
-    products[i][j] is the coordinate vector of X_i . X_j; the grid is
-    dense since the product carries no symmetry. Identities are not
-    enforced at construction, use :func:`check_lr`.
+    lefts[i] is L(X_i), the sparse Matrix whose column j is X_i . X_j. The
+    constructor takes the grid products[i][j] of those vectors, and
+    ``products`` gives it back as a view. Identities are not enforced at
+    construction, use :func:`check_lr`.
     """
 
-    __slots__ = ("algebra", "products")
+    __slots__ = ("algebra", "lefts")
 
     def __init__(self, algebra: LieAlgebra,
                  products: Sequence[Sequence[Sequence]]):
         n = algebra.dim
         if len(products) != n:
             raise ShapeError(f"expected {n} product rows, got {len(products)}")
-        grid = []
+        rows = [[{} for _ in range(n)] for _ in range(n)]   # row k of L(X_i)
         for i, row in enumerate(products):
             if len(row) != n:
                 raise ShapeError(f"product row {i + 1} has {len(row)} entries, "
                                  f"expected {n}")
-            vecs = []
             for j, entry in enumerate(row):
                 v = as_vector(entry, algebra.d)
                 if len(v) != n:
                     raise ShapeError(f"product ({i + 1}, {j + 1}) has length "
                                      f"{len(v)}, expected {n}")
-                vecs.append(v)
-            grid.append(tuple(vecs))
+                for k, c in _sparse(v).items():
+                    rows[i][k][j] = c
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "products", tuple(grid))
+        object.__setattr__(self, "lefts",
+                           tuple(Matrix._of(r, n, algebra.d) for r in rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("LRStructure is immutable")
+
+    @classmethod
+    def _of(cls, algebra: LieAlgebra, lefts: Iterable[Matrix]) -> "LRStructure":
+        """Wrap the matrices L(X_i), n x n in the algebra's context."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "algebra", algebra)
+        object.__setattr__(s, "lefts", tuple(lefts))
+        return s
 
     @classmethod
     def from_table(cls, algebra: LieAlgebra,
                    table: Mapping[tuple[int, int], Iterable[tuple[int, object]]]
                    ) -> "LRStructure":
         """Build from a sparse 1-based table (i, j) -> [(k, c), ...]."""
-        n = algebra.dim
-        zero = algebra.zero_vector()
-        grid = [[list(zero) for _ in range(n)] for _ in range(n)]
+        n, zero = algebra.dim, Scalar.zero(algebra.d)
+        rows = [[{} for _ in range(n)] for _ in range(n)]   # row k of L(X_i)
         for (i, j), terms in table.items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ShapeError(f"product pair ({i}, {j}) out of range 1..{n}")
             for k, c in terms:
                 if not 1 <= k <= n:
                     raise ShapeError(f"product target {k} out of range 1..{n}")
-                coeff = c if isinstance(c, Scalar) else Scalar.of(c, algebra.d)
-                grid[i - 1][j - 1][k - 1] = grid[i - 1][j - 1][k - 1] + coeff
-        return cls(algebra, grid)
+                row = rows[i - 1][k - 1]
+                if c := row.pop(j - 1, zero) + c:
+                    row[j - 1] = c
+        return cls._of(algebra, (Matrix._of(r, n, algebra.d) for r in rows))
 
     @property
     def d(self) -> int:
         return self.algebra.d
 
+    @property
+    def products(self) -> tuple[tuple[Vector, ...], ...]:
+        """products[i][j] is the coordinate vector of X_i . X_j."""
+        n = self.algebra.dim
+        return tuple(tuple(m.column(j) for j in range(n)) for m in self.lefts)
+
     def product_basis(self, i: int, j: int) -> Vector:
-        return self.products[i][j]
+        return self.lefts[i].column(j)
 
     def product(self, x: Vector, y: Vector) -> Vector:
+        """x . y = (sum of x_i L(X_i)) y."""
         n = self.algebra.dim
         if len(x) != n or len(y) != n:
             raise ShapeError(f"product arguments must have length {n}")
-        acc: dict[int, Scalar] = {}
-        for i, a in _sparse(x).items():
-            for j, b in _sparse(y).items():
-                _axpy(acc, a * b, _sparse(self.products[i][j]))
-        return _dense(acc, n, self.d)
+        return _combination(zip(x, self.lefts), n, n, self.d).apply(y)
 
     def left_matrix(self, i: int) -> Matrix:
         """L(X_i): columns are X_i . X_j."""
-        return Matrix.from_columns(self.products[i], self.d)
+        return self.lefts[i]
 
     def right_matrix(self, i: int) -> Matrix:
         """R(X_i): columns are X_j . X_i."""
-        return Matrix.from_columns(
-            tuple(self.products[j][i] for j in range(self.algebra.dim)), self.d)
+        return Matrix.from_columns([m.column(i) for m in self.lefts], self.d)
 
     def __eq__(self, other):
         if not isinstance(other, LRStructure):
             return NotImplemented
-        return self.algebra == other.algebra and self.products == other.products
+        return self.algebra == other.algebra and self.lefts == other.lefts
 
     def __hash__(self):
-        return hash((self.algebra, self.products))
+        return hash((self.algebra, self.lefts))
 
     def __repr__(self):
         return f"LRStructure(on {self.algebra.name!r}, dim={self.algebra.dim})"
 
 
 # ------------------------------------------------------------------ checks
-
-
-def _sparse_products(s: LRStructure) -> list[list[dict[int, Scalar]]]:
-    return [[_sparse(v) for v in row] for row in s.products]
 
 
 def _left_commutator(p: list, i: int, j: int, k: int) -> dict[int, Scalar]:
@@ -178,7 +185,7 @@ def check_lr(s: LRStructure) -> LRReport:
             f"algebra {s.algebra.name!r} fails the Jacobi identity at "
             f"triple {jac.violations[0].triple}")
     n, d = s.algebra.dim, s.d
-    p = _sparse_products(s)
+    p = [m._sparse_cols() for m in s.lefts]
     one = Scalar.one(d)
     violations = []
     for i in range(n):
@@ -218,14 +225,14 @@ def check_complete(s: LRStructure) -> CompletenessVerdict:
     fails.
     """
     n = s.algebra.dim
-    p = _sparse_products(s)
+    p = [m._sparse_cols() for m in s.lefts]
     for i in range(n):
         for j in range(i + 1, n):
             if any(_left_commutator(p, i, j, k) for k in range(n)):
                 raise PreconditionError(
                     f"left multiplications L(X_{i + 1}) and L(X_{j + 1}) do "
                     f"not commute; identity (1) fails")
-    flag = engel_flag([s.left_matrix(i) for i in range(n)], size=n, d=s.d)
+    flag = engel_flag(s.lefts, size=n, d=s.d)
     if flag:
         return CompletenessVerdict(True, flag=flag)
     return CompletenessVerdict(False, failure=flag)
@@ -272,16 +279,11 @@ def _lr_of_passing_rep(rep: AffineRep) -> LRStructure:
     coordinates. The result is not re-checked: a passing rep gives a
     complete LR-structure by the theorem the module rests on.
     """
-    n = rep.target.dim
-    tmat = rep.t_matrix()
-    if tmat == Matrix.identity(n, rep.d):
-        parts_D = rep.D
-    else:
+    tmat, parts_D = rep.t_matrix(), rep.D
+    if tmat != Matrix.identity(tmat.rows, rep.d):
         tinv = tmat.inverse()
-        parts_D = tuple(rep.D_of(tinv.column(i)) for i in range(n))
-    return LRStructure(rep.target,
-                       [[tuple(-c for c in parts_D[i].column(j))
-                         for j in range(n)] for i in range(n)])
+        parts_D = [rep.D_of(tinv.column(i)) for i in range(tinv.cols)]
+    return LRStructure._of(rep.target, (-m for m in parts_D))
 
 
 def lr_to_rep(s: LRStructure) -> AffineRep:
@@ -308,7 +310,7 @@ def lr_to_rep(s: LRStructure) -> AffineRep:
     source = abelian(n, s.d)
     return AffineRep(source, s.algebra,
                      [source.basis_vector(i) for i in range(n)],
-                     [-s.left_matrix(i) for i in range(n)],
+                     [-m for m in s.lefts],
                      label=f"abelian rep on {s.algebra.name}")
 
 
@@ -319,13 +321,12 @@ def lr_to_dict(s: LRStructure) -> dict:
     from .affine import _algebra_ref_to_json
 
     product = []
-    n = s.algebra.dim
-    for i in range(n):
-        for j in range(n):
-            terms = [{"k": k + 1, "c": scalar_to_json(c)}
-                     for k, c in enumerate(s.products[i][j]) if not c.is_zero()]
-            if terms:
-                product.append({"i": i + 1, "j": j + 1, "terms": terms})
+    for i, m in enumerate(s.lefts):
+        for j, col in enumerate(m._sparse_cols()):
+            if col:
+                product.append({"i": i + 1, "j": j + 1, "terms": [
+                    {"k": k + 1, "c": scalar_to_json(c)}
+                    for k, c in sorted(col.items())]})
     doc = {"algebra": _algebra_ref_to_json(s.algebra), "product": product}
     if s.d != 1:
         doc["d"] = s.d
@@ -348,9 +349,7 @@ def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
     raw = data.get("product", [])
     if not isinstance(raw, list):
         raise ParseError(f"{where}.product: expected a list")
-    zero = algebra.zero_vector()
-    grid = [[list(zero) for _ in range(n)] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for pi, entry in enumerate(raw):
         loc = f"{where}.product[{pi}]"
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
@@ -362,9 +361,9 @@ def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"{loc}: pair ({quoted(i)}, {quoted(j)}) "
                              f"out of range 1..{n}")
-        if (i, j) in seen:
+        if (i, j) in table:
             raise ParseError(f"{loc}: duplicate pair ({i}, {j})")
-        seen.add((i, j))
+        terms = table[(i, j)] = {}
         if not isinstance(entry["terms"], list):
             raise ParseError(f"{loc}.terms: expected a list")
         for ti, term in enumerate(entry["terms"]):
@@ -376,6 +375,8 @@ def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
                 raise ParseError(f"{tloc}.k: expected an integer")
             if not 1 <= k <= n:
                 raise ParseError(f"{tloc}.k: {quoted(k)} out of range 1..{n}")
-            grid[i - 1][j - 1][k - 1] = grid[i - 1][j - 1][k - 1] + \
-                scalar_from_json(term["c"], algebra.d, f"{tloc}.c")
-    return LRStructure(algebra, grid)
+            if k in terms:
+                raise ParseError(f"{tloc}.k: duplicate target {k}")
+            terms[k] = scalar_from_json(term["c"], algebra.d, f"{tloc}.c")
+    return LRStructure.from_table(
+        algebra, {pair: terms.items() for pair, terms in table.items()})

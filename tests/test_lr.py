@@ -65,13 +65,13 @@ def rand_scalar(rng, d, density=1.0):
 
 def dense_product(s, x, y):
     """x.y = sum over every (i, j, k) of x_i y_j c_ij^k X_k."""
-    n = s.algebra.dim
+    n, p = s.algebra.dim, s.products
     out = [Scalar.zero(s.d)] * n
     for i in range(n):
         for j in range(n):
             coeff = x[i] * y[j]
             for k in range(n):
-                out[k] = out[k] + coeff * s.products[i][j][k]
+                out[k] = out[k] + coeff * p[i][j][k]
     return tuple(out)
 
 
