@@ -79,7 +79,7 @@ class LRStructure:
         n = algebra.dim
         if len(products) != n:
             raise ShapeError(f"expected {n} product rows, got {len(products)}")
-        rows = [[{} for _ in range(n)] for _ in range(n)]   # row k of L(X_i)
+        lefts = [[{} for _ in range(n)] for _ in range(n)]  # [i][k]: row k of L(X_i)
         for i, row in enumerate(products):
             if len(row) != n:
                 raise ShapeError(f"product row {i + 1} has {len(row)} entries, "
@@ -90,10 +90,10 @@ class LRStructure:
                     raise ShapeError(f"product ({i + 1}, {j + 1}) has length "
                                      f"{len(v)}, expected {n}")
                 for k, c in _sparse(v).items():
-                    rows[i][k][j] = c
+                    lefts[i][k][j] = c
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "lefts",
-                           tuple(Matrix._of(r, n, algebra.d) for r in rows))
+                           tuple(Matrix._of(r, n, algebra.d) for r in lefts))
 
     def __setattr__(self, name, value):
         raise AttributeError("LRStructure is immutable")
@@ -112,17 +112,17 @@ class LRStructure:
                    ) -> "LRStructure":
         """Build from a sparse 1-based table (i, j) -> [(k, c), ...]."""
         n, zero = algebra.dim, Scalar.zero(algebra.d)
-        rows = [[{} for _ in range(n)] for _ in range(n)]   # row k of L(X_i)
+        lefts = [[{} for _ in range(n)] for _ in range(n)]  # [i][k]: row k of L(X_i)
         for (i, j), terms in table.items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ShapeError(f"product pair ({i}, {j}) out of range 1..{n}")
             for k, c in terms:
                 if not 1 <= k <= n:
                     raise ShapeError(f"product target {k} out of range 1..{n}")
-                row = rows[i - 1][k - 1]
-                if c := row.pop(j - 1, zero) + c:
-                    row[j - 1] = c
-        return cls._of(algebra, (Matrix._of(r, n, algebra.d) for r in rows))
+                row = lefts[i - 1][k - 1]
+                if s := row.pop(j - 1, zero) + c:
+                    row[j - 1] = s
+        return cls._of(algebra, (Matrix._of(r, n, algebra.d) for r in lefts))
 
     @property
     def d(self) -> int:
