@@ -10,11 +10,16 @@ under test.
 ``vec_add``, ``vec_sub`` and ``vec_is_zero`` are the dense vector helpers
 the package no longer needs, kept here for the tests that compare against
 dense arithmetic.
+
+``dense_lr_to_dict`` is a verbatim copy of the old ``lr.lr_to_dict``, which
+read every coordinate of the dense product grid ``products``; it is the
+reference the sparse writer is compared with.
 """
 
 from nilaffine.liealg import DerivationSpace, LieAlgebra
 from nilaffine.linalg import Matrix, RrefResult, Vector
-from nilaffine.scalars import Scalar
+from nilaffine.lr import LRStructure
+from nilaffine.scalars import Scalar, scalar_to_json
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
@@ -132,3 +137,20 @@ def dense_derivation_space(L: LieAlgebra) -> DerivationSpace:
     basis = tuple(Matrix(n, n, reduced.row(r), L.d) for r in range(rank))
     anchors = tuple(divmod(p, n) for p in pivots)
     return DerivationSpace(L, basis, anchors)
+
+
+def dense_lr_to_dict(s: LRStructure) -> dict:
+    from nilaffine.affine import _algebra_ref_to_json
+
+    product = []
+    n = s.algebra.dim
+    for i in range(n):
+        for j in range(n):
+            terms = [{"k": k + 1, "c": scalar_to_json(c)}
+                     for k, c in enumerate(s.products[i][j]) if not c.is_zero()]
+            if terms:
+                product.append({"i": i + 1, "j": j + 1, "terms": terms})
+    doc = {"algebra": _algebra_ref_to_json(s.algebra), "product": product}
+    if s.d != 1:
+        doc["d"] = s.d
+    return doc

@@ -470,3 +470,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["verdict"] == "Obstructed"
+
+
+@pytest.mark.parametrize("command", ["check-lr", "lr-to-rep"])
+def test_duplicate_product_target_is_a_parse_error(tmp_path, command):
+    # a term list names each k once, as in a bracket; the two terms used to
+    # be summed to zero and the product accepted
+    doc = {"algebra": "R2", "product": [{"i": 1, "j": 2, "terms": [
+        {"k": 2, "c": 1}, {"k": 2, "c": -1}]}]}
+    f = tmp_path / "dup.lr.json"
+    write_json(f, doc)
+    proc = run_file(command, f)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "product[0].terms[1].k: duplicate target 2" in proc.stderr
+    assert not proc.stdout

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import vec_is_zero, vec_sub
+from dense_reference import dense_lr_to_dict, vec_is_zero, vec_sub
 
 from nilaffine.affine import (AffineRep, check_simply_transitive,
                              rep_from_dict, rep_to_dict)
@@ -166,6 +166,85 @@ class TestSparseKernels:
                            match=fr"L\(X_{i}\) and L\(X_{j}\) do not"):
             check_complete(s)
         return True
+
+
+def seeded_grid(rng, n, d, density):
+    """A dense product grid of seeded scalars, zero entries kept as explicit
+    zeros."""
+    return [[[rand_scalar(rng, d, density) for _ in range(n)]
+             for _ in range(n)] for _ in range(n)]
+
+
+def table_of(grid):
+    """The from_table input naming every entry of the grid, zeros too."""
+    return {(i + 1, j + 1): [(k + 1, c) for k, c in enumerate(v)]
+            for i, row in enumerate(grid) for j, v in enumerate(row)}
+
+
+def stored_values(s):
+    return [x for m in s.lefts for row in m._rows for x in row.values()]
+
+
+STORED_CASES = [(d, density) for d in (1, 3) for density in (0.0, 0.3, 1.0)]
+
+
+class TestStoredForm:
+    """LRStructure stores L(X_i) only, as sparse matrix rows with no zero;
+    the dense grid is a view of them."""
+
+    @pytest.mark.parametrize("d, density", STORED_CASES)
+    def test_lefts_hold_no_zero_and_give_back_the_grid(self, d, density):
+        rng = random.Random(int(40 * density) + d)
+        for n in (1, 3):
+            grid = seeded_grid(rng, n, d, density)
+            s = LRStructure(abelian(n, d), grid)
+            assert all(stored_values(s))
+            assert len(stored_values(s)) == sum(
+                bool(c) for row in grid for v in row for c in v)
+            assert s.products == tuple(tuple(tuple(v) for v in row)
+                                       for row in grid)
+            for i in range(n):
+                assert s.left_matrix(i) is s.lefts[i]
+                assert s.lefts[i].d == d and s.lefts[i].rows == n
+
+    @pytest.mark.parametrize("d, density", STORED_CASES)
+    def test_constructor_table_and_json_agree(self, d, density):
+        rng = random.Random(int(40 * density) + 10 * d)
+        for n in (1, 3):
+            L = abelian(n, d)
+            grid = seeded_grid(rng, n, d, density)
+            built = [LRStructure(L, grid), LRStructure.from_table(L, table_of(grid))]
+            built.append(lr_from_dict(lr_to_dict(built[0])))
+            for other in built[1:]:
+                assert other == built[0]
+                assert hash(other) == hash(built[0])
+
+    def test_rational_structure_equals_its_d3_copy(self):
+        rng = random.Random(77)
+        L = get_algebra("h3")
+        grid = seeded_grid(rng, 3, 1, 0.3)
+        s = LRStructure(L, grid)
+        as_d3 = [[[Scalar.of(c, 3) for c in v] for v in row] for row in grid]
+        copy = LRStructure(L, as_d3)
+        assert copy == s and hash(copy) == hash(s)
+        # the same values over Q(sqrt 3): only the algebra's context differs
+        lifted = LRStructure.from_table(L.with_field(3), table_of(as_d3))
+        assert lifted.lefts == s.lefts and hash(lifted.lefts) == hash(s.lefts)
+        assert lifted != s and all(m.d == 3 for m in lifted.lefts)
+
+    def test_json_writer_matches_dense_reference(self, passing_structures,
+                                                 witnesses):
+        structures = list(passing_structures)
+        structures += [rep_to_lr(rep) for rep in bundled_reps().values()
+                       if rep.source.is_abelian()]
+        structures += [outcome.witness_lr for outcome in witnesses]
+        for d, density in STORED_CASES:
+            rng = random.Random(int(40 * density) + 100 * d)
+            structures += [LRStructure(abelian(3, d),
+                                       seeded_grid(rng, 3, d, density))
+                           for _ in range(3)]
+        for s in structures:
+            assert lr_to_dict(s) == dense_lr_to_dict(s)
 
 
 class TestIdentities:
@@ -366,6 +445,14 @@ class TestLrJson:
         doc = lr_to_dict(h3_halved())
         doc["product"].append(dict(doc["product"][0]))
         with pytest.raises(ParseError, match="duplicate"):
+            lr_from_dict(doc)
+
+    def test_duplicate_target_rejected(self):
+        # named once per term list, as in a bracket table; two terms that
+        # cancel must not pass as a zero product
+        doc = {"algebra": "R2", "product": [{"i": 1, "j": 2, "terms": [
+            {"k": 2, "c": 1}, {"k": 2, "c": -1}]}]}
+        with pytest.raises(ParseError, match=r"terms\[1\]\.k: duplicate target 2"):
             lr_from_dict(doc)
 
     def test_unknown_keys_rejected(self):
