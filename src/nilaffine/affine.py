@@ -364,10 +364,6 @@ def rep_from_dict(data: object, where: str = "rep",
     d = _resolve_context(data, where)
     source = _algebra_ref_from_json(data["source"], d, f"{where}.source")
     target = _algebra_ref_from_json(data["target"], d, f"{where}.target")
-    if source.d != target.d:
-        # one was inline with explicit d, the other a d=1 catalog name
-        lifted = max(source.d, target.d)
-        source, target = source.with_field(lifted), target.with_field(lifted)
     m, n = source.dim, target.dim
     raw_t, raw_D = data["t"], data["D"]
     if not isinstance(raw_t, list) or len(raw_t) != m:

@@ -77,8 +77,7 @@ class LieAlgebra:
             for k, c in terms:
                 if not 0 <= k < dim:
                     raise ShapeError(f"bracket target {k} out of range for dim {dim}")
-                coeff = c if isinstance(c, Scalar) else Scalar.of(c, d)
-                coeff = Scalar.of(coeff, d)
+                coeff = Scalar.of(c, d)
                 if sign < 0:
                     coeff = -coeff
                 acc[k] = acc.get(k, Scalar.zero(d)) + coeff
@@ -100,8 +99,7 @@ class LieAlgebra:
 
     @classmethod
     def from_table(cls, name: str, dim: int,
-                   brackets: Mapping[tuple[int, int], Iterable[tuple[int, object]]],
-                   d: int = 1) -> "LieAlgebra":
+                   brackets: BracketTable, d: int = 1) -> "LieAlgebra":
         """Build from a 1-based table, the convention used in files and docs."""
         shifted = {(i - 1, j - 1): tuple((k - 1, c) for k, c in terms)
                    for (i, j), terms in brackets.items()}
@@ -487,13 +485,19 @@ def get_algebra(name: str) -> LieAlgebra:
 # ------------------------------------------------------------------ file format
 
 
+def _table_to_json(table: BracketTable) -> list:
+    """The JSON list of a 0-based sparse table (i, j) -> [(k, c), ...]: the
+    bracket and product format, 1-based, in pair and then target order."""
+    return [{"i": i + 1, "j": j + 1,
+             "terms": [{"k": k + 1, "c": scalar_to_json(c)}
+                       for k, c in sorted(table[(i, j)])]}
+            for (i, j) in sorted(table)]
+
+
 def algebra_to_dict(L: LieAlgebra) -> dict:
     """JSON-ready form with 1-based indices and exact scalar encoding."""
-    brackets = []
-    for (i, j) in sorted(L.table):
-        terms = [{"k": k + 1, "c": scalar_to_json(c)} for k, c in L.table[(i, j)]]
-        brackets.append({"i": i + 1, "j": j + 1, "terms": terms})
-    return {"name": L.name, "dim": L.dim, "d": L.d, "brackets": brackets}
+    return {"name": L.name, "dim": L.dim, "d": L.d,
+            "brackets": _table_to_json(L.table)}
 
 
 def _expect_int(value, where: str) -> int:
@@ -511,6 +515,42 @@ def _expect_field(value, where: str) -> int:
         return check_context(d)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def _table_from_json(raw: object, dim: int, d: int, where: str
+                     ) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
+    """Read the bracket and product format: a list of {i, j, terms} entries,
+    each term {k, c}, every index in 1..dim, each pair named once and each k
+    once per term list. Returns the 1-based table (i, j) -> ((k, c), ...)."""
+    if not isinstance(raw, list):
+        raise ParseError(f"{where}: expected a list")
+    table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+    for ei, entry in enumerate(raw):
+        loc = f"{where}[{ei}]"
+        if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
+            raise ParseError(f"{loc}: expected an object with keys i, j and terms")
+        i = _expect_int(entry["i"], f"{loc}.i")
+        j = _expect_int(entry["j"], f"{loc}.j")
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ParseError(f"{loc}: pair ({quoted(i)}, {quoted(j)}) "
+                             f"out of range 1..{dim}")
+        if (i, j) in table:
+            raise ParseError(f"{loc}: duplicate pair ({i}, {j})")
+        if not isinstance(entry["terms"], list):
+            raise ParseError(f"{loc}.terms: expected a list")
+        terms: dict[int, Scalar] = {}
+        for ti, term in enumerate(entry["terms"]):
+            tloc = f"{loc}.terms[{ti}]"
+            if not isinstance(term, dict) or set(term) != {"k", "c"}:
+                raise ParseError(f"{tloc}: expected an object with keys k and c")
+            k = _expect_int(term["k"], f"{tloc}.k")
+            if not 1 <= k <= dim:
+                raise ParseError(f"{tloc}.k: {quoted(k)} out of range 1..{dim}")
+            if k in terms:
+                raise ParseError(f"{tloc}.k: duplicate target {k}")
+            terms[k] = scalar_from_json(term["c"], d, f"{tloc}.c")
+        table[(i, j)] = tuple(terms.items())
+    return table
 
 
 def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
@@ -531,46 +571,8 @@ def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
     name = data.get("name", "L")
     if not isinstance(name, str):
         raise ParseError(f"{where}.name: expected a string")
-    raw = data.get("brackets", [])
-    if not isinstance(raw, list):
-        raise ParseError(f"{where}.brackets: expected a list")
-    table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for bi, entry in enumerate(raw):
-        loc = f"{where}.brackets[{bi}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{loc}: expected an object")
-        for key in ("i", "j", "terms"):
-            if key not in entry:
-                raise ParseError(f"{loc}: missing key {key!r}")
-        extra = set(entry) - {"i", "j", "terms"}
-        if extra:
-            raise ParseError(f"{loc}: unknown keys {quoted(sorted(extra))}")
-        i = _expect_int(entry["i"], f"{loc}.i")
-        j = _expect_int(entry["j"], f"{loc}.j")
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise ParseError(f"{loc}: indices ({quoted(i)}, {quoted(j)}) "
-                             f"out of range 1..{dim}")
+    table = _table_from_json(data.get("brackets", []), dim, d, f"{where}.brackets")
+    for bi, (i, j) in enumerate(table):   # one table pair per entry, in order
         if i >= j:
-            raise ParseError(f"{loc}: require i < j, got ({i}, {j})")
-        if (i - 1, j - 1) in table:
-            raise ParseError(f"{loc}: duplicate bracket ({i}, {j})")
-        if not isinstance(entry["terms"], list):
-            raise ParseError(f"{loc}.terms: expected a list")
-        terms: list[tuple[int, Scalar]] = []
-        seen: set[int] = set()
-        for ti, term in enumerate(entry["terms"]):
-            tloc = f"{loc}.terms[{ti}]"
-            if not isinstance(term, dict) or set(term) != {"k", "c"}:
-                raise ParseError(f"{tloc}: expected an object with keys 'k' and 'c'")
-            k = _expect_int(term["k"], f"{tloc}.k")
-            if not 1 <= k <= dim:
-                raise ParseError(f"{tloc}.k: {quoted(k)} out of range 1..{dim}")
-            if k in seen:
-                raise ParseError(f"{tloc}.k: duplicate target {k}")
-            seen.add(k)
-            terms.append((k - 1, scalar_from_json(term["c"], d, f"{tloc}.c")))
-        table[(i - 1, j - 1)] = terms
-    try:
-        return LieAlgebra(name, dim, table, d)
-    except (ShapeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+            raise ParseError(f"{where}.brackets[{bi}]: require i < j, got ({i}, {j})")
+    return LieAlgebra.from_table(name, dim, table, d)

@@ -29,13 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .affine import AffineRep, check_simply_transitive
+from .affine import (AffineRep, _algebra_ref_from_json, _algebra_ref_to_json,
+                     _resolve_context, check_simply_transitive)
 from .errors import (IncompleteStructureError, ParseError, PreconditionError,
                      ShapeError, quoted)
-from .liealg import LieAlgebra, abelian
+from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, _sparse, as_vector, engel_flag)
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar
 
 
 class LRViolation(NamedTuple):
@@ -318,15 +319,8 @@ def lr_to_rep(s: LRStructure) -> AffineRep:
 
 
 def lr_to_dict(s: LRStructure) -> dict:
-    from .affine import _algebra_ref_to_json
-
-    product = []
-    for i, m in enumerate(s.lefts):
-        for j, col in enumerate(m._sparse_cols()):
-            if col:
-                product.append({"i": i + 1, "j": j + 1, "terms": [
-                    {"k": k + 1, "c": scalar_to_json(c)}
-                    for k, c in sorted(col.items())]})
+    product = _table_to_json({(i, j): col.items() for i, m in enumerate(s.lefts)
+                              for j, col in enumerate(m._sparse_cols()) if col})
     doc = {"algebra": _algebra_ref_to_json(s.algebra), "product": product}
     if s.d != 1:
         doc["d"] = s.d
@@ -334,8 +328,6 @@ def lr_to_dict(s: LRStructure) -> dict:
 
 
 def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
-    from .affine import _algebra_ref_from_json, _resolve_context
-
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object")
     unknown = set(data) - {"algebra", "product", "d"}
@@ -345,38 +337,5 @@ def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
         raise ParseError(f"{where}: missing required key 'algebra'")
     d = _resolve_context(data, where)
     algebra = _algebra_ref_from_json(data["algebra"], d, f"{where}.algebra")
-    n = algebra.dim
-    raw = data.get("product", [])
-    if not isinstance(raw, list):
-        raise ParseError(f"{where}.product: expected a list")
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for pi, entry in enumerate(raw):
-        loc = f"{where}.product[{pi}]"
-        if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
-            raise ParseError(f"{loc}: expected an object with keys i, j, terms")
-        i, j = entry["i"], entry["j"]
-        for label, val in (("i", i), ("j", j)):
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ParseError(f"{loc}.{label}: expected an integer")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"{loc}: pair ({quoted(i)}, {quoted(j)}) "
-                             f"out of range 1..{n}")
-        if (i, j) in table:
-            raise ParseError(f"{loc}: duplicate pair ({i}, {j})")
-        terms = table[(i, j)] = {}
-        if not isinstance(entry["terms"], list):
-            raise ParseError(f"{loc}.terms: expected a list")
-        for ti, term in enumerate(entry["terms"]):
-            tloc = f"{loc}.terms[{ti}]"
-            if not isinstance(term, dict) or set(term) != {"k", "c"}:
-                raise ParseError(f"{tloc}: expected an object with keys k and c")
-            k = term["k"]
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise ParseError(f"{tloc}.k: expected an integer")
-            if not 1 <= k <= n:
-                raise ParseError(f"{tloc}.k: {quoted(k)} out of range 1..{n}")
-            if k in terms:
-                raise ParseError(f"{tloc}.k: duplicate target {k}")
-            terms[k] = scalar_from_json(term["c"], algebra.d, f"{tloc}.c")
-    return LRStructure.from_table(
-        algebra, {pair: terms.items() for pair, terms in table.items()})
+    return LRStructure.from_table(algebra, _table_from_json(
+        data.get("product", []), algebra.dim, algebra.d, f"{where}.product"))

@@ -46,12 +46,12 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .affine import AffineRep, check_simply_transitive
+from .affine import AffineRep, check_simply_transitive, rep_to_dict
 from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
 from .linalg import Matrix, SparseRow, _combination, _install
-from .lr import LRStructure, _lr_of_passing_rep
-from .scalars import Rational, Scalar, as_fraction, exact
+from .lr import LRStructure, _lr_of_passing_rep, lr_to_dict
+from .scalars import Rational, Scalar, _encode_fraction, as_fraction, exact
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
 _exponent = itemgetter(1)
@@ -521,23 +521,16 @@ class ObstructionOutcome:
         return tuple(v for v in range(total) if v not in solved)
 
     def to_dict(self) -> dict:
-        from .affine import rep_to_dict
-        from .lr import lr_to_dict
-        from .scalars import scalar_to_json
-
         name = variable_namer(self.space)    # called once per variable
         name = list(map(name, range(self.algebra.dim
                                     * self.space.dimension))).__getitem__
-
-        def frac(value: Fraction):
-            return scalar_to_json(Scalar.of(value, 1))
 
         doc: dict = {
             "algebra": self.algebra.name,
             "verdict": self.verdict,
             "derivation_space_dim": self.space.dimension,
             "two_step_solvable": self.two_step_solvable,
-            "forced": {name(v): frac(c) for v, c in self.forced},
+            "forced": {name(v): _encode_fraction(c) for v, c in self.forced},
             "free_variables": sorted(name(v) for v in self.free_variables()),
             "samples": self.samples,
             "seed": self.seed,
@@ -549,7 +542,7 @@ class ObstructionOutcome:
             cert = {
                 "kind": self.certificate.kind,
                 "pair": list(self.certificate.pair),
-                "constant": frac(self.certificate.constant),
+                "constant": _encode_fraction(self.certificate.constant),
             }
             if self.certificate.position is not None:
                 cert["position"] = list(self.certificate.position)
@@ -558,7 +551,7 @@ class ObstructionOutcome:
             doc["certificate"] = cert
         if self.witness_rep is not None:
             doc["witness"] = {
-                "assignment": {name(v): frac(c)
+                "assignment": {name(v): _encode_fraction(c)
                                for v, c in self.witness_assignment},
                 "rep": rep_to_dict(self.witness_rep),
                 "lr": lr_to_dict(self.witness_lr),

@@ -351,6 +351,7 @@ def scalar_from_json(obj, d: int, where: str = "scalar") -> Scalar:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
 
+    check_context(d)
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise ParseError(f"{where}: scalar arrays must have exactly two "
@@ -360,5 +361,5 @@ def scalar_from_json(obj, d: int, where: str = "scalar") -> Scalar:
         if d == 1 and irr:
             raise ParseError(f"{where}: nonzero sqrt-component not allowed "
                              f"in a d=1 (rational) context")
-        return Scalar(rat, irr, d)
-    return Scalar(part(obj, "value"), 0, d)
+        return _scalar(rat, irr, d)
+    return _scalar(part(obj, "value"), _ZERO, d)

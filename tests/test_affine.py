@@ -280,6 +280,24 @@ class TestNilpotencyPart:
         assert nil.witness is not None
         assert not nil.witness.matrix.is_nilpotent()
 
+    def test_sampled_witness_when_each_part_is_nilpotent(self):
+        # E_12 and E_21 are each nilpotent, so no basis matrix is a witness;
+        # their span is not (E_12 + E_21 squares to I), and a seeded
+        # combination is
+        L = get_algebra("R2")
+        e12 = Matrix.from_rows([[0, 1], [0, 0]])
+        e21 = Matrix.from_rows([[0, 0], [1, 0]])
+        rep = AffineRep(L, L, [L.basis_vector(0), L.basis_vector(1)],
+                        [e12, e21])
+        witnesses = [check_simply_transitive(rep).linear_parts_nilpotent.witness
+                     for _ in range(2)]
+        witness = witnesses[0]
+        assert witness is not None
+        assert witness.matrix == rep.D_of(witness.coefficients)
+        assert not witness.matrix.is_nilpotent()
+        assert all(c for c in witness.coefficients)
+        assert witnesses[1] == witness
+
     def test_flag_conjugates_family_lower_triangular(self):
         rep = bundled_rep("r4_to_f4")
         nil = check_simply_transitive(rep).linear_parts_nilpotent

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nilaffine import lr, obstruction
 from nilaffine.affine import check_simply_transitive
-from nilaffine.errors import ParseError, PreconditionError
+from nilaffine.errors import InternalError, ParseError, PreconditionError
 from nilaffine.liealg import (LieAlgebra, catalog_names, derivation_space,
                               get_algebra, is_derivation, transport)
 from nilaffine.io import stable_json
@@ -476,6 +476,91 @@ class TestForgedWitness:
         forged = dataclasses.replace(
             outcome, witness_assignment=outcome.witness_assignment[1:])
         assert not verify_certificate(forged, L)
+
+
+class TestWitnessDraws:
+    """The search past the all-zero candidate. Every algebra the suite
+    decides otherwise wins at zero, so the checker is patched to reject
+    the zero candidate and the seeded draws run."""
+
+    @staticmethod
+    def reject_zero(monkeypatch, L):
+        """Patch the solver's checker to turn down its first rep, the zero
+        candidate; returns the list of the reps it is called on."""
+        plain = obstruct_abelian(L)
+        assert plain.verdict == "Found"
+        assert not any(x for _, x in plain.witness_assignment)
+        seen = []
+        real = obstruction.check_simply_transitive
+
+        def checker(rep):
+            seen.append(rep)
+            verdict = real(rep)
+            if len(seen) == 1:
+                assert rep.D == plain.witness_rep.D
+                return dataclasses.replace(verdict, overall=False)
+            return verdict
+        monkeypatch.setattr(obstruction, "check_simply_transitive", checker)
+        return plain, seen
+
+    @staticmethod
+    def first_passing_draw(plain, samples, seed):
+        """Replay the seeded draws: the index and assignment of the first
+        one whose residual vanishes and whose rep passes, else None."""
+        free = [v for v, _ in plain.witness_assignment]
+        rng = random.Random(seed)
+        for index in range(samples):
+            values = [Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+                      for _ in free]
+            trial = dataclasses.replace(
+                plain, witness_assignment=tuple(zip(free, values)))
+            if not any(poly.evaluate(trial.coefficients)
+                       for _, poly in plain.residual) \
+                    and check_simply_transitive(trial.witness_rep).overall:
+                return index, trial.witness_assignment
+        return None
+
+    # R1 has no residual, and a draw passes when it is 0: at draw 12 for
+    # seed 3, never in 25 draws for seed 0. h3's residual rejects every draw.
+    @pytest.mark.parametrize("name, seed", [("R1", 3), ("R1", 0), ("h3", 0),
+                                            ("h3", 5)])
+    def test_draws_replay_the_seed(self, monkeypatch, name, seed):
+        L, samples = get_algebra(name), 25
+        plain, seen = self.reject_zero(monkeypatch, L)
+        expected = self.first_passing_draw(plain, samples, seed)
+        outcome = obstruct_abelian(L, samples=samples, seed=seed)
+        if expected is None:
+            assert outcome.verdict == "Undetermined"
+            assert outcome.witness_assignment is None
+        else:
+            assert outcome.verdict == "Found"
+            assert outcome.witness_assignment == expected[1]
+        if name == "R1":   # every draw reaches the checker
+            drawn = samples if expected is None else expected[0] + 1
+            assert len(seen) == 1 + drawn
+        else:              # the residual turns every draw away first
+            assert len(seen) == 1 and expected is None
+
+    @pytest.mark.parametrize("name, seed", [("R1", 3), ("h3", 0)])
+    def test_outcome_checks_and_renders(self, monkeypatch, name, seed):
+        L = get_algebra(name)
+        self.reject_zero(monkeypatch, L)
+        outcome = obstruct_abelian(L, samples=25, seed=seed)
+        monkeypatch.setattr(obstruction, "check_simply_transitive",
+                            check_simply_transitive)
+        assert verify_certificate(outcome, L)
+        doc = outcome.to_dict()
+        assert (doc["samples"], doc["seed"]) == (25, seed)
+        assert [r["equation"] for r in doc["residual"]] == \
+            ["/".join(map(str, tag)) for tag, _ in outcome.residual]
+        assert len(doc["residual"]) == (0 if name == "R1" else 10)
+
+    def test_unsound_pipeline_is_an_internal_error(self, monkeypatch):
+        # with nothing forced or pending every candidate reaches the
+        # checker, and g6_18, which is not two-step solvable, fails them all
+        monkeypatch.setattr(obstruction, "_force", lambda system, pending: [])
+        with pytest.raises(InternalError, match="two-step solvable"):
+            obstruct_abelian(get_algebra("g6_18"), samples=2)
 
 
 def filiform_found():

@@ -209,6 +209,24 @@ class TestSerialization:
         with pytest.raises(ParseError):
             scalar_from_json(["1/2", "1/3"], 1)
 
+    @pytest.mark.parametrize("obj, d, calls", [
+        (3, 1, 1), ("-1/2", 1, 1), (0, 5, 1),
+        (["1/2", "-2/3"], 3, 2), ([4, 0], 1, 2)])
+    def test_each_part_is_parsed_once(self, monkeypatch, obj, d, calls):
+        from nilaffine import scalars
+        parsed = []
+
+        def counting(value):
+            parsed.append(value)
+            return as_fraction(value)
+        monkeypatch.setattr(scalars, "as_fraction", counting)
+        x = scalar_from_json(obj, d)
+        assert len(parsed) == calls
+        parts = obj if isinstance(obj, list) else [obj, 0]
+        assert x == Scalar(as_fraction(parts[0]), as_fraction(parts[1]), d)
+        assert type(x.rat) is Fraction and type(x.irr) is Fraction
+        assert x.d == d
+
 
 def square_free_by_squares(d):
     """is_square_free as it was before the cube-root bound, kept verbatim."""
