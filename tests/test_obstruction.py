@@ -522,12 +522,13 @@ class TestWitnessDraws:
 
     # R1 has no residual, and a draw passes when it is 0: at draw 12 for
     # seed 3, never in 25 draws for seed 0. h3's residual rejects every draw.
-    @pytest.mark.parametrize("name, seed", [("R1", 3), ("R1", 0), ("h3", 0),
-                                            ("h3", 5)])
-    def test_draws_replay_the_seed(self, monkeypatch, name, seed):
+    @pytest.mark.parametrize("name, seed, draw", [
+        ("R1", 3, 12), ("R1", 0, None), ("h3", 0, None), ("h3", 5, None)])
+    def test_draws_replay_the_seed(self, monkeypatch, name, seed, draw):
         L, samples = get_algebra(name), 25
         plain, seen = self.reject_zero(monkeypatch, L)
         expected = self.first_passing_draw(plain, samples, seed)
+        assert (expected and expected[0]) == draw
         outcome = obstruct_abelian(L, samples=samples, seed=seed)
         if expected is None:
             assert outcome.verdict == "Undetermined"
