@@ -13,6 +13,9 @@ The runs, each in-process through ``cli.main``:
 
 * every bundled rep: ``check-rep`` and ``rep-to-lr -o``, and on the product
   that writes, ``lr-to-rep -o`` and ``check-lr``;
+* every bundled rep again: ``check-rep REP --source S --target T``, with
+  the rep's source and target written as d = 1 algebra files S and T, so
+  the Q(sqrt 3) rep crosses field contexts on loading;
 * every catalog algebra: ``check-lie``, ``derivations`` and
   ``obstruct-abelian``;
 
@@ -33,8 +36,9 @@ import tempfile
 from pathlib import Path
 
 from nilaffine import cli
-from nilaffine.corpus import bundled_rep_names, rep_path
-from nilaffine.liealg import catalog_names
+from nilaffine.corpus import bundled_rep, bundled_rep_names, rep_path
+from nilaffine.io import write_json
+from nilaffine.liealg import algebra_to_dict, catalog_names
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
@@ -78,6 +82,15 @@ def _rep_group(slug: str) -> list[dict]:
     return runs
 
 
+def _files_group(slug: str) -> list[dict]:
+    rep = bundled_rep(slug)
+    Path(f"{slug}.json").write_bytes(rep_path(slug).read_bytes())
+    for role, L in (("source", rep.source), ("target", rep.target)):
+        write_json(Path(f"{role}.json"), algebra_to_dict(L.with_field(1)))
+    return _both(["check-rep", f"{slug}.json", "--source", "source.json",
+                  "--target", "target.json"])
+
+
 def _algebra_group(name: str) -> list[dict]:
     runs = []
     for command in ("check-lie", "derivations", "obstruct-abelian"):
@@ -90,6 +103,7 @@ def groups() -> dict[str, object]:
     out: dict[str, object] = {}
     for slug in bundled_rep_names():
         out[f"rep {slug}"] = lambda slug=slug: _rep_group(slug)
+        out[f"rep files {slug}"] = lambda slug=slug: _files_group(slug)
     for name in catalog_names():
         out[f"algebra {name}"] = lambda name=name: _algebra_group(name)
     return out
