@@ -177,8 +177,8 @@ def check_homomorphism(rep: AffineRep) -> HomReport:
         for j in range(i + 1, rep.source.dim):
             # rep([X_i, X_j]) by linearity, then [(t_j, D_j), (t_i, D_i)],
             # which is minus the right side
-            vec: dict[int, Scalar] = {}
-            rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+            vec: dict = {}
+            rows: list[dict] = [{} for _ in range(n)]
             for k, c in rep.source._signed.get((i, j), {}).items():
                 _axpy(vec, c, parts[k][0])
                 for acc, row in zip(rows, parts[k][1]):

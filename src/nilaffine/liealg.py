@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import ParseError, ShapeError, quoted
 from .linalg import (Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse,
                      row_space_basis)
-from .scalars import (Scalar, _rational_scalar, check_context, exact,
-                      scalar_from_json, scalar_to_json)
+from .scalars import (Coefficient, Scalar, as_scalar, check_context, exact,
+                      scalar_from_json, scalar_to_json, stored, unit)
 
 BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 
@@ -54,17 +54,18 @@ class LieAlgebra:
     The table maps index pairs (i, j) with i < j to the coordinates of
     [X_i, X_j]; the bracket extends bilinearly and antisymmetrically.
     Construction normalizes the table but does not check Jacobi; call
-    :meth:`check_jacobi` for that. The same constants are also kept as
-    sparse vectors under both (i, j) and (j, i), signed, for the kernels.
+    :meth:`check_jacobi` for that. The constants are stored once, in stored
+    form, as sparse vectors under both (i, j) and (j, i), signed, for the
+    kernels; ``table`` is a view of them.
     """
 
-    __slots__ = ("name", "dim", "d", "table", "_signed")
+    __slots__ = ("name", "dim", "d", "_signed")
 
     def __init__(self, name: str, dim: int, table: BracketTable, d: int = 1):
         if dim < 0:
             raise ShapeError("dimension must be non-negative")
-        Scalar.zero(d)   # validates the field context
-        norm: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+        check_context(d)
+        norm: dict[tuple[int, int], tuple[tuple[int, Coefficient], ...]] = {}
         for (i, j), terms in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ShapeError(f"bracket index ({i}, {j}) out of range for dim {dim}")
@@ -73,15 +74,13 @@ class LieAlgebra:
             sign = 1
             if i > j:
                 i, j, sign = j, i, -1
-            acc: dict[int, Scalar] = dict(norm.get((i, j), ()))
+            acc: dict[int, Coefficient] = dict(norm.get((i, j), ()))
             for k, c in terms:
                 if not 0 <= k < dim:
                     raise ShapeError(f"bracket target {k} out of range for dim {dim}")
-                coeff = Scalar.of(c, d)
-                if sign < 0:
-                    coeff = -coeff
-                acc[k] = acc.get(k, Scalar.zero(d)) + coeff
-            cleaned = tuple(sorted((k, v) for k, v in acc.items() if not v.is_zero()))
+                coeff = stored(c, d) * sign
+                acc[k] = exact(acc[k] + coeff) if k in acc else coeff
+            cleaned = tuple(sorted((k, v) for k, v in acc.items() if v))
             if cleaned:
                 norm[(i, j)] = cleaned
             else:
@@ -89,7 +88,6 @@ class LieAlgebra:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "table", norm)
         object.__setattr__(self, "_signed", {
             **{pair: dict(terms) for pair, terms in norm.items()},
             **{(j, i): {k: -c for k, c in terms} for (i, j), terms in norm.items()}})
@@ -104,6 +102,12 @@ class LieAlgebra:
         shifted = {(i - 1, j - 1): tuple((k - 1, c) for k, c in terms)
                    for (i, j), terms in brackets.items()}
         return cls(name, dim, shifted, d)
+
+    @property
+    def table(self) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
+        """(i, j) -> ((k, c), ...) for i < j, by k: [X_i, X_j] = sum c X_k."""
+        return {(i, j): tuple((k, as_scalar(c)) for k, c in terms.items())
+                for (i, j), terms in self._signed.items() if i < j}
 
     # -------------------------------------------------- bracket
 
@@ -121,11 +125,10 @@ class LieAlgebra:
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError(f"bracket arguments must have length {self.dim}")
-        return _dense(self._bracket_into({}, _sparse(x), _sparse(y)),
+        return _dense(self._bracket_into({}, _sparse(x, self.d), _sparse(y, self.d)),
                       self.dim, self.d)
 
-    def _bracket_into(self, acc: dict[int, Scalar], x: dict[int, Scalar],
-                      y: dict[int, Scalar]) -> dict[int, Scalar]:
+    def _bracket_into(self, acc: dict, x: dict, y: dict) -> dict:
         """acc += [x, y] for sparse x and y; returns acc."""
         for i, a in x.items():
             for j, b in y.items():
@@ -144,11 +147,11 @@ class LieAlgebra:
     def check_jacobi(self) -> JacobiReport:
         """Evaluate the Jacobi cyclic sum on every basis triple."""
         violations = []
-        n, one, br = self.dim, Scalar.one(self.d), self._signed
-        for i in range(n if self.table else 0):   # abelian: nothing to sum
+        n, one, br = self.dim, unit(self.d), self._signed
+        for i in range(n if br else 0):   # abelian: nothing to sum
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    res: dict[int, Scalar] = {}
+                    res: dict[int, Coefficient] = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         if (a, b) in br:
                             self._bracket_into(res, br[(a, b)], {c: one})
@@ -160,7 +163,7 @@ class LieAlgebra:
     def _bracket_span(self, left: Sequence[Vector],
                       right: Sequence[Vector]) -> tuple[Vector, ...]:
         """Canonical (RREF) basis of the span of the brackets [a, b]."""
-        left, right = map(_sparse, left), [_sparse(b) for b in right]
+        left, right = ([_sparse(v, self.d) for v in vs] for vs in (left, right))
         _, rows = _rref(self._bracket_into({}, a, b) for a in left for b in right)
         return tuple(_dense(r, self.dim, self.d) for r in rows)
 
@@ -190,7 +193,7 @@ class LieAlgebra:
         return tuple(series)
 
     def is_abelian(self) -> bool:
-        return not self.table
+        return not self._signed
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1] == ()
@@ -213,9 +216,7 @@ class LieAlgebra:
         """The same structure constants read in the field Q(sqrt(d))."""
         if d == self.d:
             return self
-        table = {pair: tuple((k, Scalar.of(c, d)) for k, c in terms)
-                 for pair, terms in self.table.items()}
-        return LieAlgebra(self.name, self.dim, table, d)
+        return LieAlgebra(self.name, self.dim, self.table, d)
 
     def renamed(self, name: str) -> "LieAlgebra":
         return LieAlgebra(name, self.dim, self.table, self.d)
@@ -225,10 +226,11 @@ class LieAlgebra:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return (self.dim == other.dim and self.d == other.d
-                and self.table == other.table)
+                and self._signed == other._signed)
 
     def __hash__(self):
-        return hash((self.dim, self.d, tuple(sorted(self.table.items()))))
+        return hash((self.dim, self.d, frozenset(
+            (pair, frozenset(terms.items())) for pair, terms in self._signed.items())))
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim}, d={self.d})"
@@ -255,13 +257,12 @@ class LieAlgebra:
 # ------------------------------------------------------------------ derivations
 
 
-def _leibniz(L: LieAlgebra, cols: Sequence[dict[int, Scalar]],
-             i: int, j: int) -> dict[int, Scalar]:
+def _leibniz(L: LieAlgebra, cols: Sequence[dict], i: int, j: int) -> dict:
     """Sparse D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j], D by sparse columns."""
-    acc: dict[int, Scalar] = {}
+    acc: dict[int, Coefficient] = {}
     for m, c in L._signed.get((i, j), {}).items():
         _axpy(acc, c, cols[m])
-    minus = -Scalar.one(L.d)
+    minus = -unit(L.d)
     L._bracket_into(acc, cols[i], {j: minus})
     return L._bracket_into(acc, {i: minus}, cols[j])
 
@@ -309,16 +310,11 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     Unknowns are the n^2 entries of D in row-major order; one sparse
     linear equation per basis pair per coordinate. The kernel is
     canonicalized by row reduction, which makes basis order and anchor
-    entries stable across runs and platforms. At d = 1 the system is
-    eliminated over int-or-Fraction coefficients (see
-    :func:`nilaffine.scalars.exact`) and the reduced rows become Scalars
-    once, at the end; other contexts eliminate Scalar rows.
+    entries stable across runs and platforms. The system holds the stored
+    form of the constants, so at d = 1 it is eliminated over int and
+    Fraction coefficients (see :func:`nilaffine.scalars.exact`).
     """
     n, br = L.dim, L._signed
-    rational = L.d == 1
-    if rational:
-        br = {pair: {k: exact(c.rat) for k, c in terms.items()}
-              for pair, terms in br.items()}
     system: list[dict] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -334,11 +330,7 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
                         s = rows[k].get(col)
                         rows[k][col] = -c if s is None else s - c
             system += ({col: c for col, c in row.items() if c} for row in rows)
-    one = 1 if rational else Scalar.one(L.d)
-    pivots, reduced = _rref(_nullspace(system, n * n, one))
-    if rational:
-        reduced = [{col: _rational_scalar(c) for col, c in flat.items()}
-                   for flat in reduced]
+    pivots, reduced = _rref(_nullspace(system, n * n, unit(L.d)))
     # row a of a basis matrix holds the columns a * n + b of its flat row
     basis = tuple(Matrix._of(({col % n: c for col, c in flat.items() if col // n == a}
                               for a in range(n)), n, L.d)
@@ -358,19 +350,18 @@ class SemidirectElement(NamedTuple):
 def semidirect_bracket(L: LieAlgebra, a: SemidirectElement | tuple[Vector, Matrix],
                        b: SemidirectElement | tuple[Vector, Matrix]) -> SemidirectElement:
     """[(x, D), (y, E)] = ([x, y] + D y - E x, D E - E D)."""
-    vec: dict[int, Scalar] = {}
-    rows: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
+    vec: dict[int, Coefficient] = {}
+    rows: list[dict[int, Coefficient]] = [{} for _ in range(L.dim)]
     _semidirect_into(L, vec, rows, _sparse_element(*a), _sparse_element(*b))
     return SemidirectElement(_dense(vec, L.dim, L.d), Matrix._of(rows, L.dim, L.d))
 
 
 def _sparse_element(x: Vector, m: Matrix) -> tuple:
     """(x, D) as the sparse vector x with the sparse rows and columns of D."""
-    return _sparse(x), m._rows, m._sparse_cols()
+    return _sparse(x, m.d), m._rows, m._sparse_cols()
 
 
-def _semidirect_into(L: LieAlgebra, vec: dict[int, Scalar],
-                     rows: Sequence[dict[int, Scalar]],
+def _semidirect_into(L: LieAlgebra, vec: dict, rows: Sequence[dict],
                      a: tuple, b: tuple) -> None:
     """Add the semidirect bracket [a, b] to vec and to the matrix rows."""
     (xa, ra, ca), (xb, rb, cb) = a, b
@@ -396,10 +387,10 @@ def transport(L: LieAlgebra, p: Matrix, name: str | None = None) -> "LieAlgebra"
         raise ShapeError(f"change of basis must be {L.dim}x{L.dim}")
     p = p.with_field(L.d)
     cols, inv_cols = p._sparse_cols(), p.inverse()._sparse_cols()
-    table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+    table: dict[tuple[int, int], tuple[tuple[int, Coefficient], ...]] = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            w: dict[int, Scalar] = {}
+            w: dict[int, Coefficient] = {}
             for m, c in L._bracket_into({}, cols[i], cols[j]).items():
                 _axpy(w, c, inv_cols[m])
             if w:
@@ -497,7 +488,8 @@ def _table_to_json(table: BracketTable) -> list:
 def algebra_to_dict(L: LieAlgebra) -> dict:
     """JSON-ready form with 1-based indices and exact scalar encoding."""
     return {"name": L.name, "dim": L.dim, "d": L.d,
-            "brackets": _table_to_json(L.table)}
+            "brackets": _table_to_json({pair: terms.items() for pair, terms
+                                        in L._signed.items() if pair[0] < pair[1]})}
 
 
 def _expect_int(value, where: str) -> int:
@@ -518,13 +510,13 @@ def _expect_field(value, where: str) -> int:
 
 
 def _table_from_json(raw: object, dim: int, d: int, where: str
-                     ) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
+                     ) -> dict[tuple[int, int], tuple[tuple[int, Coefficient], ...]]:
     """Read the bracket and product format: a list of {i, j, terms} entries,
     each term {k, c}, every index in 1..dim, each pair named once and each k
     once per term list. Returns the 1-based table (i, j) -> ((k, c), ...)."""
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list")
-    table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+    table: dict[tuple[int, int], tuple[tuple[int, Coefficient], ...]] = {}
     for ei, entry in enumerate(raw):
         loc = f"{where}[{ei}]"
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
@@ -538,7 +530,7 @@ def _table_from_json(raw: object, dim: int, d: int, where: str
             raise ParseError(f"{loc}: duplicate pair ({i}, {j})")
         if not isinstance(entry["terms"], list):
             raise ParseError(f"{loc}.terms: expected a list")
-        terms: dict[int, Scalar] = {}
+        terms: dict[int, Coefficient] = {}
         for ti, term in enumerate(entry["terms"]):
             tloc = f"{loc}.terms[{ti}]"
             if not isinstance(term, dict) or set(term) != {"k", "c"}:

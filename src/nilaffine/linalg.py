@@ -1,24 +1,24 @@
 """Exact linear algebra over Q(sqrt(d)).
 
-A :class:`Matrix` stores each row once, as a ``{column: Scalar}`` dict that
-holds no zero. Every elimination runs on one sparse kernel, :func:`_rref`,
+A :class:`Matrix` stores each row once, as a ``{column: coefficient}`` dict
+that holds no zero, each coefficient in the stored form of the context (see
+:func:`nilaffine.scalars.stored`): ``int`` or ``Fraction`` at d = 1, else
+``Scalar``. Every elimination runs on one sparse kernel, :func:`_rref`,
 over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
 the Leibniz system of ``liealg.derivation_space``, and, through its row
 step :func:`_install`, the linear forcing of ``obstruction.LinearSystem``.
-Products and sums combine rows with :func:`_axpy`; only the accessors and
-the JSON writer give dense views. The kernels are generic over the exact
-coefficient type: they test for zero by truthiness and divide only through
-:func:`_divided`, so they run on ``Scalar`` rows and equally on rational
-rows of ``int`` and ``Fraction`` entries (see :mod:`nilaffine.scalars`),
-as ``derivation_space`` at d = 1 and forcing do. The kernel returns the
-reduced row echelon form, which is unique, so equal inputs always produce
-identical output. Vectors stay dense tuples of :class:`Scalar`. On top of
-the basics this module provides the simultaneous strict triangularization
-test (:func:`engel_flag`): a family of matrices spans a nilpotent
-associative action exactly when iterated joint kernels exhaust the space,
-and the algorithm either produces an ordered basis witnessing strict
-lower-triangularity or the proper invariant subspace where the joint
-kernel stopped growing.
+Products and sums combine rows with :func:`_axpy`. The kernels are generic
+over the coefficient type: they test for zero by truthiness and divide
+only through :func:`_divided`. The kernel returns the reduced row echelon
+form, which is unique, so equal inputs always produce identical output.
+The dense views (``get``, ``row``, ``column``, ``entries``, ``apply`` and
+the report vectors) are tuples of :class:`Scalar`; the JSON writer reads
+the rows. On top of the basics this module provides the simultaneous
+strict triangularization test (:func:`engel_flag`): a family of matrices
+spans a nilpotent associative action exactly when iterated joint kernels
+exhaust the space, and the algorithm either produces an ordered basis
+witnessing strict lower-triangularity or the proper invariant subspace
+where the joint kernel stopped growing.
 """
 
 from __future__ import annotations
@@ -28,32 +28,32 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import FieldMismatchError, ParseError, ShapeError
-from .scalars import (Rational, RationalLike, Scalar, check_context, quotient,
-                      scalar_from_json, scalar_to_json)
+from .scalars import (Coefficient, RationalLike, Scalar, as_scalar,
+                      check_context, exact, quotient, scalar_from_json,
+                      scalar_to_json, stored, unit)
 
-Vector = tuple[Scalar, ...]
+Vector = tuple[Coefficient, ...]   # of Scalar in the public views
 EntryLike = Union[Scalar, RationalLike]
-SparseRow = dict[int, Scalar]
-Coefficient = Union[Scalar, Rational]   # one type per row set, never mixed
+SparseRow = dict[int, Coefficient]
 
 
 def as_vector(entries: Iterable[EntryLike], d: int) -> Vector:
-    return tuple(e if isinstance(e, Scalar) and e.d == d else Scalar.of(e, d)
-                 for e in entries)
+    """The entries in the stored form of context d."""
+    return tuple(stored(e, d) for e in entries)
 
 
-# A sparse vector is a dict {index: Scalar} that holds no zero value. Matrix
-# rows are stored in this form, and the identity checks (Jacobi, Leibniz,
-# homomorphism, LR) run on it and build a dense residual only for a
-# violation.
+# A sparse vector is a dict {index: coefficient} that holds no zero value.
+# Matrix rows are stored in this form, and the identity checks (Jacobi,
+# Leibniz, homomorphism, LR) run on it and build a dense residual only for
+# a violation.
 
-def _sparse(v: Vector) -> SparseRow:
-    return {k: c for k, c in enumerate(v) if c}
+def _sparse(v: Iterable[EntryLike], d: int) -> SparseRow:
+    return {k: c for k, e in enumerate(v) if (c := stored(e, d))}
 
 
 def _dense(v: SparseRow, n: int, d: int) -> Vector:
     zero = Scalar.zero(d)
-    return tuple(v.get(k, zero) for k in range(n))
+    return tuple(as_scalar(v[k]) if k in v else zero for k in range(n))
 
 
 def _axpy(acc: SparseRow, a: Coefficient, v: SparseRow) -> None:
@@ -142,7 +142,7 @@ def _nullspace(rows: Iterable[SparseRow], cols: int,
     One vector per free column j of the RREF R: v_j = 1 and v_p = -R[p, j]
     at each pivot p, scaled so its first nonzero coordinate is 1. With no
     rows this is the standard basis. ``one`` is the 1 of the rows'
-    coefficient type: ``Scalar.one(d)``, or the int 1 for rational rows.
+    coefficient type, :func:`~nilaffine.scalars.unit`.
     """
     pivots, reduced = _rref(rows)
     free = set(range(cols)).difference(pivots)
@@ -167,10 +167,11 @@ class RrefResult(NamedTuple):
 class Matrix:
     """Immutable matrix over Q(sqrt(d)), stored as sparse rows.
 
-    ``_rows`` holds one ``{column: Scalar}`` dict per row with the nonzero
-    entries only. The dicts are built once and never changed, so results
-    of arithmetic may share them with their operands. ``get``, ``row``,
-    ``column``, ``row_list``, ``entries`` and ``str`` are dense views.
+    ``_rows`` holds one ``{column: coefficient}`` dict per row with the
+    nonzero entries only, in stored form. The dicts are built once and
+    never changed, so results of arithmetic may share them with their
+    operands. ``get``, ``row``, ``column``, ``row_list``, ``entries`` and
+    ``str`` are dense views of Scalars.
     """
 
     __slots__ = ("rows", "cols", "d", "_rows")
@@ -184,9 +185,7 @@ class Matrix:
         if any(not isinstance(e, Scalar) for e in entries):
             bad = next(e for e in entries if not isinstance(e, Scalar))
             raise TypeError(f"matrix entries must be Scalar, got {type(bad).__name__}")
-        if any(e.d != d for e in entries):
-            entries = tuple(Scalar.of(e, d) for e in entries)
-        self._set(tuple(_sparse(entries[r * cols:(r + 1) * cols])
+        self._set(tuple(_sparse(entries[r * cols:(r + 1) * cols], d)
                         for r in range(rows)), cols, d)
 
     def __setattr__(self, name, value):
@@ -208,14 +207,10 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[EntryLike]], d: int = 1) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: list[Scalar] = []
-        for row in rows:
-            if len(row) != c:
-                raise ShapeError("ragged rows")
-            flat.extend(as_vector(row, d))
-        return cls(r, c, flat, d)
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ShapeError("ragged rows")
+        return cls._of([_sparse(row, d) for row in rows], c, d)
 
     @classmethod
     def zero(cls, rows: int, cols: int | None = None, d: int = 1) -> "Matrix":
@@ -228,7 +223,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, d: int = 1) -> "Matrix":
-        one = Scalar.one(d)
+        one = unit(check_context(d))
         if n < 0:
             raise ShapeError("matrix dimensions must be non-negative")
         return cls._of(({r: one} for r in range(n)), n, d)
@@ -238,12 +233,10 @@ class Matrix:
         if not columns:
             return cls.zero(0, 0, d)
         n = len(columns[0])
-        for col in columns:
-            if len(col) != n:
-                raise ShapeError("ragged columns")
-        return cls(n, len(columns),
-                   tuple(columns[c][r] for r in range(n) for c in range(len(columns))),
-                   d)
+        if any(len(col) != n for col in columns):
+            raise ShapeError("ragged columns")
+        return cls._of([_sparse([col[r] for col in columns], d) for r in range(n)],
+                       len(columns), d)
 
     @classmethod
     def stack(cls, mats: Sequence["Matrix"]) -> "Matrix":
@@ -259,7 +252,7 @@ class Matrix:
         """The same entries read in the field Q(sqrt(d))."""
         if d == self.d:
             return self
-        return Matrix._of(({c: Scalar.of(x, d) for c, x in row.items()}
+        return Matrix._of(({c: stored(x, d) for c, x in row.items()}
                            for row in self._rows), self.cols, d)
 
     # -------------------------------------------------- dense views
@@ -274,7 +267,7 @@ class Matrix:
         if not 0 <= c < self.cols:
             raise IndexError(f"column {c} out of range for {self.cols} columns")
         zero = Scalar.zero(self.d)
-        return tuple(row.get(c, zero) for row in self._rows)
+        return tuple(as_scalar(row[c]) if c in row else zero for row in self._rows)
 
     def row_list(self) -> tuple[Vector, ...]:
         return tuple(self.row(r) for r in range(self.rows))
@@ -299,7 +292,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        one = Scalar.one(self.d)
+        one = unit(self.d)
         return _combination(((one, self), (one, other)), self.rows, self.cols, self.d)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -311,15 +304,15 @@ class Matrix:
         return self * -1
 
     def __mul__(self, other) -> "Matrix":
-        if isinstance(other, (Scalar, int)) and not isinstance(other, bool):
-            c = Scalar.of(other, self.d) if not isinstance(other, Scalar) else other
-            if c.d != self.d:
-                raise FieldMismatchError(
-                    f"mixed field contexts: d={self.d} and d={c.d}")
-            # a product of nonzero field elements is nonzero
-            return Matrix._of(({k: c * x for k, x in row.items()} if c else {}
-                               for row in self._rows), self.cols, self.d)
-        return NotImplemented
+        if isinstance(other, bool) or not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        if isinstance(other, Scalar) and other.d != self.d:
+            raise FieldMismatchError(
+                f"mixed field contexts: d={self.d} and d={other.d}")
+        c = stored(other, self.d)
+        # a product of nonzero field elements is nonzero
+        return Matrix._of(({k: exact(c * x) for k, x in row.items()} if c else {}
+                           for row in self._rows), self.cols, self.d)
 
     __rmul__ = __mul__
 
@@ -347,9 +340,10 @@ class Matrix:
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} for a "
                              f"{self.rows}x{self.cols} matrix")
-        zero = Scalar.zero(self.d)
-        return tuple(sum((x * v[c] for c, x in row.items() if v[c]), zero)
-                     for row in self._rows)
+        v = as_vector(v, self.d)
+        out = {r: s for r, row in enumerate(self._rows)
+               if (s := sum(x * v[c] for c, x in row.items() if v[c]))}
+        return _dense(out, self.rows, self.d)
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
@@ -396,13 +390,13 @@ class Matrix:
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel {v : M v = 0}; see :func:`_nullspace`."""
         return tuple(_dense(v, self.cols, self.d) for v in
-                     _nullspace(self._rows, self.cols, Scalar.one(self.d)))
+                     _nullspace(self._rows, self.cols, unit(self.d)))
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [M | I]."""
         if not self.is_square():
             raise ShapeError("only square matrices can be inverted")
-        n, one = self.rows, Scalar.one(self.d)
+        n, one = self.rows, unit(self.d)
         pivots, rows = _rref({**row, n + r: one}
                              for r, row in enumerate(self._rows))
         if pivots != tuple(range(n)):
@@ -413,8 +407,8 @@ class Matrix:
     # -------------------------------------------------- misc
 
     def __eq__(self, other):
-        # no stored zeros, so equal entries mean equal row dicts; rational
-        # Scalars compare equal across contexts
+        # no stored zeros, so equal entries mean equal row dicts; a rational
+        # equals the rational Scalar of any context, and hashes alike
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols, self._rows) == \
@@ -439,12 +433,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, d={self.d})"
 
 
-def _combination(terms: Iterable[tuple[Scalar, Matrix]], rows: int, cols: int,
-                 d: int) -> Matrix:
-    """The sum of c * M over the (c, M) terms, all rows x cols."""
+def _combination(terms: Iterable[tuple[EntryLike, Matrix]], rows: int,
+                 cols: int, d: int) -> Matrix:
+    """The sum of c * M over the (c, M) terms, all rows x cols in context d."""
     acc: list[SparseRow] = [{} for _ in range(rows)]
     for c, m in terms:
-        if c:
+        if c := stored(c, d):
             for a, row in zip(acc, m._rows):
                 _axpy(a, c, row)
     return Matrix._of(acc, cols, d)
@@ -462,11 +456,13 @@ def vector_from_json(data: object, length: int, d: int, where: str) -> Vector:
         raise ParseError(f"{where}: expected a list of {length} scalars")
     if len(data) != length:
         raise ParseError(f"{where}: expected {length} entries, got {len(data)}")
-    return tuple(scalar_from_json(x, d, f"{where}[{k}]") for k, x in enumerate(data))
+    return tuple(x if type(x) is int and d == 1 else   # stored as it is
+                 scalar_from_json(x, d, f"{where}[{k}]") for k, x in enumerate(data))
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [vector_to_json(m.row(r)) for r in range(m.rows)]
+    return [[scalar_to_json(row[c]) if c in row else 0 for c in range(m.cols)]
+            for row in m._rows]
 
 
 def matrix_from_json(data: object, rows: int, cols: int, d: int, where: str) -> Matrix:
@@ -474,8 +470,9 @@ def matrix_from_json(data: object, rows: int, cols: int, d: int, where: str) -> 
         raise ParseError(f"{where}: expected a list of {rows} rows")
     if len(data) != rows:
         raise ParseError(f"{where}: expected {rows} rows, got {len(data)}")
-    return Matrix._of((_sparse(vector_from_json(row, cols, d, f"{where}[{r}]"))
-                       for r, row in enumerate(data)), cols, d)
+    return Matrix._of([{c: x for c, x in enumerate(
+        vector_from_json(row, cols, d, f"{where}[{r}]")) if x}
+        for r, row in enumerate(data)], cols, d)
 
 
 # ------------------------------------------------------------------ subspaces
@@ -483,13 +480,14 @@ def matrix_from_json(data: object, rows: int, cols: int, d: int, where: str) -> 
 
 def row_space_basis(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the span of the given coordinate vectors."""
-    return tuple(_dense(r, length, d) for r in _rref(map(_sparse, vectors))[1])
+    return tuple(_dense(r, length, d)
+                 for r in _rref(_sparse(v, d) for v in vectors)[1])
 
 
 def annihilator(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector, ...]:
     """Basis of {c : c . v = 0 for every v in the span}."""
     return tuple(_dense(v, length, d) for v in
-                 _nullspace(map(_sparse, vectors), length, Scalar.one(d)))
+                 _nullspace((_sparse(v, d) for v in vectors), length, unit(d)))
 
 
 # ------------------------------------------------------------------ flags
@@ -573,7 +571,7 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
     # each U_k is kept as the sparse RREF basis of its span
     chain: list[list[SparseRow]] = []
     current: list[SparseRow] = []
-    one = Scalar.one(d)
+    one = unit(d)
     while len(current) < size:
         # v is in U_{k+1} exactly when c . (M v) = 0 for every c in the
         # annihilator of U_k and every M: the rows of C M for every M. With

@@ -36,7 +36,7 @@ from .errors import (IncompleteStructureError, ParseError, PreconditionError,
 from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, _sparse, as_vector, engel_flag)
-from .scalars import Scalar
+from .scalars import exact, stored, unit
 
 
 class LRViolation(NamedTuple):
@@ -90,7 +90,7 @@ class LRStructure:
                 if len(v) != n:
                     raise ShapeError(f"product ({i + 1}, {j + 1}) has length "
                                      f"{len(v)}, expected {n}")
-                for k, c in _sparse(v).items():
+                for k, c in _sparse(v, algebra.d).items():
                     lefts[i][k][j] = c
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "lefts",
@@ -112,7 +112,7 @@ class LRStructure:
                    table: Mapping[tuple[int, int], Iterable[tuple[int, object]]]
                    ) -> "LRStructure":
         """Build from a sparse 1-based table (i, j) -> [(k, c), ...]."""
-        n, zero = algebra.dim, Scalar.zero(algebra.d)
+        n, d = algebra.dim, algebra.d
         lefts = [[{} for _ in range(n)] for _ in range(n)]  # [i][k]: row k of L(X_i)
         for (i, j), terms in table.items():
             if not (1 <= i <= n and 1 <= j <= n):
@@ -121,7 +121,7 @@ class LRStructure:
                 if not 1 <= k <= n:
                     raise ShapeError(f"product target {k} out of range 1..{n}")
                 row = lefts[i - 1][k - 1]
-                if s := row.pop(j - 1, zero) + c:
+                if s := exact(row.pop(j - 1, 0) + stored(c, d)):
                     row[j - 1] = s
         return cls._of(algebra, (Matrix._of(r, n, algebra.d) for r in lefts))
 
@@ -168,9 +168,9 @@ class LRStructure:
 # ------------------------------------------------------------------ checks
 
 
-def _left_commutator(p: list, i: int, j: int, k: int) -> dict[int, Scalar]:
+def _left_commutator(p: list, i: int, j: int, k: int) -> dict:
     """Sparse X_i.(X_j.X_k) - X_j.(X_i.X_k), column k of [L(X_i), L(X_j)]."""
-    acc: dict[int, Scalar] = {}
+    acc: dict = {}
     for m, c in p[j][k].items():
         _axpy(acc, c, p[i][m])
     for m, c in p[i][k].items():
@@ -187,7 +187,7 @@ def check_lr(s: LRStructure) -> LRReport:
             f"triple {jac.violations[0].triple}")
     n, d = s.algebra.dim, s.d
     p = [m._sparse_cols() for m in s.lefts]
-    one = Scalar.one(d)
+    one = unit(d)
     violations = []
     for i in range(n):
         for j in range(n):
@@ -197,7 +197,7 @@ def check_lr(s: LRStructure) -> LRReport:
                     violations.append(LRViolation(1, (i + 1, j + 1, k + 1),
                                                   _dense(r1, n, d)))
                 # (X_i.X_j).X_k - (X_i.X_k).X_j
-                r2: dict[int, Scalar] = {}
+                r2: dict = {}
                 for m, c in p[i][j].items():
                     _axpy(r2, c, p[m][k])
                 for m, c in p[i][k].items():

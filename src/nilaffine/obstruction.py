@@ -25,12 +25,10 @@ simple-transitivity verdict yields Found with the witness attached. If
 neither happens the honest answer is Undetermined together with the
 residual system; no general polynomial solving is attempted.
 
-Coefficients. The structure constants, the derivation basis and the
-products C_kl enter the equations as ``int`` where integral and
-``Fraction`` otherwise (:func:`nilaffine.scalars.exact`), and the kernel
-divides only through :func:`nilaffine.scalars.quotient`, so the
-equations, the eliminated map and the residuals hold ``int`` and
-``Fraction`` coefficients (see :mod:`nilaffine.scalars`). What leaves the
+Coefficients. At d = 1 the structure constants and the derivation basis
+are stored as ``int`` and ``Fraction`` (see :mod:`nilaffine.scalars`) and
+enter the equations as they are, so the equations, the eliminated map and
+the residuals hold ``int`` and ``Fraction`` coefficients. What leaves the
 solver as a number is a ``Fraction``: the forced values, the certificate
 constant, the witness assignment and coefficients, and
 ``Poly.constant_value`` and ``Poly.evaluate``.
@@ -294,7 +292,8 @@ def parametric_derivation(L: LieAlgebra, index: int,
         u = Poly.var(index * r + k)
         for a, row in enumerate(E._rows):
             for b, e in row.items():
-                grid[a][b] = grid[a][b] + u * e.rat
+                # d != 1 stores Scalars, of which Poly takes the rational part
+                grid[a][b] = grid[a][b] + u * (e.rat if type(e) is Scalar else e)
     return ParametricMatrix(grid)
 
 
@@ -497,8 +496,7 @@ class ObstructionOutcome:
             return None
         L, basis = self.algebra, self.space.basis
         n, r = L.dim, len(basis)
-        D = [_combination(((Scalar.of(u[i * r + k], 1), E)
-                           for k, E in enumerate(basis)), n, n, 1)
+        D = [_combination(((u[i * r + k], E) for k, E in enumerate(basis)), n, n, 1)
              for i in range(n)]
         return AffineRep(abelian(n), L, [L.basis_vector(i) for i in range(n)],
                          D, label=f"abelian witness on {L.name}")
@@ -567,13 +565,6 @@ class ObstructionOutcome:
 # ------------------------------------------------------------------ pipeline
 
 
-def _rational_rows(space: DerivationSpace) -> list[list[dict[int, Rational]]]:
-    """The sparse rows of each derivation basis matrix, entries made exact;
-    the context is d = 1, so each entry is its rational part."""
-    return [[{b: exact(e.rat) for b, e in row.items()} for row in E._rows]
-            for E in space.basis]
-
-
 def _translation_equations(L: LieAlgebra, space: DerivationSpace
                            ) -> list[tuple[tuple, Poly]]:
     """Coordinate a of the translation condition for i < j, tagged
@@ -584,8 +575,8 @@ def _translation_equations(L: LieAlgebra, space: DerivationSpace
     # linear[a][b] = [(k, E_k[a][b]), ...] over the nonzero entries only
     linear: list[list[list[tuple[int, Rational]]]] = \
         [[[] for _ in range(n)] for _ in range(n)]
-    for k, rows in enumerate(_rational_rows(space)):
-        for a, row in enumerate(rows):
+    for k, E in enumerate(space.basis):
+        for a, row in enumerate(E._rows):
             for b, e in row.items():
                 linear[a][b].append((k, e))
     equations: list[tuple[tuple, Poly]] = []
@@ -595,7 +586,7 @@ def _translation_equations(L: LieAlgebra, space: DerivationSpace
             for a in range(n):
                 terms: dict[Monomial, Rational] = {}
                 if a in bracket:
-                    terms[()] = exact(bracket[a].rat)
+                    terms[()] = bracket[a]
                 for k, e in linear[a][j]:
                     terms[((i * r + k, 1),)] = e
                 for k, e in linear[a][i]:
@@ -617,7 +608,7 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
     rows, is ``Poly.substitute`` of it, and a u_ik forced to 0 drops its
     products. With no rows these are the defining equations."""
     n, r = L.dim, space.dimension
-    basis = _rational_rows(space)
+    basis = [E._rows for E in space.basis]
 
     def product(x, y) -> dict[tuple[int, int], Rational]:
         out: dict[tuple[int, int], Rational] = {}

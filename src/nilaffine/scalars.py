@@ -10,14 +10,15 @@ raises :class:`~nilaffine.errors.FieldMismatchError`.
 
 Floats are rejected everywhere; all arithmetic is exact. ``Scalar`` is the
 type of the public API, and ``Scalar.rat`` and ``Scalar.irr`` are always
-``Fraction``. Inside the rational kernels (elimination at d = 1, the
-obstruction equations and their forcing) a rational is an ``int`` or a
-``Fraction``, because int arithmetic is many times faster. Inputs enter
-through :func:`exact`, which makes every integral value an int, and every
-division goes through :func:`quotient`, which gives an int when it leaves no
-remainder; so a ``Fraction`` appears only for a value that is not integral
-or that was computed from one. ``quotient`` and :meth:`Scalar.inverse` are
-the only places that divide.
+``Fraction``. The package stores and computes on coefficients in the
+stored form of their context (:func:`stored`): a ``Scalar`` when d != 1,
+and at d = 1 an ``int`` or a ``Fraction``, because int arithmetic is many
+times faster; :func:`as_scalar` makes the ``Scalar`` an accessor returns.
+Rationals enter through :func:`exact`, which makes every integral value an
+int, and every division goes through :func:`quotient`, which gives an int
+when it leaves no remainder; so a ``Fraction`` appears only for a value
+that is not integral or that was computed from one. ``quotient`` and
+:meth:`Scalar.inverse` are the only places that divide.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Union
 from .errors import FieldMismatchError, ParseError, quoted
 
 RationalLike = Union[int, str, Fraction]
-Rational = Union[int, Fraction]   # a rational in the kernels, see exact()
+Rational = Union[int, Fraction]   # a stored rational, see exact()
+Coefficient = Union["Scalar", Rational]   # one type per context, see stored()
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -166,9 +168,7 @@ class Scalar:
                 raise FieldMismatchError(
                     f"mixed field contexts: d={self.d} and d={other.d}")
             return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return _scalar(as_fraction(other), _ZERO, self.d)
         return None
 
@@ -319,30 +319,47 @@ def _scalar(rat: Fraction, irr: Fraction, d: int) -> Scalar:
     return s
 
 
-def _rational_scalar(q: Rational) -> Scalar:
-    """The d = 1 Scalar of an exact rational, the exit of a rational kernel."""
-    return _scalar(q if type(q) is Fraction else Fraction(q), _ZERO, 1)
+def stored(x: "Scalar | RationalLike", d: int) -> Coefficient:
+    """x in context d: its exact rational at d = 1, else its Scalar."""
+    if d != 1:
+        return x if type(x) is Scalar and x.d == d else Scalar.of(x, d)
+    if type(x) is int:
+        return x
+    return exact(Scalar.of(x, 1).rat if isinstance(x, Scalar) else as_fraction(x))
+
+
+def unit(d: int) -> Coefficient:
+    """The 1 of context d, in stored form."""
+    return 1 if d == 1 else Scalar.one(d)
+
+
+def as_scalar(x: Coefficient) -> Scalar:
+    """The public Scalar of a stored coefficient."""
+    return x if type(x) is Scalar else _scalar(Fraction(x), _ZERO, 1)
 
 
 def _encode_fraction(f: Fraction):
     return int(f) if f.denominator == 1 else str(f)
 
 
-def scalar_to_json(s: Scalar):
+def scalar_to_json(s: Coefficient):
     """Canonical serialized form: int, "p/q" string, or a two-element list."""
+    if not isinstance(s, Scalar):
+        return _encode_fraction(s)
     if not s.irr:
         return _encode_fraction(s.rat)
     return [_encode_fraction(s.rat), _encode_fraction(s.irr)]
 
 
-def scalar_from_json(obj, d: int, where: str = "scalar") -> Scalar:
-    """Parse the serialized scalar form in field context d.
+def scalar_from_json(obj, d: int, where: str = "scalar") -> Coefficient:
+    """Parse the serialized scalar form straight into the stored form of
+    context d (see :func:`stored`), reading each part once.
 
     Accepts ints, "p/q" strings and two-element [rat, irr] arrays. A
     nonzero irrational component under d = 1 is rejected, matching the
     invariant that d = 1 means plain rationals.
     """
-    def part(value, label):
+    def part(value, label) -> Fraction:
         if isinstance(value, bool) or isinstance(value, float):
             raise ParseError(f"{where}: {label} must be an int or a 'p/q' string, "
                              f"got {value!r}")
@@ -356,10 +373,10 @@ def scalar_from_json(obj, d: int, where: str = "scalar") -> Scalar:
         if len(obj) != 2:
             raise ParseError(f"{where}: scalar arrays must have exactly two "
                              f"entries [rat, irr], got {len(obj)}")
-        rat = part(obj[0], "rational part")
-        irr = part(obj[1], "irrational part")
+        rat, irr = part(obj[0], "rational part"), part(obj[1], "irrational part")
         if d == 1 and irr:
             raise ParseError(f"{where}: nonzero sqrt-component not allowed "
                              f"in a d=1 (rational) context")
-        return _scalar(rat, irr, d)
-    return _scalar(part(obj, "value"), _ZERO, d)
+    else:
+        rat, irr = part(obj, "value"), _ZERO
+    return exact(rat) if d == 1 else _scalar(rat, irr, d)

@@ -106,3 +106,186 @@ class C:
         ("float", "f", 4), ("float", "f", 4), ("float", "f", 4),
         ("negative power", "f", 4)]
     assert uses("x = a // b + a * b - a ** 2\n") == []
+
+
+# ------------------------------------------------------------------ stored form
+#
+# At d = 1 the package stores exact rationals, an int when integral and a
+# Fraction otherwise; in any other context it stores Scalars of that
+# context. The public accessors make Scalars on reading.
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nilaffine import scalars
+from nilaffine.affine import check_homomorphism, rep_from_dict, rep_to_dict
+from nilaffine.corpus import bundled_rep_names, bundled_reps
+from nilaffine.liealg import (algebra_from_dict, algebra_to_dict, catalog,
+                              derivation_space)
+from nilaffine.linalg import Matrix, _combination, _nullspace
+from nilaffine.lr import check_lr, lr_from_dict, lr_to_dict, rep_to_lr
+from nilaffine.scalars import Scalar, unit
+
+REPS = bundled_reps()
+ALGEBRAS = catalog()
+LR = {slug: rep_to_lr(rep) for slug, rep in REPS.items()
+      if rep.source.is_abelian() and rep.source.dim == rep.target.dim}
+
+
+def assert_stored(values, d):
+    """Every value in the stored form of context d."""
+    for x in values:
+        if d == 1:
+            assert type(x) is int or type(x) is Fraction and x.denominator != 1, x
+        else:
+            assert type(x) is Scalar and x.d == d, x
+
+
+def matrix_values(*ms):
+    return [x for m in ms for row in m._rows for x in row.values()]
+
+
+def algebra_values(L):
+    return [c for terms in L._signed.values() for c in terms.values()]
+
+
+def rep_values(rep):
+    return matrix_values(*rep.D) + [x for v in rep.t for x in v if x]
+
+
+def rand_matrix(rng, n, d, scale=(1, 2, 3)):
+    return Matrix.from_rows(
+        [[Fraction(rng.randint(-4, 4), rng.choice(scale)) for _ in range(n)]
+         for _ in range(n)], d)
+
+
+class TestStoredTypes:
+    """Matrix rows, bracket tables, LR products and parsed documents hold
+    int/Fraction at d = 1 and Scalar elsewhere."""
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_catalog_and_its_d3_copy(self, name):
+        L = ALGEBRAS[name]
+        if L.is_abelian():
+            assert L._signed == {} and L.with_field(3)._signed == {}
+            return
+        assert_stored(algebra_values(L), 1)
+        assert_stored(algebra_values(L.with_field(3)), 3)
+        assert_stored(algebra_values(algebra_from_dict(algebra_to_dict(L))), 1)
+        assert_stored(matrix_values(*derivation_space(L).basis), 1)
+        assert_stored(matrix_values(*derivation_space(L.with_field(3)).basis), 3)
+
+    @pytest.mark.parametrize("slug", bundled_rep_names())
+    def test_bundled_reps_and_their_documents(self, slug):
+        rep = REPS[slug]
+        for parsed in (rep, rep_from_dict(rep_to_dict(rep))):
+            assert_stored(rep_values(parsed), rep.d)
+            for L in (parsed.source, parsed.target):
+                if not L.is_abelian():
+                    assert_stored(algebra_values(L), rep.d)
+
+    @pytest.mark.parametrize("slug", sorted(LR))
+    def test_lr_products_and_their_documents(self, slug):
+        s = LR[slug]
+        for parsed in (s, lr_from_dict(lr_to_dict(s))):
+            assert_stored(matrix_values(*parsed.lefts), s.d)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_results_of_matrix_arithmetic(self, d):
+        rng = random.Random(17 + d)
+        for n in (2, 3, 4):
+            a, b = rand_matrix(rng, n, d), rand_matrix(rng, n, d)
+            rref = a.rref().matrix
+            results = [a @ b, a + b, -a, a * Fraction(2, 3), a * 2, rref,
+                       _combination(((Fraction(1, 2), a), (2, b)), n, n, d),
+                       Matrix._of(_nullspace((a @ Matrix.zero(n, n, d))._rows,
+                                             n, unit(d)), n, d)]
+            if rref == Matrix.identity(n, d):
+                results.append(a.inverse())
+            assert_stored(matrix_values(*results), d)
+            assert all(type(x) is Scalar and x.d == d
+                       for v in a.nullspace() + (a.row(0), a.column(0))
+                       for x in v)
+
+    def test_with_field_round_trips(self):
+        rng = random.Random(5)
+        for n in (1, 3, 5):
+            m = rand_matrix(rng, n, 1)
+            up = m.with_field(3)
+            assert_stored(matrix_values(up), 3)
+            assert_stored(matrix_values(up.with_field(1)), 1)
+            assert up.with_field(1) == m and up == m
+
+
+class TestContextCopiesAreEqual:
+    def test_matrix_equals_its_d3_copy(self):
+        for rep in REPS.values():
+            for m in rep.D if rep.d == 1 else ():
+                copy = m.with_field(3)
+                assert copy == m and hash(copy) == hash(m)
+
+    def test_algebra_table_equals_that_of_its_d3_copy(self):
+        # the field is part of an algebra's identity, so the algebras differ
+        # while their structure constants are equal and hash alike
+        for L in ALGEBRAS.values():
+            copy = L.with_field(3)
+            assert copy.table == L.table
+            assert hash(frozenset(copy.table.items())) == \
+                hash(frozenset(L.table.items()))
+            assert copy != L and copy.with_field(1) == L
+            assert hash(copy.with_field(1)) == hash(L)
+
+
+# ------------------------------------------------------------------ Scalar count
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The Scalars built while a test runs: every Scalar.__init__ and every
+    call of scalars._scalar, which the package's arithmetic and constructors
+    go through."""
+    made = []
+    init, make = Scalar.__init__, scalars._scalar
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_make(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(scalars, "_scalar", counting_make)
+    return made
+
+
+RATIONAL_REPS = {slug: rep for slug, rep in REPS.items() if rep.d == 1}
+DOCS = {slug: rep_to_dict(rep) for slug, rep in RATIONAL_REPS.items()}
+
+
+class TestNoScalarInRationalKernels:
+    def test_the_count_sees_constructors_and_arithmetic(self, built):
+        Scalar(1)
+        Scalar.one(3) + Scalar.one(3)
+        Matrix.identity(2).row(0)   # a zero and a one
+        assert len(built) == 6
+
+    @pytest.mark.parametrize("slug", sorted(RATIONAL_REPS))
+    def test_reading_and_checking_a_rep(self, slug, built):
+        rep = rep_from_dict(DOCS[slug])
+        report = check_homomorphism(rep)
+        rep.t_matrix().rank()
+        assert report.ok and built == []
+
+    @pytest.mark.parametrize("slug", sorted(LR))
+    def test_checking_an_lr_product(self, slug, built):
+        assert check_lr(LR[slug]).ok and built == []
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_derivation_space(self, name, built):
+        rows = [row for m in derivation_space(ALGEBRAS[name]).basis
+                for row in m._rows]
+        assert rows and built == []

@@ -255,6 +255,16 @@ class TestMatrixOps:
         with pytest.raises(TypeError):
             Matrix.identity(2) * True
 
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_times_a_fraction(self, d):
+        m = Matrix.from_rows([[1, "2/3"], [0, -4]], d)
+        half = Matrix.from_rows([["1/2", "1/3"], [0, -2]], d)
+        assert m * Fraction(1, 2) == Fraction(1, 2) * m == half
+        assert m * Fraction(3) == m * 3 == m * Scalar.of(3, d)
+        assert m * Fraction(0) == Matrix.zero(2, 2, d)
+        with pytest.raises(TypeError):
+            False * m
+
     def test_stack(self):
         a = Matrix.from_rows([[1, 2]])
         b = Matrix.from_rows([[3, 4]])

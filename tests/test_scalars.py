@@ -224,8 +224,11 @@ class TestSerialization:
         assert len(parsed) == calls
         parts = obj if isinstance(obj, list) else [obj, 0]
         assert x == Scalar(as_fraction(parts[0]), as_fraction(parts[1]), d)
-        assert type(x.rat) is Fraction and type(x.irr) is Fraction
-        assert x.d == d
+        if d == 1:   # the stored form: an int when integral, else a Fraction
+            assert type(x) is (int if x == int(x) else Fraction)
+        else:
+            assert type(x.rat) is Fraction and type(x.irr) is Fraction
+            assert x.d == d
 
 
 def square_free_by_squares(d):
