@@ -7,12 +7,31 @@ on a ``/`` or ``/=``, a negative literal exponent, a float or complex
 literal, or any use of the name ``float``, outside the functions listed in
 ALLOWED. Exact division goes through ``scalars.quotient`` (int or Fraction)
 and ``Scalar.inverse``.
+
+At run time, the values stored at d = 1 are exact rationals, an int when
+integral and a Fraction otherwise, and in any other context Scalars of
+that context (``TestStoredTypes``); the public accessors make Scalars on
+reading. Reading and checking a d = 1 rep, checking an LR product and
+solving for the derivations build no Scalar at all
+(``TestNoScalarInRationalKernels``).
 """
 
 import ast
+import random
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import nilaffine
+from nilaffine import scalars
+from nilaffine.affine import check_homomorphism, rep_from_dict, rep_to_dict
+from nilaffine.corpus import bundled_rep_names, bundled_reps
+from nilaffine.liealg import (algebra_from_dict, algebra_to_dict, catalog,
+                              derivation_space)
+from nilaffine.linalg import Matrix, _combination, _nullspace
+from nilaffine.lr import check_lr, lr_from_dict, lr_to_dict, rep_to_lr
+from nilaffine.scalars import Scalar, unit
 
 PACKAGE = Path(nilaffine.__file__).resolve().parent
 
@@ -109,24 +128,7 @@ class C:
 
 
 # ------------------------------------------------------------------ stored form
-#
-# At d = 1 the package stores exact rationals, an int when integral and a
-# Fraction otherwise; in any other context it stores Scalars of that
-# context. The public accessors make Scalars on reading.
 
-import random
-from fractions import Fraction
-
-import pytest
-
-from nilaffine import scalars
-from nilaffine.affine import check_homomorphism, rep_from_dict, rep_to_dict
-from nilaffine.corpus import bundled_rep_names, bundled_reps
-from nilaffine.liealg import (algebra_from_dict, algebra_to_dict, catalog,
-                              derivation_space)
-from nilaffine.linalg import Matrix, _combination, _nullspace
-from nilaffine.lr import check_lr, lr_from_dict, lr_to_dict, rep_to_lr
-from nilaffine.scalars import Scalar, unit
 
 REPS = bundled_reps()
 ALGEBRAS = catalog()
@@ -173,14 +175,18 @@ class TestStoredTypes:
             return
         assert_stored(algebra_values(L), 1)
         assert_stored(algebra_values(L.with_field(3)), 3)
-        assert_stored(algebra_values(algebra_from_dict(algebra_to_dict(L))), 1)
+        for d in (1, 3):
+            doc = algebra_to_dict(L.with_field(d))
+            assert_stored(algebra_values(algebra_from_dict(doc)), d)
         assert_stored(matrix_values(*derivation_space(L).basis), 1)
         assert_stored(matrix_values(*derivation_space(L.with_field(3)).basis), 3)
 
     @pytest.mark.parametrize("slug", bundled_rep_names())
     def test_bundled_reps_and_their_documents(self, slug):
         rep = REPS[slug]
-        for parsed in (rep, rep_from_dict(rep_to_dict(rep))):
+        inline = {**rep_to_dict(rep), "source": algebra_to_dict(rep.source),
+                  "target": algebra_to_dict(rep.target)}
+        for parsed in (rep, rep_from_dict(rep_to_dict(rep)), rep_from_dict(inline)):
             assert_stored(rep_values(parsed), rep.d)
             for L in (parsed.source, parsed.target):
                 if not L.is_abelian():
@@ -200,8 +206,7 @@ class TestStoredTypes:
             rref = a.rref().matrix
             results = [a @ b, a + b, -a, a * Fraction(2, 3), a * 2, rref,
                        _combination(((Fraction(1, 2), a), (2, b)), n, n, d),
-                       Matrix._of(_nullspace((a @ Matrix.zero(n, n, d))._rows,
-                                             n, unit(d)), n, d)]
+                       Matrix._of(_nullspace(a._rows[:-1], n, unit(d)), n, d)]
             if rref == Matrix.identity(n, d):
                 results.append(a.inverse())
             assert_stored(matrix_values(*results), d)
