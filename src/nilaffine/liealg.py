@@ -163,7 +163,8 @@ class LieAlgebra:
     def _bracket_span(self, left: Sequence[Vector],
                       right: Sequence[Vector]) -> tuple[Vector, ...]:
         """Canonical (RREF) basis of the span of the brackets [a, b]."""
-        left, right = ([_sparse(v, self.d) for v in vs] for vs in (left, right))
+        left = [_sparse(a, self.d) for a in left]
+        right = [_sparse(b, self.d) for b in right]
         _, rows = _rref(self._bracket_into({}, a, b) for a in left for b in right)
         return tuple(_dense(r, self.dim, self.d) for r in rows)
 
