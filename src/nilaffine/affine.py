@@ -34,7 +34,7 @@ from .liealg import (LieAlgebra, _catalog_key, _expect_field,
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
-from .scalars import Scalar
+from .scalars import Scalar, unit
 
 
 class AffineRep:
@@ -229,20 +229,16 @@ def _search_non_nilpotent(rep: AffineRep) -> NonNilpotentWitness | None:
     this only makes the evidence tangible for reports, so coming up empty
     is acceptable.
     """
-    m = rep.source.dim
-    zero, one = Scalar.zero(rep.d), Scalar.one(rep.d)
+    m, n, d = rep.source.dim, rep.target.dim, rep.d
     for i, mat in enumerate(rep.D):
         if not mat.is_nilpotent():
-            coeffs = tuple(one if k == i else zero for k in range(m))
-            return NonNilpotentWitness(coeffs, mat)
+            return NonNilpotentWitness(_dense({i: unit(d)}, m, d), mat)
     rng = random.Random(0)
     for _ in range(_WITNESS_SAMPLES):
-        coeffs = tuple(Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                                 rep.d)
-                       for _ in range(m))
-        mat = rep.D_of(coeffs)
-        if not mat.is_nilpotent():
-            return NonNilpotentWitness(coeffs, mat)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        mat = _combination(zip(coeffs, rep.D), n, n, d)
+        if not mat.is_nilpotent():   # Scalars only for the report
+            return NonNilpotentWitness(tuple(Scalar.of(c, d) for c in coeffs), mat)
     return None
 
 
@@ -415,5 +411,10 @@ def trivial_rep(L: LieAlgebra) -> AffineRep:
     """X -> (X, 0): a homomorphism for any L, simply transitive for nilpotent L."""
     n = L.dim
     zero = Matrix.zero(n, n, L.d)
-    return AffineRep(L, L, [L.basis_vector(i) for i in range(n)],
-                     [zero] * n, label=f"trivial on {L.name}")
+    return AffineRep(L, L, _unit_translations(n), [zero] * n,
+                     label=f"trivial on {L.name}")
+
+
+def _unit_translations(n: int) -> list[tuple[int, ...]]:
+    """t_i = X_i for i < n, as ints, which AffineRep stores in its context."""
+    return [tuple(int(k == i) for k in range(n)) for i in range(n)]

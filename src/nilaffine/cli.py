@@ -113,8 +113,8 @@ def _cmd_check_lie(parser, args) -> int:
                            for v in jac.violations],
         },
         "abelian": L.is_abelian(),
-        "nilpotent": lcs[-1] == 0,
-        "two_step_solvable": len(ds) <= 3 and ds[-1] == 0,
+        "nilpotent": L.is_nilpotent(),
+        "two_step_solvable": L.is_two_step_solvable(),
         "lower_central_dims": lcs,
         "derived_dims": ds,
         "center_dim": len(L.center()),

@@ -8,17 +8,20 @@ conversion happens only at those boundaries.
 Everything here is exact. Jacobi checking, derivation spaces, central
 series and the bundled catalog all reduce to the rational linear algebra
 in :mod:`nilaffine.linalg`, so results are decisions, not approximations.
+They run on the stored constants and on sparse RREF rows; the dense
+Scalar vectors of ``bracket``, ``table``, the series and ``center`` are
+built only to be returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError, quoted
-from .linalg import (Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse,
-                     row_space_basis)
+from .linalg import Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse
 from .scalars import (Coefficient, Scalar, as_scalar, check_context, exact,
                       scalar_from_json, scalar_to_json, stored, unit)
 
@@ -106,8 +109,13 @@ class LieAlgebra:
     @property
     def table(self) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
         """(i, j) -> ((k, c), ...) for i < j, by k: [X_i, X_j] = sum c X_k."""
-        return {(i, j): tuple((k, as_scalar(c)) for k, c in terms.items())
-                for (i, j), terms in self._signed.items() if i < j}
+        return {pair: tuple((k, as_scalar(c)) for k, c in terms)
+                for pair, terms in self._upper().items()}
+
+    def _upper(self) -> dict[tuple[int, int], Iterable[tuple[int, Coefficient]]]:
+        """The stored constants of the pairs i < j: (i, j) -> (k, c) pairs."""
+        return {pair: terms.items() for pair, terms in self._signed.items()
+                if pair[0] < pair[1]}
 
     # -------------------------------------------------- bracket
 
@@ -160,56 +168,51 @@ class LieAlgebra:
                             (i + 1, j + 1, k + 1), _dense(res, n, self.d)))
         return JacobiReport(not violations, tuple(violations))
 
-    def _bracket_span(self, left: Sequence[Vector],
-                      right: Sequence[Vector]) -> tuple[Vector, ...]:
-        """Canonical (RREF) basis of the span of the brackets [a, b]."""
-        left = [_sparse(a, self.d) for a in left]
-        right = [_sparse(b, self.d) for b in right]
-        _, rows = _rref(self._bracket_into({}, a, b) for a in left for b in right)
+    def _series(self, derived: bool) -> list[list[dict]]:
+        """Sparse RREF bases of g = g_0, g_1, ... until stable or zero, with
+        g_(k+1) = [g_k, g_k] (derived) or [g, g_k] (lower central)."""
+        one = unit(self.d)
+        full = [{i: one} for i in range(self.dim)]
+        current, series = full, [full]
+        while current:
+            pairs = combinations(current, 2) if derived else product(full, current)
+            _, nxt = _rref(self._bracket_into({}, a, b) for a, b in pairs)
+            if len(nxt) == len(current):
+                break
+            series.append(nxt)
+            current = nxt
+        return series
+
+    def _dense_rows(self, rows: Iterable[dict]) -> tuple[Vector, ...]:
         return tuple(_dense(r, self.dim, self.d) for r in rows)
 
     def derived_series(self) -> tuple[tuple[Vector, ...], ...]:
         """Bases of g, [g, g], [[g, g], [g, g]], ... until stable or zero."""
-        current = tuple(self.basis_vector(i) for i in range(self.dim))
-        series = [current]
-        while current:
-            nxt = self._bracket_span(current, current)
-            if len(nxt) == len(current):
-                break
-            series.append(nxt)
-            current = nxt
-        return tuple(series)
+        return tuple(map(self._dense_rows, self._series(True)))
 
     def lower_central_series(self) -> tuple[tuple[Vector, ...], ...]:
         """Bases of g, [g, g], [g, [g, g]], ... until stable or zero."""
-        full = tuple(self.basis_vector(i) for i in range(self.dim))
-        current = full
-        series = [current]
-        while current:
-            nxt = self._bracket_span(full, current)
-            if len(nxt) == len(current):
-                break
-            series.append(nxt)
-            current = nxt
-        return tuple(series)
+        return tuple(map(self._dense_rows, self._series(False)))
 
     def is_abelian(self) -> bool:
         return not self._signed
 
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1] == ()
+        return not self._series(False)[-1]
 
     def is_two_step_solvable(self) -> bool:
         """Whether the second derived algebra [[g,g],[g,g]] vanishes."""
-        ds = self.derived_series()
-        return len(ds) <= 3 and ds[-1] == ()
+        ds = self._series(True)
+        return len(ds) <= 3 and not ds[-1]
 
     def center(self) -> tuple[Vector, ...]:
-        if self.dim == 0:
-            return ()
-        stacked = Matrix.stack([self.ad(self.basis_vector(i))
-                                for i in range(self.dim)])
-        return row_space_basis(stacked.nullspace(), self.d, self.dim)
+        """RREF basis of {x : sum_i x_i [X_i, X_j] = 0 for every j}."""
+        rows: dict[tuple[int, int], dict] = {}   # (j, k) -> {i: [X_i, X_j]_k}
+        for (i, j), terms in self._signed.items():
+            for k, c in terms.items():
+                rows.setdefault((j, k), {})[i] = c
+        _, basis = _rref(_nullspace(rows.values(), self.dim, unit(self.d)))
+        return self._dense_rows(basis)
 
     # -------------------------------------------------- derived objects
 
@@ -217,10 +220,10 @@ class LieAlgebra:
         """The same structure constants read in the field Q(sqrt(d))."""
         if d == self.d:
             return self
-        return LieAlgebra(self.name, self.dim, self.table, d)
+        return LieAlgebra(self.name, self.dim, self._upper(), d)
 
     def renamed(self, name: str) -> "LieAlgebra":
-        return LieAlgebra(name, self.dim, self.table, self.d)
+        return LieAlgebra(name, self.dim, self._upper(), self.d)
 
     def __eq__(self, other):
         """Structural equality: same dimension, field and table; names differ freely."""
@@ -238,18 +241,13 @@ class LieAlgebra:
 
     def describe(self) -> str:
         """Human readable bracket list in 1-based labels."""
-        if not self.table:
+        upper = self._upper()
+        if not upper:
             return f"{self.name}: abelian, dim {self.dim}"
         parts = []
-        for (i, j) in sorted(self.table):
-            terms = []
-            for k, c in self.table[(i, j)]:
-                if c == Scalar.one(self.d):
-                    terms.append(f"X{k + 1}")
-                elif c == -Scalar.one(self.d):
-                    terms.append(f"-X{k + 1}")
-                else:
-                    terms.append(f"({c})*X{k + 1}")
+        for (i, j) in sorted(upper):
+            terms = [f"X{k + 1}" if c == 1 else f"-X{k + 1}" if c == -1
+                     else f"({c})*X{k + 1}" for k, c in upper[(i, j)]]
             rhs = " + ".join(terms).replace("+ -", "- ")
             parts.append(f"[X{i + 1}, X{j + 1}] = {rhs}")
         return f"{self.name}: dim {self.dim}, " + ", ".join(parts)
@@ -489,8 +487,7 @@ def _table_to_json(table: BracketTable) -> list:
 def algebra_to_dict(L: LieAlgebra) -> dict:
     """JSON-ready form with 1-based indices and exact scalar encoding."""
     return {"name": L.name, "dim": L.dim, "d": L.d,
-            "brackets": _table_to_json({pair: terms.items() for pair, terms
-                                        in L._signed.items() if pair[0] < pair[1]})}
+            "brackets": _table_to_json(L._upper())}
 
 
 def _expect_int(value, where: str) -> int:

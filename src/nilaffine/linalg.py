@@ -12,8 +12,9 @@ over the coefficient type: they test for zero by truthiness and divide
 only through :func:`_divided`. The kernel returns the reduced row echelon
 form, which is unique, so equal inputs always produce identical output.
 The dense views (``get``, ``row``, ``column``, ``entries``, ``apply`` and
-the report vectors) are tuples of :class:`Scalar`; the JSON writer reads
-the rows. On top of the basics this module provides the simultaneous
+the report vectors) are tuples of :class:`Scalar`, built only for callers:
+no code in the package reads one back, and the JSON writer reads the
+rows. On top of the basics this module provides the simultaneous
 strict triangularization test (:func:`engel_flag`): a family of matrices
 spans a nilpotent associative action exactly when iterated joint kernels
 exhaust the space, and the algorithm either produces an ordered basis

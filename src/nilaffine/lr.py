@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .affine import (AffineRep, _algebra_ref_from_json, _algebra_ref_to_json,
-                     _resolve_context, check_simply_transitive)
+                     _resolve_context, _unit_translations, check_simply_transitive)
 from .errors import (IncompleteStructureError, ParseError, PreconditionError,
                      ShapeError, quoted)
 from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
@@ -280,10 +280,10 @@ def _lr_of_passing_rep(rep: AffineRep) -> LRStructure:
     coordinates. The result is not re-checked: a passing rep gives a
     complete LR-structure by the theorem the module rests on.
     """
-    tmat, parts_D = rep.t_matrix(), rep.D
+    tmat, parts_D, n = rep.t_matrix(), rep.D, rep.target.dim
     if tmat != Matrix.identity(tmat.rows, rep.d):
-        tinv = tmat.inverse()
-        parts_D = [rep.D_of(tinv.column(i)) for i in range(tinv.cols)]
+        parts_D = [_combination(((c, rep.D[k]) for k, c in col.items()), n, n, rep.d)
+                   for col in tmat.inverse()._sparse_cols()]
     return LRStructure._of(rep.target, (-m for m in parts_D))
 
 
@@ -308,9 +308,7 @@ def lr_to_rep(s: LRStructure) -> AffineRep:
             "strict flag", evidence=verdict.failure)
 
     n = s.algebra.dim
-    source = abelian(n, s.d)
-    return AffineRep(source, s.algebra,
-                     [source.basis_vector(i) for i in range(n)],
+    return AffineRep(abelian(n, s.d), s.algebra, _unit_translations(n),
                      [-m for m in s.lefts],
                      label=f"abelian rep on {s.algebra.name}")
 

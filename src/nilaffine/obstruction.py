@@ -44,7 +44,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .affine import AffineRep, check_simply_transitive, rep_to_dict
+from .affine import (AffineRep, _unit_translations, check_simply_transitive,
+                     rep_to_dict)
 from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
 from .linalg import Matrix, SparseRow, _combination, _install
@@ -75,8 +76,9 @@ def _mono_degree(m: Monomial) -> int:
 class Poly:
     """Sparse multivariate polynomial over Q with integer variable ids.
 
-    Coefficients are ``int`` or ``Fraction`` (see :mod:`nilaffine.scalars`);
-    the values read off a polynomial are ``Fraction``.
+    Coefficients are ``int`` or ``Fraction`` (see :mod:`nilaffine.scalars`),
+    and the values read off are ``Fraction``; a generic derivation over
+    Q(sqrt(d)), d != 1, holds ``Scalar``s, for arithmetic and ``render``.
     """
 
     __slots__ = ("terms",)
@@ -198,13 +200,14 @@ class Poly:
                            key=lambda item: (sum(map(_exponent, item[0])),
                                              item[0])):
             factors = [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m]
-            n, q = c.numerator, c.denominator
-            size = str(abs(n)) if q == 1 else f"{abs(n)}/{q}"
+            # a Scalar with a sqrt(d) part is printed whole, in parentheses
+            lead = (c.rat or c.irr) if type(c) is Scalar else c
+            size = str(abs(lead)) if lead == c else f"({-c if lead < 0 else c})"
             if factors:
                 size = "" if size == "1" else size + "*"
             if text:
-                text.append(" - " if n < 0 else " + ")
-            elif n < 0:
+                text.append(" - " if lead < 0 else " + ")
+            elif lead < 0:
                 text.append("-")
             text.append(size + "*".join(factors))
         return "".join(text)
@@ -287,14 +290,13 @@ def parametric_derivation(L: LieAlgebra, index: int,
     if space is None:
         space = derivation_space(L)
     n, r = L.dim, space.dimension
-    grid = [[Poly() for _ in range(n)] for _ in range(n)]
+    grid: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for k, E in enumerate(space.basis):
-        u = Poly.var(index * r + k)
+        u = ((index * r + k, 1),)   # each k its own monomial, so nothing adds up
         for a, row in enumerate(E._rows):
             for b, e in row.items():
-                # d != 1 stores Scalars, of which Poly takes the rational part
-                grid[a][b] = grid[a][b] + u * (e.rat if type(e) is Scalar else e)
-    return ParametricMatrix(grid)
+                grid[a][b][u] = e
+    return ParametricMatrix([[_poly(terms) for terms in row] for row in grid])
 
 
 # ------------------------------------------------------------------ naming
@@ -498,7 +500,7 @@ class ObstructionOutcome:
         n, r = L.dim, len(basis)
         D = [_combination(((u[i * r + k], E) for k, E in enumerate(basis)), n, n, 1)
              for i in range(n)]
-        return AffineRep(abelian(n), L, [L.basis_vector(i) for i in range(n)],
+        return AffineRep(abelian(n), L, _unit_translations(n),
                          D, label=f"abelian witness on {L.name}")
 
     @cached_property
@@ -820,11 +822,11 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
         if cert.kind == "commutator":
             poly = _commutator_entry(gi, gj, a - 1, b - 1)
         elif cert.kind == "translation":
-            poly = Poly.const(L.bracket_basis(i - 1, j - 1)[a - 1].rat) \
+            poly = Poly.const(L._signed.get((i - 1, j - 1), {}).get(a - 1, 0)) \
                 + gi.entry(a - 1, j - 1) - gj.entry(a - 1, i - 1)
         else:
             return False
         reduced = poly.substitute(dict(outcome.eliminated))
+        return reduced.is_constant() and reduced.constant_value() == cert.constant
     except Exception:
         return False
-    return reduced.is_constant() and reduced.constant_value() == cert.constant

@@ -18,6 +18,8 @@ The runs, each in-process through ``cli.main``:
   the Q(sqrt 3) rep crosses field contexts on loading;
 * every catalog algebra: ``check-lie``, ``derivations`` and
   ``obstruct-abelian``;
+* the algebra ``SQRT3_ALGEBRA`` over Q(sqrt 3), written as a file:
+  ``check-lie`` and ``derivations``;
 
 each in text and in ``--json``. The runs of one rep or algebra form a group
 and share a fresh temporary working directory that holds the inputs under
@@ -41,6 +43,13 @@ from nilaffine.io import write_json
 from nilaffine.liealg import algebra_to_dict, catalog_names
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+
+# A nilpotent algebra over Q(sqrt 3) whose derivation basis has sqrt(3)
+# entries: [X1, X2] = X3, [X1, X3] = sqrt(3) X4, [X2, X3] = X4.
+SQRT3_ALGEBRA = {"name": "n4_sqrt3", "dim": 4, "d": 3, "brackets": [
+    {"i": 1, "j": 2, "terms": [{"k": 3, "c": 1}]},
+    {"i": 1, "j": 3, "terms": [{"k": 4, "c": [0, 1]}]},
+    {"i": 2, "j": 3, "terms": [{"k": 4, "c": 1}]}]}
 
 
 def _sha(data: bytes | None) -> str | None:
@@ -98,6 +107,12 @@ def _algebra_group(name: str) -> list[dict]:
     return runs
 
 
+def _sqrt3_group() -> list[dict]:
+    write_json(Path("n4_sqrt3.json"), SQRT3_ALGEBRA)
+    return _both(["check-lie", "n4_sqrt3.json"]) + \
+        _both(["derivations", "n4_sqrt3.json"])
+
+
 def groups() -> dict[str, object]:
     """Group name -> a function making that group's runs."""
     out: dict[str, object] = {}
@@ -106,6 +121,7 @@ def groups() -> dict[str, object]:
         out[f"rep files {slug}"] = lambda slug=slug: _files_group(slug)
     for name in catalog_names():
         out[f"algebra {name}"] = lambda name=name: _algebra_group(name)
+    out["algebra file n4_sqrt3"] = _sqrt3_group
     return out
 
 

@@ -11,9 +11,10 @@ and ``Scalar.inverse``.
 At run time, the values stored at d = 1 are exact rationals, an int when
 integral and a Fraction otherwise, and in any other context Scalars of
 that context (``TestStoredTypes``); the public accessors make Scalars on
-reading. Reading and checking a d = 1 rep, checking an LR product and
-solving for the derivations build no Scalar at all
-(``TestNoScalarInRationalKernels``).
+reading. Reading and checking a d = 1 rep, checking an LR product,
+solving for the derivations, deciding, re-checking and reporting an
+obstruction, the series predicates and copies of an algebra build no
+Scalar at all (``TestNoScalarInRationalKernels``).
 """
 
 import ast
@@ -28,9 +29,10 @@ from nilaffine import scalars
 from nilaffine.affine import check_homomorphism, rep_from_dict, rep_to_dict
 from nilaffine.corpus import bundled_rep_names, bundled_reps
 from nilaffine.liealg import (algebra_from_dict, algebra_to_dict, catalog,
-                              derivation_space)
+                              derivation_space, transport)
 from nilaffine.linalg import Matrix, _combination, _nullspace
 from nilaffine.lr import check_lr, lr_from_dict, lr_to_dict, rep_to_lr
+from nilaffine.obstruction import obstruct_abelian, verify_certificate
 from nilaffine.scalars import Scalar, unit
 
 PACKAGE = Path(nilaffine.__file__).resolve().parent
@@ -269,6 +271,11 @@ def built(monkeypatch):
 
 RATIONAL_REPS = {slug: rep for slug, rep in REPS.items() if rep.d == 1}
 DOCS = {slug: rep_to_dict(rep) for slug, rep in RATIONAL_REPS.items()}
+_rng = random.Random(11)   # g6_18 in a unit lower triangular basis
+OBSTRUCTED = {"g6_18": ALGEBRAS["g6_18"], "g6_18 transport": transport(
+    ALGEBRAS["g6_18"], Matrix.from_rows(
+        [[int(r == c) if r <= c else _rng.randint(-2, 2) for c in range(6)]
+         for r in range(6)]))}
 
 
 class TestNoScalarInRationalKernels:
@@ -294,3 +301,17 @@ class TestNoScalarInRationalKernels:
         rows = [row for m in derivation_space(ALGEBRAS[name]).basis
                 for row in m._rows]
         assert rows and built == []
+
+    @pytest.mark.parametrize("name", sorted(OBSTRUCTED))
+    def test_obstruction_its_check_and_its_report(self, name, built):
+        L = OBSTRUCTED[name]
+        out = obstruct_abelian(L)
+        assert out.verdict == "Obstructed" and verify_certificate(out, L)
+        assert out.to_dict()["certificate"] and built == []
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_series_predicates_and_copies(self, name, built):
+        L = ALGEBRAS[name]
+        assert L.is_nilpotent() and L.is_two_step_solvable() == (name != "g6_18")
+        assert L.with_field(1) is L and L.renamed("copy") == L
+        assert built == []

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import dense_derivation_space, vec_add, vec_is_zero
+from dense_reference import (dense_derivation_space, dense_nullspace,
+                             dense_row_space_basis, vec_add, vec_is_zero)
+from record_cli_golden import SQRT3_ALGEBRA
 
 from nilaffine.errors import ParseError, ShapeError
 from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra,
@@ -252,6 +254,65 @@ class TestSeries:
         assert len(get_algebra("h3+R").center()) == 2
         assert len(get_algebra("g5_6").center()) == 1
         assert len(get_algebra("g6_18").center()) == 1
+
+
+def dense_bracket(L, x, y):
+    """[x, y] from the dense [X_i, X_j], in Scalar arithmetic."""
+    out = L.zero_vector()
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if not (a.is_zero() or b.is_zero()):
+                out = vec_add(out, tuple(a * b * c for c in L.bracket_basis(i, j)))
+    return out
+
+
+def dense_series(L, derived):
+    full = tuple(L.basis_vector(i) for i in range(L.dim))
+    current, series = full, [full]
+    while current:
+        left = current if derived else full
+        nxt = dense_row_space_basis([dense_bracket(L, a, b) for a in left
+                                     for b in current], L.d, L.dim)
+        if len(nxt) == len(current):
+            break
+        series.append(nxt)
+        current = nxt
+    return tuple(series)
+
+
+def dense_center(L):
+    """RREF basis of the solutions of sum_i x_i [X_i, X_j] = 0 for all j."""
+    n = L.dim
+    rows = [[L.bracket_basis(i, j)[k] for i in range(n)]
+            for j in range(n) for k in range(n)]
+    return dense_row_space_basis(dense_nullspace(Matrix.from_rows(rows, L.d)),
+                                 L.d, n)
+
+
+def dense_transport_of_g6_18():
+    """g6_18 in the basis of the columns of P = lower * upper unitriangular,
+    both seeded, so every entry of P may be nonzero."""
+    rng = random.Random(5)
+
+    def unitriangular(lower):
+        return Matrix.from_rows([[1 if r == c else rng.randint(-2, 2)
+                                  if (r > c) == lower else 0 for c in range(6)]
+                                 for r in range(6)])
+    p = unitriangular(True) @ unitriangular(False)
+    return transport(get_algebra("g6_18"), p, "g6_18 dense")
+
+
+PINNED = [get_algebra(name) for name in catalog_names()] + [
+    algebra_from_dict(SQRT3_ALGEBRA), dense_transport_of_g6_18()]
+
+
+@pytest.mark.parametrize("L", PINNED, ids=[L.name for L in PINNED])
+def test_series_and_center_are_the_dense_rref_bases(L):
+    assert L.derived_series() == dense_series(L, True)
+    assert L.lower_central_series() == dense_series(L, False)
+    assert L.center() == dense_center(L)
+    for basis in (*L.derived_series(), *L.lower_central_series(), L.center()):
+        assert all(type(x) is Scalar and x.d == L.d for v in basis for x in v)
 
 
 class TestDerivations:

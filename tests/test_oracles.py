@@ -7,7 +7,9 @@ cross-check works in a sympy polynomial ring over QQ with one
 DomainMatrix.rref per forcing round, and takes under a second.
 """
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,10 @@ import sympy as sp
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
+from record_cli_golden import SQRT3_ALGEBRA
 
+from nilaffine import cli
+from nilaffine.io import write_json
 from nilaffine.liealg import catalog_names, derivation_space, get_algebra
 from nilaffine.linalg import Matrix
 from nilaffine.obstruction import obstruct_abelian
@@ -278,3 +283,33 @@ def test_sympy_agrees_on_every_forced_coefficient(sympy_elimination):
         resolved = sol[D[i][a, b]]
         assert resolved.is_number, outcome.variable_name(v)
         assert resolved == sp.Rational(value), outcome.variable_name(v)
+
+
+def sympy_scalar(c, d):
+    """A JSON scalar (int, "p/q" or [rat, irr]) as a sympy number."""
+    rat, irr = c if isinstance(c, list) else (c, 0)
+    return sp.Rational(rat) + sp.Rational(irr) * sp.sqrt(d)
+
+
+def test_printed_generic_derivation_is_the_json_basis(tmp_path, capsys):
+    """Over Q(sqrt 3), each entry (a, b) that ``derivations`` prints, read
+    by sympy, is sum_k E_k[a][b] u1_k with E_k the basis of its --json."""
+    path = tmp_path / "n4_sqrt3.json"
+    write_json(path, SQRT3_ALGEBRA)
+    assert cli.main(["derivations", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert cli.main(["derivations", str(path), "--json"]) == 0
+    basis = json.loads(capsys.readouterr().out)["basis"]
+    u = [sp.Symbol(f"u1_{k + 1}") for k in range(len(basis))]
+    # entries are right-aligned and two spaces apart, with single spaces inside
+    grid = [re.split(r" {2,}", line.strip()[1:-1].strip())
+            for line in text.splitlines() if line.startswith("  [")]
+    n = SQRT3_ALGEBRA["dim"]
+    assert len(grid) == n and all(len(row) == n for row in grid)
+    for a, row in enumerate(grid):
+        for b, entry in enumerate(row):
+            printed = sp.sympify(entry.replace("^", "**"),
+                                 locals={str(s): s for s in u})
+            expected = sum(sympy_scalar(E[a][b], 3) * uk
+                           for E, uk in zip(basis, u))
+            assert sp.expand(printed - expected) == 0, (a + 1, b + 1, entry)
