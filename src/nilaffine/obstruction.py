@@ -78,7 +78,7 @@ class Poly:
 
     Coefficients are ``int`` or ``Fraction`` (see :mod:`nilaffine.scalars`),
     and the values read off are ``Fraction``; a generic derivation over
-    Q(sqrt(d)), d != 1, holds ``Scalar``s, for arithmetic and ``render``.
+    Q(sqrt(d)), d != 1, holds ``Scalar``s, and ``evaluate`` gives Scalars.
     """
 
     __slots__ = ("terms",)
@@ -190,7 +190,7 @@ class Poly:
                     prod *= x if e == 1 else x ** e
             if prod:
                 total += prod
-        return Fraction(total)
+        return total if type(total) is Scalar else Fraction(total)
 
     def render(self, name: Callable[[int], str]) -> str:
         if not self.terms:

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from record_cli_golden import SQRT3_ALGEBRA
 
 from nilaffine import lr, obstruction
 from nilaffine.affine import check_simply_transitive
 from nilaffine.errors import InternalError, ParseError, PreconditionError
-from nilaffine.liealg import (LieAlgebra, catalog_names, derivation_space,
-                              get_algebra, is_derivation, transport)
+from nilaffine.liealg import (LieAlgebra, algebra_from_dict, catalog_names,
+                              derivation_space, get_algebra, is_derivation,
+                              transport)
 from nilaffine.io import stable_json
 from nilaffine.linalg import Matrix, _rref
 from nilaffine.lr import lr_to_rep, rep_to_lr
@@ -20,6 +22,7 @@ from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
                                    _force, _mono_degree, obstruct_abelian,
                                    parametric_derivation, variable_namer,
                                    verify_certificate)
+from nilaffine.scalars import Scalar
 
 NEGATIVE_CONTROLS = ("R1", "R2", "R3", "R4", "R5", "R6",
                      "h3", "h3+R", "f4", "h3+R2", "g5_6")
@@ -121,6 +124,14 @@ class TestPoly:
         assert (Poly.var(0) * Poly.var(0) - Poly.var(1)).render(name) \
             == "-x1 + x0^2"
 
+    def test_render_of_sqrt_coefficients(self):
+        # signed by the leading part, whole in parentheses with a sqrt(d) part
+        p = Poly({(): Scalar(-1, 1, 3), ((0, 1),): Scalar(0, -1, 3),
+                  ((1, 1),): Scalar(1, 1, 3), ((2, 1),): Scalar(-2, 0, 3),
+                  ((3, 1),): Scalar(0, Fraction(1, 3), 3)})
+        assert p.render(lambda v: f"x{v}") == "-(1 - sqrt(3)) - (sqrt(3))*x0" \
+            " + (1 + sqrt(3))*x1 - 2*x2 + (1/3*sqrt(3))*x3"
+
     def test_immutable(self):
         p = Poly.var(0)
         with pytest.raises(AttributeError):
@@ -212,14 +223,14 @@ class TestParametricDerivation:
 
     def test_specialization_is_a_derivation(self):
         rng = random.Random(3)
-        for name in ("h3", "f4", "g6_18"):
-            L = get_algebra(name)
+        for L in [get_algebra(name) for name in ("h3", "f4", "g6_18")] + [
+                algebra_from_dict(SQRT3_ALGEBRA)]:   # its basis has sqrt(3)s
             space = derivation_space(L)
             pd = parametric_derivation(L, 1, space)
             values = {space.dimension + k:
                       Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                       for k in range(space.dimension)}
-            assert is_derivation(L, pd.specialize(values))
+            assert is_derivation(L, pd.specialize(values, L.d))
 
     def test_greek_names(self):
         name = variable_namer(derivation_space(get_algebra("g6_18")))
@@ -397,6 +408,9 @@ class TestObstructed:
         found = obstruct_abelian(get_algebra("h3"))
         assert verify_certificate(found, get_algebra("h3"))
         assert not verify_certificate(found, get_algebra("R3"))
+        # the same constants over Q(sqrt 3) are another algebra, for both verdicts
+        for out, name in ((outcome, "g6_18"), (found, "h3")):
+            assert not verify_certificate(out, get_algebra(name).with_field(3))
 
     def test_not_two_step_solvable_and_never_found(self, outcome):
         L = get_algebra("g6_18")
