@@ -381,8 +381,8 @@ def rep_of_files(source_path: str, target_path: str, rep_path: str) -> AffineRep
 
     The source and target files pin the algebras; if the rep file also
     names or inlines them, they must agree structurally. The derivation
-    precondition is checked here, so the result is ready for
-    check_homomorphism without surprises.
+    precondition is left to check_homomorphism, which decides it once,
+    after the source's Jacobi identity, as for a rep read from one file.
     """
     from .io import read_json
 
@@ -403,7 +403,6 @@ def rep_of_files(source_path: str, target_path: str, rep_path: str) -> AffineRep
         raise ParseError(f"{rep_path}: rep.source disagrees with {source_path}")
     if rep.target != target.with_field(rep.d):
         raise ParseError(f"{rep_path}: rep.target disagrees with {target_path}")
-    validate_derivations(rep)
     return rep
 
 

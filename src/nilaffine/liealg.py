@@ -21,7 +21,8 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError, quoted
-from .linalg import Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse
+from .linalg import (Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse,
+                     _transpose)
 from .scalars import (Coefficient, Scalar, as_scalar, check_context, exact,
                       scalar_from_json, scalar_to_json, stored, unit)
 
@@ -146,9 +147,12 @@ class LieAlgebra:
         return acc
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y] in the coordinate basis."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols, self.d) if cols else Matrix.zero(0, 0, self.d)
+        """Matrix of y -> [x, y] in the coordinate basis: column j is [x, X_j]."""
+        if len(x) != self.dim:
+            raise ShapeError(f"ad argument must have length {self.dim}")
+        x, one = _sparse(x, self.d), unit(self.d)
+        cols = [self._bracket_into({}, x, {j: one}) for j in range(self.dim)]
+        return Matrix._of(_transpose(cols, self.dim), self.dim, self.d)
 
     # -------------------------------------------------- diagnostics
 

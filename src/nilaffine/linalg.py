@@ -3,7 +3,8 @@
 A :class:`Matrix` stores each row once, as a ``{column: coefficient}`` dict
 that holds no zero, each coefficient in the stored form of the context (see
 :func:`nilaffine.scalars.stored`): ``int`` or ``Fraction`` at d = 1, else
-``Scalar``. Every elimination runs on one sparse kernel, :func:`_rref`,
+``Scalar``; it is built only by ``Matrix._of`` or by a builder that
+checks its input. Every elimination runs on one sparse kernel, :func:`_rref`,
 over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
 the Leibniz system of ``liealg.derivation_space``, and, through its row
 step :func:`_install`, the linear forcing of ``obstruction.LinearSystem``.
@@ -177,33 +178,17 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "d", "_rows")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Scalar], d: int):
-        if rows < 0 or cols < 0:
-            raise ShapeError("matrix dimensions must be non-negative")
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries, got {len(entries)}")
-        if any(not isinstance(e, Scalar) for e in entries):
-            bad = next(e for e in entries if not isinstance(e, Scalar))
-            raise TypeError(f"matrix entries must be Scalar, got {type(bad).__name__}")
-        self._set(tuple(_sparse(entries[r * cols:(r + 1) * cols], d)
-                        for r in range(rows)), cols, d)
-
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    def _set(self, rows: tuple[SparseRow, ...], cols: int, d: int) -> None:
-        for name, value in (("rows", len(rows)), ("cols", cols), ("d", d),
-                            ("_rows", rows)):
-            object.__setattr__(self, name, value)
 
     # -------------------------------------------------- constructors
 
     @classmethod
     def _of(cls, rows: Iterable[SparseRow], cols: int, d: int) -> "Matrix":
         """Wrap sparse rows that hold no zero; they are stored, not copied."""
-        m = object.__new__(cls)
-        m._set(tuple(rows), cols, d)
+        m, rows = object.__new__(cls), tuple(rows)
+        for name, value in zip(cls.__slots__, (len(rows), cols, d, rows)):
+            object.__setattr__(m, name, value)
         return m
 
     @classmethod

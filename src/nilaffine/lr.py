@@ -1,8 +1,9 @@
 """Bilinear products with commuting left and right multiplications.
 
-An :class:`LRStructure` equips a Lie algebra with a product X.Y subject to
-three identities, checked exactly on basis elements (multilinearity does
-the rest):
+An :class:`LRStructure` equips a Lie algebra with a product X.Y, stored as
+the sparse left multiplications L(X_i) and built from them or from a
+sparse product table. It is subject to three identities, checked exactly
+on basis elements (multilinearity does the rest):
 
   (1) X.(Y.Z) = Y.(X.Z)        left multiplications commute
   (2) (X.Y).Z = (X.Z).Y        right multiplications commute
@@ -27,7 +28,7 @@ the solver's witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .affine import (AffineRep, _algebra_ref_from_json, _algebra_ref_to_json,
                      _resolve_context, _unit_translations, check_simply_transitive)
@@ -35,7 +36,7 @@ from .errors import (IncompleteStructureError, ParseError, PreconditionError,
                      ShapeError, quoted)
 from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
-                     _dense, _sparse, as_vector, engel_flag)
+                     _dense, _transpose, engel_flag)
 from .scalars import exact, stored, unit
 
 
@@ -67,34 +68,13 @@ class CompletenessVerdict:
 class LRStructure:
     """Product constants over ordered basis pairs of a Lie algebra.
 
-    lefts[i] is L(X_i), the sparse Matrix whose column j is X_i . X_j. The
-    constructor takes the grid products[i][j] of those vectors, and
-    ``products`` gives it back as a view. Identities are not enforced at
-    construction, use :func:`check_lr`.
+    lefts[i] is L(X_i), the sparse Matrix whose column j is X_i . X_j;
+    ``products`` is the dense grid of those vectors, as a view. A structure
+    is built by ``_of`` from its L(X_i) or by :meth:`from_table`.
+    Identities are not enforced at construction, use :func:`check_lr`.
     """
 
     __slots__ = ("algebra", "lefts")
-
-    def __init__(self, algebra: LieAlgebra,
-                 products: Sequence[Sequence[Sequence]]):
-        n = algebra.dim
-        if len(products) != n:
-            raise ShapeError(f"expected {n} product rows, got {len(products)}")
-        lefts = [[{} for _ in range(n)] for _ in range(n)]  # [i][k]: row k of L(X_i)
-        for i, row in enumerate(products):
-            if len(row) != n:
-                raise ShapeError(f"product row {i + 1} has {len(row)} entries, "
-                                 f"expected {n}")
-            for j, entry in enumerate(row):
-                v = as_vector(entry, algebra.d)
-                if len(v) != n:
-                    raise ShapeError(f"product ({i + 1}, {j + 1}) has length "
-                                     f"{len(v)}, expected {n}")
-                for k, c in _sparse(v, algebra.d).items():
-                    lefts[i][k][j] = c
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "lefts",
-                           tuple(Matrix._of(r, n, algebra.d) for r in lefts))
 
     def __setattr__(self, name, value):
         raise AttributeError("LRStructure is immutable")
@@ -150,8 +130,9 @@ class LRStructure:
         return self.lefts[i]
 
     def right_matrix(self, i: int) -> Matrix:
-        """R(X_i): columns are X_j . X_i."""
-        return Matrix.from_columns([m.column(i) for m in self.lefts], self.d)
+        """R(X_i): columns are X_j . X_i, column i of each L(X_j)."""
+        return Matrix._of(_transpose([m._sparse_cols()[i] for m in self.lefts],
+                                     self.algebra.dim), self.algebra.dim, self.d)
 
     def __eq__(self, other):
         if not isinstance(other, LRStructure):

@@ -795,6 +795,8 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     """
     if outcome.verdict == "Undetermined":
         return True
+    if outcome.algebra != L:   # the claim is about another algebra or field
+        return False
     if outcome.verdict == "Found":
         try:
             rep = outcome.witness_rep

@@ -3,9 +3,15 @@
 Verbatim copies of the old ``Matrix.rref``, ``Matrix.nullspace``,
 ``Matrix.inverse``, ``row_space_basis`` and ``derivation_space``, kept as
 the reference the sparse kernel is compared with. The only edits: the
-methods are plain functions of ``self``, and each call of ``.rref()`` or
+methods are plain functions of ``self``, each call of ``.rref()`` or
 ``.nullspace()`` goes to the copy here, so nothing below runs the kernel
-under test.
+under test, and the lines that wrap a result in a ``Matrix`` build it
+with :func:`dense_matrix` from its rows, since ``Matrix`` no longer has a
+constructor that takes a flat tuple of entries.
+
+``dense_matrix`` is the one builder of a matrix from dense rows that the
+tests use: ``Matrix.from_rows``, or ``Matrix.zero`` for a shape with no
+rows, which ``from_rows`` cannot express.
 
 ``vec_add``, ``vec_sub`` and ``vec_is_zero`` are the dense vector helpers
 the package no longer needs, kept here for the tests that compare against
@@ -20,6 +26,11 @@ from nilaffine.liealg import DerivationSpace, LieAlgebra
 from nilaffine.linalg import Matrix, RrefResult, Vector
 from nilaffine.lr import LRStructure
 from nilaffine.scalars import Scalar, scalar_to_json
+
+
+def dense_matrix(rows, cols: int, d: int) -> Matrix:
+    """The matrix with these dense rows, each of length cols, in context d."""
+    return Matrix.from_rows(rows, d) if rows else Matrix.zero(0, cols, d)
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
@@ -62,8 +73,7 @@ def dense_rref(self) -> RrefResult:
         r += 1
         if r == self.rows:
             break
-    flat = [x for row in rows for x in row]
-    return RrefResult(Matrix(self.rows, self.cols, flat, self.d),
+    return RrefResult(dense_matrix(rows, self.cols, self.d),
                       tuple(pivots), len(pivots))
 
 
@@ -91,15 +101,13 @@ def dense_nullspace(self) -> tuple[Vector, ...]:
 
 def dense_inverse(self) -> Matrix:
     n = self.rows
-    aug = Matrix(n, 2 * n,
-                 tuple(x for r in range(n)
-                       for x in (*self.row(r), *Matrix.identity(n, self.d).row(r))),
-                 self.d)
+    aug = dense_matrix([(*self.row(r), *Matrix.identity(n, self.d).row(r))
+                        for r in range(n)], 2 * n, self.d)
     R, pivots, rank = dense_rref(aug)
     if rank < n or any(p != i for i, p in enumerate(pivots)):
         raise ZeroDivisionError("matrix is singular")
-    return Matrix(n, n, tuple(R.get(r, n + c)
-                              for r in range(n) for c in range(n)), self.d)
+    return dense_matrix([[R.get(r, n + c) for c in range(n)]
+                         for r in range(n)], n, self.d)
 
 
 def dense_row_space_basis(vectors, d: int, length: int) -> tuple[Vector, ...]:
@@ -134,7 +142,8 @@ def dense_derivation_space(L: LieAlgebra) -> DerivationSpace:
     if not kernel:
         return DerivationSpace(L, (), ())
     reduced, pivots, rank = dense_rref(Matrix.from_rows(kernel, L.d))
-    basis = tuple(Matrix(n, n, reduced.row(r), L.d) for r in range(rank))
+    basis = tuple(dense_matrix([reduced.row(r)[a * n:(a + 1) * n] for a in range(n)],
+                               n, L.d) for r in range(rank))
     anchors = tuple(divmod(p, n) for p in pivots)
     return DerivationSpace(L, basis, anchors)
 

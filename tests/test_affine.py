@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import dense_matrix
 
 from nilaffine.affine import (AffineRep, HomViolation, check_homomorphism,
                               check_simply_transitive, rep_from_dict,
@@ -147,8 +148,8 @@ def dense_hom_violations(rep):
             rhs_vec = [rhs_vec[a] + di_tj[a] - dj_ti[a] for a in range(n)]
             ij, ji = matmul(D[i], D[j]), matmul(D[j], D[i])
             dv = tuple(lhs_vec[a] - rhs_vec[a] for a in range(n))
-            dm = Matrix(n, n, [lhs_mat[r][c] - (ij[r][c] - ji[r][c])
-                               for r in range(n) for c in range(n)], rep.d)
+            dm = dense_matrix([[lhs_mat[r][c] - (ij[r][c] - ji[r][c])
+                                for c in range(n)] for r in range(n)], n, rep.d)
             if not (all(x.is_zero() for x in dv) and dm.is_zero()):
                 found.append(HomViolation((i + 1, j + 1), dv, dm))
     return found
@@ -450,4 +451,4 @@ class TestRepOfFiles:
                   [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
         })
         with pytest.raises(DerivationError):
-            rep_of_files(sp, tp, rp)
+            check_simply_transitive(rep_of_files(sp, tp, rp))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from nilaffine import cli
+from nilaffine import affine, cli
 from nilaffine.corpus import algebra_path, rep_path
 from nilaffine.io import read_json, write_json
 from nilaffine.liealg import LieAlgebra, algebra_to_dict, derivation_space, get_algebra
@@ -100,6 +100,28 @@ class TestExitCodes:
         assert run(["check-rep", str(rep_path("r3_to_h3")),
                     "--source", "x.json"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("files", (1, 3))
+    def test_check_rep_decides_jacobi_before_leibniz(self, tmp_path, capsys,
+                                                     files):
+        """A source that fails Jacobi is exit 3 although D_1 also breaks
+        Leibniz on h3, whether the rep names its algebras or takes them
+        from --source and --target."""
+        bad = algebra_to_dict(LieAlgebra.from_table(
+            "bad", 3, {(1, 2): ((3, 1),), (1, 3): ((1, 1),)}))
+        doc = {"t": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               "D": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]] + [[[0] * 3] * 3] * 2}
+        rep, src, tgt = (tmp_path / f for f in ("rep.json", "src.json", "tgt.json"))
+        if files == 1:
+            write_json(rep, {"source": bad, "target": "h3", **doc})
+            argv = ["check-rep", str(rep)]
+        else:
+            write_json(rep, doc)
+            write_json(src, bad)
+            write_json(tgt, algebra_to_dict(get_algebra("h3")))
+            argv = ["check-rep", str(rep), "--source", str(src), "--target", str(tgt)]
+        assert run(argv) == 3
+        assert "fails the Jacobi identity" in capsys.readouterr().err
 
     def test_failing_check_is_one(self, tmp_path, capsys):
         bad = LieAlgebra.from_table(
@@ -451,6 +473,19 @@ class TestEachFactOnce:
         assert run(["obstruct-abelian", "--algebra", "h3"] + flag) == 0
         out = capsys.readouterr().out
         assert ("verdict: Found" in out) == (not flag)
+
+    def test_three_file_check_rep_decides_leibniz_once(self, tmp_path, capsys,
+                                                       monkeypatch):
+        src, tgt, rep = (tmp_path / f for f in ("src.json", "tgt.json", "rep.json"))
+        write_json(src, algebra_to_dict(get_algebra("R4")))
+        write_json(tgt, algebra_to_dict(get_algebra("f4")))
+        doc = read_json(rep_path("r4_to_f4"))
+        write_json(rep, {"t": doc["t"], "D": doc["D"]})
+        calls = self.count_calls(monkeypatch, affine, "_leibniz_failure")
+        assert run(["check-rep", str(rep), "--source", str(src),
+                    "--target", str(tgt)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 4   # one per D_i
 
     def test_failed_cross_check_is_three(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_certificate",

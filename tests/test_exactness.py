@@ -13,8 +13,9 @@ integral and a Fraction otherwise, and in any other context Scalars of
 that context (``TestStoredTypes``); the public accessors make Scalars on
 reading. Reading and checking a d = 1 rep, checking an LR product,
 solving for the derivations, deciding, re-checking and reporting an
-obstruction, the series predicates and copies of an algebra build no
-Scalar at all (``TestNoScalarInRationalKernels``).
+obstruction, the series predicates and copies of an algebra, ``ad`` and
+the right multiplications of a product build no Scalar at all
+(``TestNoScalarInRationalKernels``).
 """
 
 import ast
@@ -308,6 +309,16 @@ class TestNoScalarInRationalKernels:
         out = obstruct_abelian(L)
         assert out.verdict == "Obstructed" and verify_certificate(out, L)
         assert out.to_dict()["certificate"] and built == []
+
+    @pytest.mark.parametrize("slug", sorted(LR))
+    def test_ad_and_right_multiplications(self, slug, built):
+        L, s = ALGEBRAS["g6_18"], LR[slug]
+        ad = L.ad((1, 0, 2, 0, -1, 3))
+        rights = [s.right_matrix(i) for i in range(s.algebra.dim)]
+        # the R(X_i) hold the entries of the L(X_i), rearranged
+        assert sorted(matrix_values(*rights), key=str) == \
+            sorted(matrix_values(*s.lefts), key=str)
+        assert not ad.is_zero() and built == []
 
     @pytest.mark.parametrize("name", sorted(ALGEBRAS))
     def test_series_predicates_and_copies(self, name, built):

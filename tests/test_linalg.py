@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from dense_reference import (dense_inverse, dense_nullspace, dense_rref,
-                             dense_row_space_basis)
+from dense_reference import (dense_inverse, dense_matrix, dense_nullspace,
+                             dense_rref, dense_row_space_basis)
 
 from nilaffine import linalg
 from nilaffine.corpus import bundled_reps
@@ -280,6 +280,18 @@ class TestMatrixOps:
         with pytest.raises(ShapeError):
             Matrix.identity(2) @ Matrix.zero(3, 2)
 
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_from_rows_rejects_floats_bools_and_ragged_rows(self, d):
+        for bad in ([[1, 0.5]], [[0, True]]):
+            with pytest.raises(TypeError):
+                Matrix.from_rows(bad, d)
+        with pytest.raises(ShapeError, match="ragged"):
+            Matrix.from_rows([[1, 2], [3]], d)
+
+    def test_no_dense_constructor(self):
+        with pytest.raises(TypeError):
+            Matrix(2, 2, [Scalar(1), Scalar(0), Scalar(0), Scalar(1)], 1)
+
 
 def sparse_rand_matrix(rng, rows, cols, d, density):
     """Seeded random entries, each zero with probability 1 - density."""
@@ -288,19 +300,21 @@ def sparse_rand_matrix(rng, rows, cols, d, density):
             return Scalar.zero(d)
         irr = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if d != 1 else 0
         return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), irr, d)
-    return Matrix(rows, cols, [entry() for _ in range(rows * cols)], d)
+    return dense_matrix([[entry() for _ in range(cols)] for _ in range(rows)],
+                        cols, d)
 
 
 def dense_matmul(a, b):
     """(AB)_rc = sum_k a_rk b_kc over every k."""
     out = []
     for r in range(a.rows):
+        out.append([])
         for c in range(b.cols):
             acc = Scalar.zero(a.d)
             for k in range(a.cols):
                 acc = acc + a.get(r, k) * b.get(k, c)
-            out.append(acc)
-    return Matrix(a.rows, b.cols, out, a.d)
+            out[-1].append(acc)
+    return dense_matrix(out, b.cols, a.d)
 
 
 class TestSparseMatmul:
@@ -336,7 +350,7 @@ def with_zero_and_repeated_rows(m):
         rows.insert(len(rows) // 2, list(rows[0]))
         rows.append([Scalar(-3, 1, m.d) * x for x in rows[-1]])
     rows.insert(1 if rows else 0, zero)
-    return Matrix(len(rows), m.cols, [x for r in rows for x in r], m.d)
+    return dense_matrix(rows, m.cols, m.d)
 
 
 KERNEL_SHAPES = ((0, 3), (3, 0), (1, 1), (0, 0), (4, 4), (6, 6),
@@ -460,8 +474,7 @@ class TestKernelMatchesDenseReference:
             m = sparse_rand_matrix(rng, n, n, d, density)
             rows = m.row_list()
             # and m with its last row made a repeat of the first: singular
-            for m in (m, Matrix(n, n, [x for r in rows[:-1] + rows[:1]
-                                       for x in r], d)):
+            for m in (m, dense_matrix(rows[:-1] + rows[:1], n, d)):
                 try:
                     want = dense_inverse(m)
                 except ZeroDivisionError:
@@ -537,10 +550,6 @@ def matrix_lists(d, rows, cols):
                     min_size=rows, max_size=rows)
 
 
-def matrix_of(a, rows, cols, d):
-    return Matrix(rows, cols, [x for row in a for x in row], d)
-
-
 def stored_zero_free(m):
     return all(x for row in m._rows for x in row.values())
 
@@ -557,8 +566,8 @@ class TestStoredRows:
         inner = data.draw(matrix_lists(d, cols, width))
         c = data.draw(entries_of(d))
         v = data.draw(st.lists(entries_of(d), min_size=cols, max_size=cols))
-        A, B = matrix_of(a, rows, cols, d), matrix_of(b, rows, cols, d)
-        C = matrix_of(inner, cols, width, d)
+        A, B = dense_matrix(a, cols, d), dense_matrix(b, cols, d)
+        C = dense_matrix(inner, width, d)
         results = {
             "+": (A + B, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
             "-": (A - B, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]),
@@ -590,7 +599,7 @@ class TestStoredRows:
         if data.draw(st.booleans()):   # strictly lower: nilpotent
             a = [[x if k < r else Scalar.zero(d) for k, x in enumerate(p)]
                  for r, p in enumerate(a)]
-        A = matrix_of(a, n, n, d)
+        A = dense_matrix(a, n, d)
         power = [[Scalar.one(d) if r == k else Scalar.zero(d) for k in range(n)]
                  for r in range(n)]
         for _ in range(n):
@@ -617,6 +626,6 @@ class TestStoredRows:
 
     def test_explicit_zeros_are_not_stored(self):
         z = Scalar.zero(3)
-        m = Matrix(2, 2, [z, Scalar(1, 1, 3), Scalar(0, 0, 3), z], 3)
+        m = dense_matrix([[z, Scalar(1, 1, 3)], [Scalar(0, 0, 3), z]], 2, 3)
         assert m._rows == ({1: Scalar(1, 1, 3)}, {})
         assert m == Matrix.from_rows([[0, Scalar(1, 1, 3)], [0, 0]], 3)

@@ -8,7 +8,7 @@ from nilaffine.affine import (AffineRep, check_simply_transitive,
                              rep_from_dict, rep_to_dict)
 from nilaffine.corpus import bundled_rep, bundled_reps
 from nilaffine.errors import (IncompleteStructureError, ParseError,
-                              PreconditionError)
+                              PreconditionError, ShapeError)
 from nilaffine.liealg import LieAlgebra, abelian, get_algebra, is_derivation
 from nilaffine.linalg import EngelFailure, Matrix, as_vector
 from nilaffine.lr import (LRStructure, LRViolation, check_complete, check_lr,
@@ -109,7 +109,7 @@ def perturbed(s, rng, d, count):
     for _ in range(count):
         i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         grid[i][j][k] = grid[i][j][k] + rand_scalar(rng, d)
-    return LRStructure(s.algebra.with_field(d), grid)
+    return LRStructure.from_table(s.algebra.with_field(d), table_of(grid))
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +125,9 @@ class TestSparseKernels:
     def test_product_matches_dense(self, d, n, density):
         rng = random.Random(100 * d + 10 * n + int(10 * density))
         for _ in range(5):
-            s = LRStructure(abelian(n, d),
-                            [[[rand_scalar(rng, d, density) for _ in range(n)]
-                              for _ in range(n)] for _ in range(n)])
+            s = LRStructure.from_table(abelian(n, d), table_of(
+                [[[rand_scalar(rng, d, density) for _ in range(n)]
+                  for _ in range(n)] for _ in range(n)]))
             x = tuple(rand_scalar(rng, d, density) for _ in range(n))
             y = tuple(rand_scalar(rng, d, 1 - density / 2) for _ in range(n))
             got = s.product(x, y)
@@ -197,7 +197,7 @@ class TestStoredForm:
         rng = random.Random(int(40 * density) + d)
         for n in (1, 3):
             grid = seeded_grid(rng, n, d, density)
-            s = LRStructure(abelian(n, d), grid)
+            s = LRStructure.from_table(abelian(n, d), table_of(grid))
             assert all(stored_values(s))
             assert len(stored_values(s)) == sum(
                 bool(c) for row in grid for v in row for c in v)
@@ -213,7 +213,11 @@ class TestStoredForm:
         for n in (1, 3):
             L = abelian(n, d)
             grid = seeded_grid(rng, n, d, density)
-            built = [LRStructure(L, grid), LRStructure.from_table(L, table_of(grid))]
+            # every entry named, zeros too; only the nonzero ones; the file
+            sparse = {ij: [(k, c) for k, c in terms if c]
+                      for ij, terms in table_of(grid).items()}
+            built = [LRStructure.from_table(L, table_of(grid)),
+                     LRStructure.from_table(L, sparse)]
             built.append(lr_from_dict(lr_to_dict(built[0])))
             for other in built[1:]:
                 assert other == built[0]
@@ -223,14 +227,30 @@ class TestStoredForm:
         rng = random.Random(77)
         L = get_algebra("h3")
         grid = seeded_grid(rng, 3, 1, 0.3)
-        s = LRStructure(L, grid)
+        s = LRStructure.from_table(L, table_of(grid))
         as_d3 = [[[Scalar.of(c, 3) for c in v] for v in row] for row in grid]
-        copy = LRStructure(L, as_d3)
+        copy = LRStructure.from_table(L, table_of(as_d3))
         assert copy == s and hash(copy) == hash(s)
         # the same values over Q(sqrt 3): only the algebra's context differs
         lifted = LRStructure.from_table(L.with_field(3), table_of(as_d3))
         assert lifted.lefts == s.lefts and hash(lifted.lefts) == hash(s.lefts)
         assert lifted != s and all(m.d == 3 for m in lifted.lefts)
+
+    def test_from_table_rejects_bad_pairs_targets_and_floats(self):
+        L = get_algebra("h3")
+        for pair in ((0, 1), (4, 1), (1, 4)):
+            with pytest.raises(ShapeError, match="pair"):
+                LRStructure.from_table(L, {pair: ((3, 1),)})
+        for k in (0, 4):
+            with pytest.raises(ShapeError, match="target"):
+                LRStructure.from_table(L, {(1, 2): ((k, 1),)})
+        for c in (0.5, True):
+            with pytest.raises(TypeError):
+                LRStructure.from_table(L, {(1, 2): ((3, c),)})
+
+    def test_no_dense_constructor(self):
+        with pytest.raises(TypeError):
+            LRStructure(abelian(1), [[[0]]])
 
     def test_json_writer_matches_dense_reference(self, passing_structures,
                                                  witnesses):
@@ -240,9 +260,9 @@ class TestStoredForm:
         structures += [outcome.witness_lr for outcome in witnesses]
         for d, density in STORED_CASES:
             rng = random.Random(int(40 * density) + 100 * d)
-            structures += [LRStructure(abelian(3, d),
-                                       seeded_grid(rng, 3, d, density))
-                           for _ in range(3)]
+            structures += [LRStructure.from_table(
+                abelian(3, d), table_of(seeded_grid(rng, 3, d, density)))
+                for _ in range(3)]
         for s in structures:
             assert lr_to_dict(s) == dense_lr_to_dict(s)
 

@@ -412,6 +412,18 @@ class TestObstructed:
         for out, name in ((outcome, "g6_18"), (found, "h3")):
             assert not verify_certificate(out, get_algebra(name).with_field(3))
 
+    def test_another_algebra_is_rejected_before_any_solve(self, outcome,
+                                                          monkeypatch):
+        """The Q(sqrt 3) copy and a transport are other algebras: rejected by
+        comparing them with outcome.algebra, without rebuilding anything (a
+        raising stub would be swallowed by the checker's own handler)."""
+        calls, real = [], obstruction.derivation_space
+        monkeypatch.setattr(obstruction, "derivation_space",
+                            lambda L: calls.append(L) or real(L))
+        for other in (get_algebra("g6_18").with_field(3), transported_g6_18()):
+            assert not verify_certificate(outcome, other)
+        assert calls == []
+
     def test_not_two_step_solvable_and_never_found(self, outcome):
         L = get_algebra("g6_18")
         assert not L.is_two_step_solvable()

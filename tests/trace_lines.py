@@ -12,6 +12,16 @@ With no arguments it runs the tier-1 suite (``-q
 --continue-on-collection-errors``). Tracing slows the suite several times
 over; the full tier-1 run takes minutes.
 
+To see which package lines any CLI command reaches, trace the golden
+test alone, which runs every pinned command in-process (about 5 s on a
+2-core machine):
+
+    PYTHONPATH=src python tests/trace_lines.py -q tests/test_cli_golden.py
+
+A line it reports unreached is reached by no golden command, so a change
+that deletes only such lines changes no command's behaviour on those
+inputs; this is how a deletion is shown to lose nothing a user runs.
+
 Only this process is traced. The tests that run the CLI in a subprocess
 (``python -m nilaffine ...``) execute package lines that this report
 still counts as unreached.
