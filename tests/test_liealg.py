@@ -72,6 +72,17 @@ class TestBrackets:
         adj = h.ad(h.basis_vector(0))
         assert adj.column(1) == as_vector([0, 0, 1], 1)
         assert adj.column(0) == as_vector([0, 0, 0], 1)
+        # column j of ad(x) is [x, X_j], over Q and over Q(sqrt 3)
+        rng = random.Random(71)
+        for L in (get_algebra("g6_18"), algebra_from_dict(SQRT3_ALGEBRA)):
+            for _ in range(5):
+                x = tuple(Scalar(rng.randint(-3, 3), rng.randint(-1, 1) * (L.d != 1),
+                                 L.d) for _ in range(L.dim))
+                m = L.ad(x)
+                assert [m.column(j) for j in range(L.dim)] == \
+                    [L.bracket(x, L.basis_vector(j)) for j in range(L.dim)]
+        with pytest.raises(ShapeError):
+            h.ad((1, 0))
 
     def test_diagonal_table_entries_rejected(self):
         with pytest.raises(ShapeError):

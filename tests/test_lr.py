@@ -47,6 +47,14 @@ class TestProducts:
         s = h3_halved()
         assert s.left_matrix(0).column(1) == as_vector([0, 0, HALF], 1)
         assert s.right_matrix(1).column(0) == as_vector([0, 0, HALF], 1)
+        # column j of R(X_i) is X_j . X_i, over Q and over Q(sqrt 3)
+        rng = random.Random(72)
+        for s in (s, rep_to_lr(bundled_rep("r4_to_f4")), LRStructure.from_table(
+                abelian(3, 3), table_of(seeded_grid(rng, 3, 3, 0.5)))):
+            n = s.algebra.dim
+            for i in range(n):
+                assert [s.right_matrix(i).column(j) for j in range(n)] == \
+                    [s.product_basis(j, i) for j in range(n)]
 
     def test_r4_to_f4_product_constants(self):
         s = rep_to_lr(bundled_rep("r4_to_f4"))
