@@ -20,6 +20,8 @@ The runs, each in-process through ``cli.main``:
   ``obstruct-abelian``;
 * the algebra ``SQRT3_ALGEBRA`` over Q(sqrt 3), written as a file:
   ``check-lie`` and ``derivations``;
+* the catalog: ``catalog list``, ``catalog show NAME`` for every catalog
+  algebra and ``catalog export g6_18 FILE``;
 
 each in text and in ``--json``. The runs of one rep or algebra form a group
 and share a fresh temporary working directory that holds the inputs under
@@ -113,6 +115,13 @@ def _sqrt3_group() -> list[dict]:
         _both(["derivations", "n4_sqrt3.json"])
 
 
+def _catalog_group() -> list[dict]:
+    runs = _both(["catalog", "list"])
+    for name in catalog_names():
+        runs += _both(["catalog", "show", name])
+    return runs + _both(["catalog", "export", "g6_18", "g6_18.json"], "g6_18.json")
+
+
 def groups() -> dict[str, object]:
     """Group name -> a function making that group's runs."""
     out: dict[str, object] = {}
@@ -122,6 +131,7 @@ def groups() -> dict[str, object]:
     for name in catalog_names():
         out[f"algebra {name}"] = lambda name=name: _algebra_group(name)
     out["algebra file n4_sqrt3"] = _sqrt3_group
+    out["catalog"] = _catalog_group
     return out
 
 
