@@ -34,10 +34,10 @@ from .liealg import (LieAlgebra, _catalog_key, _expect_field,
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
-from .scalars import Scalar, unit
+from .scalars import Frozen, Scalar, unit
 
 
-class AffineRep:
+class AffineRep(Frozen):
     """Basis-indexed data of a map X_i -> (t_i, D_i).
 
     Shapes and the field context are validated at construction; the
@@ -75,14 +75,8 @@ class AffineRep:
                 raise ShapeError(f"linear part {i + 1} is {mat.rows}x{mat.cols}, "
                                  f"expected {n}x{n}")
             dm.append(mat.with_field(target.d))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "t", tuple(tv))
-        object.__setattr__(self, "D", tuple(dm))
-        object.__setattr__(self, "label", label or f"{source.name}->{target.name}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineRep is immutable")
+        self._fill(source, target, tuple(tv), tuple(dm),
+                   label or f"{source.name}->{target.name}")
 
     @property
     def d(self) -> int:

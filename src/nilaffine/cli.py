@@ -100,8 +100,8 @@ def _pass(ok: bool) -> str:
 def _cmd_check_lie(parser, args) -> int:
     L = _load_algebra(parser, args)
     jac = L.check_jacobi()
-    lcs = [len(layer) for layer in L.lower_central_series()]
-    ds = [len(layer) for layer in L.derived_series()]
+    (lower, nilpotent), (derived, metabelian) = L._series(False), L._series(True)
+    lcs, ds = [len(layer) for layer in lower], [len(layer) for layer in derived]
     doc = {
         "name": L.name,
         "dim": L.dim,
@@ -113,8 +113,8 @@ def _cmd_check_lie(parser, args) -> int:
                            for v in jac.violations],
         },
         "abelian": L.is_abelian(),
-        "nilpotent": L.is_nilpotent(),
-        "two_step_solvable": L.is_two_step_solvable(),
+        "nilpotent": nilpotent,
+        "two_step_solvable": metabelian,
         "lower_central_dims": lcs,
         "derived_dims": ds,
         "center_dim": len(L.center()),

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import ParseError, ShapeError, quoted
 from .linalg import (Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse,
                      _transpose)
-from .scalars import (Coefficient, Scalar, as_scalar, check_context, exact,
+from .scalars import (Coefficient, Frozen, Scalar, as_scalar, check_context, exact,
                       scalar_from_json, scalar_to_json, stored, unit)
 
 BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
@@ -52,7 +52,7 @@ class JacobiReport:
         return self.ok
 
 
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """A Lie algebra on Q(sqrt(d))^n with sparse structure constants.
 
     The table maps index pairs (i, j) with i < j to the coordinates of
@@ -89,15 +89,9 @@ class LieAlgebra:
                 norm[(i, j)] = cleaned
             else:
                 norm.pop((i, j), None)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_signed", {
+        self._fill(name, dim, d, {
             **{pair: dict(terms) for pair, terms in norm.items()},
             **{(j, i): {k: -c for k, c in terms} for (i, j), terms in norm.items()}})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
 
     @classmethod
     def from_table(cls, name: str, dim: int,
@@ -172,9 +166,10 @@ class LieAlgebra:
                             (i + 1, j + 1, k + 1), _dense(res, n, self.d)))
         return JacobiReport(not violations, tuple(violations))
 
-    def _series(self, derived: bool) -> list[list[dict]]:
+    def _series(self, derived: bool) -> tuple[list[list[dict]], bool]:
         """Sparse RREF bases of g = g_0, g_1, ... until stable or zero, with
-        g_(k+1) = [g_k, g_k] (derived) or [g, g_k] (lower central)."""
+        g_(k+1) = [g_k, g_k] (derived) or [g, g_k] (lower central), and
+        whether g is two-step solvable (derived) or nilpotent (lower central)."""
         one = unit(self.d)
         full = [{i: one} for i in range(self.dim)]
         current, series = full, [full]
@@ -185,29 +180,28 @@ class LieAlgebra:
                 break
             series.append(nxt)
             current = nxt
-        return series
+        return series, not series[-1] and (not derived or len(series) <= 3)
 
     def _dense_rows(self, rows: Iterable[dict]) -> tuple[Vector, ...]:
         return tuple(_dense(r, self.dim, self.d) for r in rows)
 
     def derived_series(self) -> tuple[tuple[Vector, ...], ...]:
         """Bases of g, [g, g], [[g, g], [g, g]], ... until stable or zero."""
-        return tuple(map(self._dense_rows, self._series(True)))
+        return tuple(map(self._dense_rows, self._series(True)[0]))
 
     def lower_central_series(self) -> tuple[tuple[Vector, ...], ...]:
         """Bases of g, [g, g], [g, [g, g]], ... until stable or zero."""
-        return tuple(map(self._dense_rows, self._series(False)))
+        return tuple(map(self._dense_rows, self._series(False)[0]))
 
     def is_abelian(self) -> bool:
         return not self._signed
 
     def is_nilpotent(self) -> bool:
-        return not self._series(False)[-1]
+        return self._series(False)[1]
 
     def is_two_step_solvable(self) -> bool:
         """Whether the second derived algebra [[g,g],[g,g]] vanishes."""
-        ds = self._series(True)
-        return len(ds) <= 3 and not ds[-1]
+        return self._series(True)[1]
 
     def center(self) -> tuple[Vector, ...]:
         """RREF basis of {x : sum_i x_i [X_i, X_j] = 0 for every j}."""

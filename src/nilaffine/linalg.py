@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import FieldMismatchError, ParseError, ShapeError
-from .scalars import (Coefficient, RationalLike, Scalar, as_scalar,
+from .scalars import (Coefficient, Frozen, RationalLike, Scalar, as_scalar,
                       check_context, exact, quotient, scalar_from_json,
                       scalar_to_json, stored, unit)
 
@@ -166,8 +166,9 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-class Matrix:
-    """Immutable matrix over Q(sqrt(d)), stored as sparse rows.
+class Matrix(Frozen):
+    """Immutable matrix over Q(sqrt(d)), stored as sparse rows; built only
+    by ``_of`` or a checking builder, so ``Matrix()`` raises TypeError.
 
     ``_rows`` holds one ``{column: coefficient}`` dict per row with the
     nonzero entries only, in stored form. The dicts are built once and
@@ -178,18 +179,13 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "d", "_rows")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
     # -------------------------------------------------- constructors
 
     @classmethod
     def _of(cls, rows: Iterable[SparseRow], cols: int, d: int) -> "Matrix":
         """Wrap sparse rows that hold no zero; they are stored, not copied."""
-        m, rows = object.__new__(cls), tuple(rows)
-        for name, value in zip(cls.__slots__, (len(rows), cols, d, rows)):
-            object.__setattr__(m, name, value)
-        return m
+        rows = tuple(rows)
+        return object.__new__(cls)._fill(len(rows), cols, d, rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[EntryLike]], d: int = 1) -> "Matrix":

@@ -37,7 +37,7 @@ from .errors import (IncompleteStructureError, ParseError, PreconditionError,
 from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, _transpose, engel_flag)
-from .scalars import exact, stored, unit
+from .scalars import Frozen, exact, stored, unit
 
 
 class LRViolation(NamedTuple):
@@ -65,27 +65,22 @@ class CompletenessVerdict:
         return self.complete
 
 
-class LRStructure:
+class LRStructure(Frozen):
     """Product constants over ordered basis pairs of a Lie algebra.
 
     lefts[i] is L(X_i), the sparse Matrix whose column j is X_i . X_j;
     ``products`` is the dense grid of those vectors, as a view. A structure
-    is built by ``_of`` from its L(X_i) or by :meth:`from_table`.
-    Identities are not enforced at construction, use :func:`check_lr`.
+    is built only by ``_of`` from its L(X_i) or by :meth:`from_table`, so
+    ``LRStructure()`` raises TypeError. Building does not check the
+    identities; :func:`check_lr` does.
     """
 
     __slots__ = ("algebra", "lefts")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LRStructure is immutable")
-
     @classmethod
     def _of(cls, algebra: LieAlgebra, lefts: Iterable[Matrix]) -> "LRStructure":
         """Wrap the matrices L(X_i), n x n in the algebra's context."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "algebra", algebra)
-        object.__setattr__(s, "lefts", tuple(lefts))
-        return s
+        return object.__new__(cls)._fill(algebra, tuple(lefts))
 
     @classmethod
     def from_table(cls, algebra: LieAlgebra,

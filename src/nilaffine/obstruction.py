@@ -50,7 +50,7 @@ from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
 from .linalg import Matrix, SparseRow, _combination, _install
 from .lr import LRStructure, _lr_of_passing_rep, lr_to_dict
-from .scalars import Rational, Scalar, _encode_fraction, as_fraction, exact
+from .scalars import Frozen, Rational, Scalar, _encode_fraction, as_fraction, exact
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
 _exponent = itemgetter(1)
@@ -73,7 +73,7 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-class Poly:
+class Poly(Frozen):
     """Sparse multivariate polynomial over Q with integer variable ids.
 
     Coefficients are ``int`` or ``Fraction`` (see :mod:`nilaffine.scalars`),
@@ -85,10 +85,7 @@ class Poly:
 
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
         cleaned = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        object.__setattr__(self, "terms", cleaned)   # hot: not through _fill
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -219,11 +216,11 @@ class Poly:
 def _poly(terms: dict[Monomial, Rational]) -> Poly:
     """Wrap a term dict that holds no zero coefficient, without copying it."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "terms", terms)   # hot: not through _fill
     return p
 
 
-class ParametricMatrix:
+class ParametricMatrix(Frozen):
     """Square grid of polynomials; the symbolic form of a matrix of unknowns."""
 
     __slots__ = ("size", "grid")
@@ -235,11 +232,7 @@ class ParametricMatrix:
             if len(row) != n:
                 raise ShapeError("parametric matrix must be square")
             rows.append(tuple(row))
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "grid", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParametricMatrix is immutable")
+        self._fill(n, tuple(rows))
 
     def entry(self, r: int, c: int) -> Poly:
         return self.grid[r][c]

@@ -18,7 +18,8 @@ Rationals enter through :func:`exact`, which makes every integral value an
 int, and every division goes through :func:`quotient`, which gives an int
 when it leaves no remainder; so a ``Fraction`` appears only for a value
 that is not integral or that was computed from one. ``quotient`` and
-:meth:`Scalar.inverse` are the only places that divide.
+:meth:`Scalar.inverse` are the only places that divide. Every value type
+of the package derives from :class:`Frozen`, the one immutability guard.
 """
 
 from __future__ import annotations
@@ -104,7 +105,29 @@ def check_context(d: int) -> int:
     return d
 
 
-class Scalar:
+class Frozen:
+    """Base of the value types: immutable and always whole. A type sets its
+    ``__slots__`` once, through ``_fill``; one without a public constructor
+    of its own is built as ``object.__new__(cls)._fill(...)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} has no public constructor")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fill(self, *values):
+        """Set every slot of the instance's type, in order; returns self."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        return self
+
+
+class Scalar(Frozen):
     """An element rat + irr*sqrt(d) of Q(sqrt(d)), immutable."""
 
     __slots__ = ("rat", "irr", "d")
@@ -116,12 +139,7 @@ class Scalar:
         if d == 1 and i:
             # sqrt(1) = 1, fold into the rational part
             r, i = r + i, Fraction(0)
-        object.__setattr__(self, "rat", r)
-        object.__setattr__(self, "irr", i)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+        self._fill(r, i, d)
 
     # -------------------------------------------------- constructors
 

@@ -450,11 +450,19 @@ class TestEachFactOnce:
         argv = ["check-lie", "--algebra", "g6_18"] + flag
         before = run_out(capsys, argv)
         counts = {name: self.count_calls(monkeypatch, LieAlgebra, name)
-                  for name in ("is_abelian", "lower_central_series",
-                               "derived_series", "center")}
+                  for name in ("is_abelian", "center")}
         assert run_out(capsys, argv) == before
         assert {name: len(calls) for name, calls in counts.items()} == \
             dict.fromkeys(counts, 1)
+
+    @pytest.mark.parametrize("flag", ([], ["--json"]))
+    def test_check_lie_computes_each_series_once(self, capsys, monkeypatch, flag):
+        """The dimensions and the predicate of a series come from one run."""
+        argv = ["check-lie", "--algebra", "g6_18"] + flag
+        before = run_out(capsys, argv)
+        calls = self.count_calls(monkeypatch, LieAlgebra, "_series")
+        assert run_out(capsys, argv) == before
+        assert sorted(derived for _, derived in calls) == [False, True]
 
     @pytest.mark.parametrize("name", ("h3", "g6_18"))
     def test_obstruct_checks_its_verdict_once(self, capsys, monkeypatch,
