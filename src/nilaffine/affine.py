@@ -87,12 +87,6 @@ class AffineRep(Frozen):
         return Matrix.from_columns(self.t, self.d) if self.t else \
             Matrix.zero(self.target.dim, 0, self.d)
 
-    def t_of(self, x: Vector) -> Vector:
-        """Translation part of an arbitrary source vector, by linearity."""
-        if len(x) != self.source.dim:
-            raise ShapeError(f"expected a source vector of length {self.source.dim}")
-        return self.t_matrix().apply(x)
-
     def D_of(self, x: Vector) -> Matrix:
         """Linear part of an arbitrary source vector, by linearity."""
         if len(x) != self.source.dim:
@@ -398,14 +392,6 @@ def rep_of_files(source_path: str, target_path: str, rep_path: str) -> AffineRep
     if rep.target != target.with_field(rep.d):
         raise ParseError(f"{rep_path}: rep.target disagrees with {target_path}")
     return rep
-
-
-def trivial_rep(L: LieAlgebra) -> AffineRep:
-    """X -> (X, 0): a homomorphism for any L, simply transitive for nilpotent L."""
-    n = L.dim
-    zero = Matrix.zero(n, n, L.d)
-    return AffineRep(L, L, _unit_translations(n), [zero] * n,
-                     label=f"trivial on {L.name}")
 
 
 def _unit_translations(n: int) -> list[tuple[int, ...]]:

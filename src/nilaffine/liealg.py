@@ -114,9 +114,6 @@ class LieAlgebra(Frozen):
 
     # -------------------------------------------------- bracket
 
-    def zero_vector(self) -> Vector:
-        return (Scalar.zero(self.d),) * self.dim
-
     def basis_vector(self, i: int) -> Vector:
         z, o = Scalar.zero(self.d), Scalar.one(self.d)
         return tuple(o if k == i else z for k in range(self.dim))
@@ -220,9 +217,6 @@ class LieAlgebra(Frozen):
             return self
         return LieAlgebra(self.name, self.dim, self._upper(), d)
 
-    def renamed(self, name: str) -> "LieAlgebra":
-        return LieAlgebra(name, self.dim, self._upper(), self.d)
-
     def __eq__(self, other):
         """Structural equality: same dimension, field and table; names differ freely."""
         if not isinstance(other, LieAlgebra):
@@ -264,11 +258,6 @@ def _leibniz(L: LieAlgebra, cols: Sequence[dict], i: int, j: int) -> dict:
     return L._bracket_into(acc, {i: minus}, cols[j])
 
 
-def leibniz_residual(L: LieAlgebra, m: Matrix, i: int, j: int) -> Vector:
-    """D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j] for basis indices (0-based)."""
-    return _dense(_leibniz(L, m._sparse_cols(), i, j), L.dim, L.d)
-
-
 def _leibniz_failure(L: LieAlgebra, m: Matrix) -> tuple[int, int] | None:
     """The first basis pair (i, j), i < j, where m breaks Leibniz, if any."""
     if m.rows != L.dim or m.cols != L.dim:
@@ -276,10 +265,6 @@ def _leibniz_failure(L: LieAlgebra, m: Matrix) -> tuple[int, int] | None:
     cols = m._sparse_cols()
     return next(((i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
                  if _leibniz(L, cols, i, j)), None)
-
-
-def is_derivation(L: LieAlgebra, m: Matrix) -> bool:
-    return _leibniz_failure(L, m) is None
 
 
 @dataclass(frozen=True)
@@ -338,21 +323,6 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
 # ------------------------------------------------------------------ semidirect
 
 
-class SemidirectElement(NamedTuple):
-    """Element (v, D) of the semidirect sum of g with its derivations."""
-    vector: Vector
-    matrix: Matrix
-
-
-def semidirect_bracket(L: LieAlgebra, a: SemidirectElement | tuple[Vector, Matrix],
-                       b: SemidirectElement | tuple[Vector, Matrix]) -> SemidirectElement:
-    """[(x, D), (y, E)] = ([x, y] + D y - E x, D E - E D)."""
-    vec: dict[int, Coefficient] = {}
-    rows: list[dict[int, Coefficient]] = [{} for _ in range(L.dim)]
-    _semidirect_into(L, vec, rows, _sparse_element(*a), _sparse_element(*b))
-    return SemidirectElement(_dense(vec, L.dim, L.d), Matrix._of(rows, L.dim, L.d))
-
-
 def _sparse_element(x: Vector, m: Matrix) -> tuple:
     """(x, D) as the sparse vector x with the sparse rows and columns of D."""
     return _sparse(x, m.d), m._rows, m._sparse_cols()
@@ -360,7 +330,8 @@ def _sparse_element(x: Vector, m: Matrix) -> tuple:
 
 def _semidirect_into(L: LieAlgebra, vec: dict, rows: Sequence[dict],
                      a: tuple, b: tuple) -> None:
-    """Add the semidirect bracket [a, b] to vec and to the matrix rows."""
+    """Add the semidirect bracket [a, b] to vec and to the matrix rows:
+    [(x, D), (y, E)] = ([x, y] + D y - E x, D E - E D)."""
     (xa, ra, ca), (xb, rb, cb) = a, b
     L._bracket_into(vec, xa, xb)
     for q, c in xb.items():

@@ -168,13 +168,14 @@ class RrefResult(NamedTuple):
 
 class Matrix(Frozen):
     """Immutable matrix over Q(sqrt(d)), stored as sparse rows; built only
-    by ``_of`` or a checking builder, so ``Matrix()`` raises TypeError.
+    by ``_of`` or a checking builder (``from_rows``, ``from_columns``,
+    ``zero``, ``identity``), so ``Matrix()`` raises TypeError.
 
     ``_rows`` holds one ``{column: coefficient}`` dict per row with the
     nonzero entries only, in stored form. The dicts are built once and
     never changed, so results of arithmetic may share them with their
-    operands. ``get``, ``row``, ``column``, ``row_list``, ``entries`` and
-    ``str`` are dense views of Scalars.
+    operands. ``get``, ``row``, ``column``, ``row_list``, ``entries``,
+    ``apply`` and ``str`` are dense views of Scalars.
     """
 
     __slots__ = ("rows", "cols", "d", "_rows")
@@ -219,16 +220,6 @@ class Matrix(Frozen):
             raise ShapeError("ragged columns")
         return cls._of([_sparse([col[r] for col in columns], d) for r in range(n)],
                        len(columns), d)
-
-    @classmethod
-    def stack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        """Vertical concatenation."""
-        if not mats:
-            raise ShapeError("cannot stack zero matrices")
-        cols, d = mats[0].cols, mats[0].d
-        if any(m.cols != cols or m.d != d for m in mats):
-            raise ShapeError("stack requires equal widths and contexts")
-        return cls._of((row for m in mats for row in m._rows), cols, d)
 
     def with_field(self, d: int) -> "Matrix":
         """The same entries read in the field Q(sqrt(d))."""
@@ -457,21 +448,6 @@ def matrix_from_json(data: object, rows: int, cols: int, d: int, where: str) -> 
         for r, row in enumerate(data)], cols, d)
 
 
-# ------------------------------------------------------------------ subspaces
-
-
-def row_space_basis(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector, ...]:
-    """Canonical (RREF) basis of the span of the given coordinate vectors."""
-    return tuple(_dense(r, length, d)
-                 for r in _rref(_sparse(v, d) for v in vectors)[1])
-
-
-def annihilator(vectors: Sequence[Vector], d: int, length: int) -> tuple[Vector, ...]:
-    """Basis of {c : c . v = 0 for every v in the span}."""
-    return tuple(_dense(v, length, d) for v in
-                 _nullspace((_sparse(v, d) for v in vectors), length, unit(d)))
-
-
 # ------------------------------------------------------------------ flags
 
 
@@ -495,19 +471,6 @@ class Flag:
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    def change_of_basis(self) -> Matrix:
-        """Matrix P whose columns are the flag basis vectors."""
-        return Matrix.from_columns(self.basis, self.d)
-
-    def conjugate(self, m: Matrix) -> Matrix:
-        """P^{-1} M P, the matrix of M in flag coordinates."""
-        p = self.change_of_basis()
-        return p.inverse() @ m @ p
-
-    def is_strict_for(self, family: Sequence[Matrix]) -> bool:
-        return all(self.conjugate(m).is_strictly_lower_triangular()
-                   for m in family)
 
 
 @dataclass(frozen=True)

@@ -120,10 +120,6 @@ class LRStructure(Frozen):
             raise ShapeError(f"product arguments must have length {n}")
         return _combination(zip(x, self.lefts), n, n, self.d).apply(y)
 
-    def left_matrix(self, i: int) -> Matrix:
-        """L(X_i): columns are X_i . X_j."""
-        return self.lefts[i]
-
     def right_matrix(self, i: int) -> Matrix:
         """R(X_i): columns are X_j . X_i, column i of each L(X_j)."""
         return Matrix._of(_transpose([m._sparse_cols()[i] for m in self.lefts],

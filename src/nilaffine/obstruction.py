@@ -48,7 +48,7 @@ from .affine import (AffineRep, _unit_translations, check_simply_transitive,
                      rep_to_dict)
 from .errors import InternalError, PreconditionError, ShapeError
 from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
-from .linalg import Matrix, SparseRow, _combination, _install
+from .linalg import SparseRow, _combination, _install
 from .lr import LRStructure, _lr_of_passing_rep, lr_to_dict
 from .scalars import Frozen, Rational, Scalar, _encode_fraction, as_fraction, exact
 
@@ -144,9 +144,6 @@ class Poly(Frozen):
 
     def constant_value(self) -> Fraction:
         return Fraction(self.terms.get((), 0))
-
-    def variables(self) -> set[int]:
-        return {v for m in self.terms for v, _ in m}
 
     def substitute(self, subs: Mapping[int, "Poly"]) -> "Poly":
         """Replace each variable in subs by its polynomial, expand exactly."""
@@ -257,12 +254,6 @@ class ParametricMatrix(Frozen):
 
     def commutator(self, other: "ParametricMatrix") -> "ParametricMatrix":
         return (self @ other) - (other @ self)
-
-    def specialize(self, values: Mapping[int, Fraction], d: int = 1) -> Matrix:
-        n = self.size
-        return Matrix.from_rows(
-            [[self.grid[r][c].evaluate(values) for c in range(n)]
-             for r in range(n)], d) if n else Matrix.zero(0, 0, d)
 
 
 def _commutator_entry(x: ParametricMatrix, y: ParametricMatrix, r: int,

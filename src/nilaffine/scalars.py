@@ -126,6 +126,14 @@ class Frozen:
             object.__setattr__(self, name, value)
         return self
 
+    def __reduce__(self):
+        """Copy, deepcopy and pickle rebuild the value from its slots."""
+        return _rebuild, (type(self), *(getattr(self, n) for n in self.__slots__))
+
+
+def _rebuild(cls, *values):
+    return object.__new__(cls)._fill(*values)
+
 
 class Scalar(Frozen):
     """An element rat + irr*sqrt(d) of Q(sqrt(d)), immutable."""

@@ -17,13 +17,17 @@ rows, which ``from_rows`` cannot express.
 the package no longer needs, kept here for the tests that compare against
 dense arithmetic.
 
+``flag_conjugate`` is P^-1 M P for the matrix P of a flag's basis, with
+P^-1 from ``dense_inverse``: M in the flag's coordinates, where a flag
+that certifies M makes it strictly lower triangular.
+
 ``dense_lr_to_dict`` is a verbatim copy of the old ``lr.lr_to_dict``, which
 read every coordinate of the dense product grid ``products``; it is the
 reference the sparse writer is compared with.
 """
 
 from nilaffine.liealg import DerivationSpace, LieAlgebra
-from nilaffine.linalg import Matrix, RrefResult, Vector
+from nilaffine.linalg import Flag, Matrix, RrefResult, Vector
 from nilaffine.lr import LRStructure
 from nilaffine.scalars import Scalar, scalar_to_json
 
@@ -108,6 +112,11 @@ def dense_inverse(self) -> Matrix:
         raise ZeroDivisionError("matrix is singular")
     return dense_matrix([[R.get(r, n + c) for c in range(n)]
                          for r in range(n)], n, self.d)
+
+
+def flag_conjugate(flag: Flag, m: Matrix) -> Matrix:
+    p = Matrix.from_columns(flag.basis, flag.d)
+    return dense_inverse(p) @ m @ p
 
 
 def dense_row_space_basis(vectors, d: int, length: int) -> tuple[Vector, ...]:

@@ -29,8 +29,8 @@ import nilaffine
 from nilaffine import scalars
 from nilaffine.affine import check_homomorphism, rep_from_dict, rep_to_dict
 from nilaffine.corpus import bundled_rep_names, bundled_reps
-from nilaffine.liealg import (algebra_from_dict, algebra_to_dict, catalog,
-                              derivation_space, transport)
+from nilaffine.liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
+                              catalog, derivation_space, transport)
 from nilaffine.linalg import Matrix, _combination, _nullspace
 from nilaffine.lr import check_lr, lr_from_dict, lr_to_dict, rep_to_lr
 from nilaffine.obstruction import obstruct_abelian, verify_certificate
@@ -324,5 +324,6 @@ class TestNoScalarInRationalKernels:
     def test_series_predicates_and_copies(self, name, built):
         L = ALGEBRAS[name]
         assert L.is_nilpotent() and L.is_two_step_solvable() == (name != "g6_18")
-        assert L.with_field(1) is L and L.renamed("copy") == L
+        assert L.with_field(1) is L
+        assert LieAlgebra("copy", L.dim, L._upper(), L.d) == L
         assert built == []

@@ -6,14 +6,18 @@ value must not change after it is built, and no caller may ever hold one
 whose slots are unset. Every such type derives from ``scalars.Frozen``,
 which owns the one guard: setting or deleting an attribute raises
 AttributeError, and calling a type with no public constructor of its own
-raises TypeError. The lint below parses the package with ``ast`` and keeps
-that rule in one place: no other class defines ``__setattr__`` or
-``__delattr__``, and slots are written directly (``object.__setattr__``
-or a slot descriptor's ``__set__``) only inside ``Frozen`` and the hot
-builders listed in ALLOWED.
+raises TypeError. Copy, deepcopy and pickle rebuild a value from its
+slots through ``Frozen.__reduce__``, so a copy is equal and frozen too.
+The lint below parses the package with ``ast`` and keeps that rule in
+one place: no other class defines ``__setattr__`` or ``__delattr__``,
+and slots are written directly (``object.__setattr__`` or a slot
+descriptor's ``__set__``) only inside ``Frozen`` and the hot builders
+listed in ALLOWED.
 """
 
 import ast
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +75,17 @@ class TestEveryValueType:
             with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
                 delattr(value, attr)
         assert slots(value) == before
+
+    def test_copies_and_pickles_are_equal_and_frozen(self, name):
+        value = VALUES[name]()
+        for result in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(result) is type(value) and slots(result) == slots(value)
+            if name != "ParametricMatrix":   # which compares by identity
+                assert result == value and hash(result) == hash(value)
+            for attr in (*type(value).__slots__, "unknown"):
+                with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                    setattr(result, attr, None)
 
 
 @pytest.mark.parametrize("args", [(), (1,), ([[1]],)], ids=["none", "int", "grid"])

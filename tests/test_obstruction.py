@@ -10,8 +10,8 @@ from record_cli_golden import SQRT3_ALGEBRA
 from nilaffine import lr, obstruction
 from nilaffine.affine import check_simply_transitive
 from nilaffine.errors import InternalError, ParseError, PreconditionError
-from nilaffine.liealg import (LieAlgebra, algebra_from_dict, catalog_names,
-                              derivation_space, get_algebra, is_derivation,
+from nilaffine.liealg import (LieAlgebra, _leibniz_failure, algebra_from_dict,
+                              catalog_names, derivation_space, get_algebra,
                               transport)
 from nilaffine.io import stable_json
 from nilaffine.linalg import Matrix, _rref
@@ -26,6 +26,10 @@ from nilaffine.scalars import Scalar
 
 NEGATIVE_CONTROLS = ("R1", "R2", "R3", "R4", "R5", "R6",
                      "h3", "h3+R", "f4", "h3+R2", "g5_6")
+
+
+def variables(p: Poly) -> set[int]:
+    return {v for m in p.terms for v, _ in m}
 
 
 class TestPoly:
@@ -52,10 +56,6 @@ class TestPoly:
         assert Poly().constant_value() == 0
         assert not (Poly.var(0) + Poly.const(5)).is_constant()
 
-    def test_variables(self):
-        p = Poly.var(2) * Poly.var(7) + Poly.var(2)
-        assert p.variables() == {2, 7}
-
     def test_substitute_expands_powers(self):
         p = Poly.var(0) * Poly.var(0)
         q = p.substitute({0: Poly.var(1) + Poly.const(1)})
@@ -69,7 +69,7 @@ class TestPoly:
             * (y * 2 - Poly.const(1)) * z \
             + (y * 2 - Poly.const(1)) * y * 3 - Poly.const(2)
         assert q == expected
-        assert 2 in q.variables() and 0 not in q.variables()
+        assert 2 in variables(q) and 0 not in variables(q)
         assert all(q.terms.values())
         # x*y - x - y with x = 1 cancels the y terms and leaves -1
         r = (x * y - x - y).substitute({0: Poly.const(1)})
@@ -176,7 +176,7 @@ class TestLinearSystem:
                 sys_.add(eq)
             pivots = set(sys_.solved)
             for form in sys_.solved.values():
-                assert not (form.variables() & pivots)
+                assert not (variables(form) & pivots)
 
     def test_insertion_order_is_irrelevant(self):
         rng = random.Random(7)
@@ -230,7 +230,10 @@ class TestParametricDerivation:
             values = {space.dimension + k:
                       Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                       for k in range(space.dimension)}
-            assert is_derivation(L, pd.specialize(values, L.d))
+            n = L.dim
+            m = Matrix.from_rows([[pd.entry(r, c).evaluate(values) for c in range(n)]
+                                  for r in range(n)], L.d)
+            assert _leibniz_failure(L, m) is None
 
     def test_greek_names(self):
         name = variable_namer(derivation_space(get_algebra("g6_18")))
@@ -1069,7 +1072,7 @@ def naive_solved(equations):
             continue
         if reduced.is_constant():
             raise Contradiction(reduced.constant_value())
-        pivot = min(reduced.variables())
+        pivot = min(variables(reduced))
         coeff = reduced.terms[((pivot, 1),)]
         form = (Poly.var(pivot) * coeff - reduced) * (Fraction(1) / coeff)
         solved = {v: p.substitute({pivot: form}) for v, p in solved.items()}

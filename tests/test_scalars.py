@@ -49,8 +49,9 @@ class TestConstruction:
 
     def test_each_context_is_trial_divided_once(self, monkeypatch):
         from nilaffine import scalars
-        from nilaffine.affine import check_simply_transitive, trivial_rep
+        from nilaffine.affine import AffineRep, check_simply_transitive
         from nilaffine.liealg import get_algebra
+        from nilaffine.linalg import Matrix
         calls = {}
 
         def counting(d):
@@ -60,7 +61,8 @@ class TestConstruction:
         monkeypatch.setattr(scalars, "is_square_free", counting)
         monkeypatch.setattr(scalars, "_accepted_contexts", set())
         L = get_algebra("h3").with_field(1000000007)
-        assert check_simply_transitive(trivial_rep(L))
+        assert check_simply_transitive(AffineRep(
+            L, L, [L.basis_vector(i) for i in range(3)], [Matrix.zero(3, 3, L.d)] * 3))
         assert calls[1000000007] == 1
         assert all(count <= 1 for count in calls.values()), calls
 
