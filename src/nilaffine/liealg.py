@@ -9,8 +9,8 @@ Everything here is exact. Jacobi checking, derivation spaces, central
 series and the bundled catalog all reduce to the rational linear algebra
 in :mod:`nilaffine.linalg`, so results are decisions, not approximations.
 They run on the stored constants and on sparse RREF rows; the dense
-Scalar vectors of ``bracket``, ``table``, the series and ``center`` are
-built only to be returned.
+Scalar vectors of ``bracket``, ``bracket_basis``, the series and
+``center`` are built only to be returned.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError, quoted
-from .linalg import (Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse,
-                     _transpose)
-from .scalars import (Coefficient, Frozen, Scalar, as_scalar, check_context, exact,
-                      scalar_from_json, scalar_to_json, stored, unit)
+from .linalg import Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse
+from .scalars import (Coefficient, Frozen, check_context, exact, scalar_from_json,
+                      scalar_to_json, stored, unit)
 
 BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 
@@ -60,7 +59,7 @@ class LieAlgebra(Frozen):
     Construction normalizes the table but does not check Jacobi; call
     :meth:`check_jacobi` for that. The constants are stored once, in stored
     form, as sparse vectors under both (i, j) and (j, i), signed, for the
-    kernels; ``table`` is a view of them.
+    kernels.
     """
 
     __slots__ = ("name", "dim", "d", "_signed")
@@ -101,22 +100,12 @@ class LieAlgebra(Frozen):
                    for (i, j), terms in brackets.items()}
         return cls(name, dim, shifted, d)
 
-    @property
-    def table(self) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
-        """(i, j) -> ((k, c), ...) for i < j, by k: [X_i, X_j] = sum c X_k."""
-        return {pair: tuple((k, as_scalar(c)) for k, c in terms)
-                for pair, terms in self._upper().items()}
-
     def _upper(self) -> dict[tuple[int, int], Iterable[tuple[int, Coefficient]]]:
         """The stored constants of the pairs i < j: (i, j) -> (k, c) pairs."""
         return {pair: terms.items() for pair, terms in self._signed.items()
                 if pair[0] < pair[1]}
 
     # -------------------------------------------------- bracket
-
-    def basis_vector(self, i: int) -> Vector:
-        z, o = Scalar.zero(self.d), Scalar.one(self.d)
-        return tuple(o if k == i else z for k in range(self.dim))
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[X_i, X_j] as a coordinate vector (0-based indices)."""
@@ -136,14 +125,6 @@ class LieAlgebra(Frozen):
                 if terms:
                     _axpy(acc, a * b, terms)
         return acc
-
-    def ad(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y] in the coordinate basis: column j is [x, X_j]."""
-        if len(x) != self.dim:
-            raise ShapeError(f"ad argument must have length {self.dim}")
-        x, one = _sparse(x, self.d), unit(self.d)
-        cols = [self._bracket_into({}, x, {j: one}) for j in range(self.dim)]
-        return Matrix._of(_transpose(cols, self.dim), self.dim, self.d)
 
     # -------------------------------------------------- diagnostics
 
@@ -369,8 +350,8 @@ def transport(L: LieAlgebra, p: Matrix, name: str | None = None) -> "LieAlgebra"
 # ------------------------------------------------------------------ catalog
 
 
-def abelian(dim: int, d: int = 1, name: str | None = None) -> LieAlgebra:
-    return LieAlgebra(name or f"R{dim}", dim, {}, d)
+def abelian(dim: int, d: int = 1) -> LieAlgebra:
+    return LieAlgebra(f"R{dim}", dim, {}, d)
 
 
 @cache

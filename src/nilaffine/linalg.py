@@ -12,8 +12,8 @@ Products and sums combine rows with :func:`_axpy`. The kernels are generic
 over the coefficient type: they test for zero by truthiness and divide
 only through :func:`_divided`. The kernel returns the reduced row echelon
 form, which is unique, so equal inputs always produce identical output.
-The dense views (``get``, ``row``, ``column``, ``entries``, ``apply`` and
-the report vectors) are tuples of :class:`Scalar`, built only for callers:
+The dense views (``get``, ``row``, ``column``, ``apply`` and the report
+vectors) are tuples of :class:`Scalar`, built only for callers:
 no code in the package reads one back, and the JSON writer reads the
 rows. On top of the basics this module provides the simultaneous
 strict triangularization test (:func:`engel_flag`): a family of matrices
@@ -174,8 +174,8 @@ class Matrix(Frozen):
     ``_rows`` holds one ``{column: coefficient}`` dict per row with the
     nonzero entries only, in stored form. The dicts are built once and
     never changed, so results of arithmetic may share them with their
-    operands. ``get``, ``row``, ``column``, ``row_list``, ``entries``,
-    ``apply`` and ``str`` are dense views of Scalars.
+    operands. ``get``, ``row``, ``column``, ``apply`` and ``str`` are dense
+    views of Scalars.
     """
 
     __slots__ = ("rows", "cols", "d", "_rows")
@@ -242,12 +242,6 @@ class Matrix(Frozen):
         zero = Scalar.zero(self.d)
         return tuple(as_scalar(row[c]) if c in row else zero for row in self._rows)
 
-    def row_list(self) -> tuple[Vector, ...]:
-        return tuple(self.row(r) for r in range(self.rows))
-
-    def entries(self) -> tuple[Scalar, ...]:
-        return tuple(x for r in range(self.rows) for x in self.row(r))
-
     def _sparse_cols(self) -> list[SparseRow]:
         return _transpose(self._rows, self.cols)
 
@@ -290,8 +284,6 @@ class Matrix(Frozen):
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        if isinstance(other, tuple):
-            return self.apply(other)
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -318,9 +310,6 @@ class Matrix(Frozen):
                if (s := sum(x * v[c] for c, x in row.items() if v[c]))}
         return _dense(out, self.rows, self.d)
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return self @ other - other @ self
-
     # -------------------------------------------------- predicates
 
     def is_zero(self) -> bool:
@@ -328,9 +317,6 @@ class Matrix(Frozen):
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_strictly_lower_triangular(self) -> bool:
-        return all(c < r for r, row in enumerate(self._rows) for c in row)
 
     def is_nilpotent(self) -> bool:
         """Whether some power vanishes; decided by repeated squaring.
@@ -467,10 +453,6 @@ class Flag:
 
     def __bool__(self) -> bool:
         return True
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ class LRStructure(Frozen):
     """Product constants over ordered basis pairs of a Lie algebra.
 
     lefts[i] is L(X_i), the sparse Matrix whose column j is X_i . X_j;
-    ``products`` is the dense grid of those vectors, as a view. A structure
+    ``product_basis`` reads one such column as a dense vector. A structure
     is built only by ``_of`` from its L(X_i) or by :meth:`from_table`, so
     ``LRStructure()`` raises TypeError. Building does not check the
     identities; :func:`check_lr` does.
@@ -103,12 +103,6 @@ class LRStructure(Frozen):
     @property
     def d(self) -> int:
         return self.algebra.d
-
-    @property
-    def products(self) -> tuple[tuple[Vector, ...], ...]:
-        """products[i][j] is the coordinate vector of X_i . X_j."""
-        n = self.algebra.dim
-        return tuple(tuple(m.column(j) for j in range(n)) for m in self.lefts)
 
     def product_basis(self, i: int, j: int) -> Vector:
         return self.lefts[i].column(j)
@@ -264,22 +258,22 @@ def lr_to_rep(s: LRStructure) -> AffineRep:
 
     Refuses structures that fail the identities (PreconditionError, with
     the violation list) or completeness (IncompleteStructureError, with
-    the stalled-subspace evidence). The rep is not re-checked: the LR
-    identities make each -L(X_i) a derivation, and completeness makes the
-    rep simply transitive.
+    the stalled-subspace evidence). Identity (1) is decided once, by
+    check_lr; once it holds, the Engel flag alone decides completeness.
+    The rep is not re-checked: the LR identities make each -L(X_i) a
+    derivation, and completeness makes the rep simply transitive.
     """
     report = check_lr(s)
     if not report.ok:
         first = report.violations[0]
         raise PreconditionError(
             f"product violates LR identity {first.identity} at {first.where}")
-    verdict = check_complete(s)
-    if not verdict.complete:
+    n = s.algebra.dim
+    flag = engel_flag(s.lefts, size=n, d=s.d)
+    if not flag:
         raise IncompleteStructureError(
             "structure is not complete: left multiplications have no common "
-            "strict flag", evidence=verdict.failure)
-
-    n = s.algebra.dim
+            "strict flag", evidence=flag)
     return AffineRep(abelian(n, s.d), s.algebra, _unit_translations(n),
                      [-m for m in s.lefts],
                      label=f"abelian rep on {s.algebra.name}")

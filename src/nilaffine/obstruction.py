@@ -69,10 +69,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 class Poly(Frozen):
     """Sparse multivariate polynomial over Q with integer variable ids.
 
@@ -135,9 +131,6 @@ class Poly(Frozen):
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
 
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
@@ -264,15 +257,13 @@ def _commutator_entry(x: ParametricMatrix, y: ParametricMatrix, r: int,
 
 
 def parametric_derivation(L: LieAlgebra, index: int,
-                          space: DerivationSpace | None = None
-                          ) -> ParametricMatrix:
-    """General derivation D_index = sum_k u_{index,k} E_k with fresh symbols.
+                          space: DerivationSpace) -> ParametricMatrix:
+    """General derivation D_index = sum_k u_{index,k} E_k with fresh symbols,
+    over the basis E_k of ``space``, the derivation space of L.
 
     Variable ids are index * r + k where r is the derivation space
     dimension, so distinct source indices never share symbols.
     """
-    if space is None:
-        space = derivation_space(L)
     n, r = L.dim, space.dimension
     grid: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for k, E in enumerate(space.basis):

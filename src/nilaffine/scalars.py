@@ -160,11 +160,6 @@ class Scalar(Frozen):
         return _scalar(_ONE, _ZERO, check_context(d))
 
     @classmethod
-    def sqrt(cls, d: int) -> "Scalar":
-        """The square root of d itself, as an element of Q(sqrt(d))."""
-        return cls(0, 1, d)
-
-    @classmethod
     def of(cls, value: "Scalar | RationalLike", d: int = 1) -> "Scalar":
         """Coerce a rational-like value into context d."""
         if isinstance(value, Scalar):
@@ -242,10 +237,6 @@ class Scalar(Frozen):
 
     def __pos__(self):
         return self
-
-    def conjugate(self) -> "Scalar":
-        """The field conjugate rat - irr*sqrt(d)."""
-        return _scalar(self.rat, -self.irr, self.d)
 
     def norm(self) -> Fraction:
         """The field norm rat^2 - irr^2 * d, a rational."""

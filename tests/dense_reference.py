@@ -11,19 +11,21 @@ constructor that takes a flat tuple of entries.
 
 ``dense_matrix`` is the one builder of a matrix from dense rows that the
 tests use: ``Matrix.from_rows``, or ``Matrix.zero`` for a shape with no
-rows, which ``from_rows`` cannot express.
+rows, which ``from_rows`` cannot express. ``dense_rows`` reads a matrix
+back as its dense rows, and ``unit_vector`` is the coordinate vector of
+one basis element of an algebra.
 
 ``vec_add``, ``vec_sub`` and ``vec_is_zero`` are the dense vector helpers
 the package no longer needs, kept here for the tests that compare against
 dense arithmetic.
 
-``flag_conjugate`` is P^-1 M P for the matrix P of a flag's basis, with
-P^-1 from ``dense_inverse``: M in the flag's coordinates, where a flag
-that certifies M makes it strictly lower triangular.
+``flag_triangularizes`` decides whether P^-1 M P is strictly lower
+triangular, for the matrix P of a flag's basis and P^-1 from
+``dense_inverse``: whether the flag certifies M.
 
-``dense_lr_to_dict`` is a verbatim copy of the old ``lr.lr_to_dict``, which
-read every coordinate of the dense product grid ``products``; it is the
-reference the sparse writer is compared with.
+``dense_lr_to_dict`` is a copy of the old ``lr.lr_to_dict``, which read
+every coordinate of the dense product grid, now through ``product_basis``;
+it is the reference the sparse writer is compared with.
 """
 
 from nilaffine.liealg import DerivationSpace, LieAlgebra
@@ -35,6 +37,15 @@ from nilaffine.scalars import Scalar, scalar_to_json
 def dense_matrix(rows, cols: int, d: int) -> Matrix:
     """The matrix with these dense rows, each of length cols, in context d."""
     return Matrix.from_rows(rows, d) if rows else Matrix.zero(0, cols, d)
+
+
+def dense_rows(m: Matrix) -> tuple[Vector, ...]:
+    return tuple(m.row(r) for r in range(m.rows))
+
+
+def unit_vector(L: LieAlgebra, i: int) -> Vector:
+    """X_i of L (0-based) as a coordinate vector of Scalars."""
+    return Matrix.identity(L.dim, L.d).row(i)
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
@@ -114,9 +125,11 @@ def dense_inverse(self) -> Matrix:
                          for r in range(n)], n, self.d)
 
 
-def flag_conjugate(flag: Flag, m: Matrix) -> Matrix:
+def flag_triangularizes(flag: Flag, m: Matrix) -> bool:
     p = Matrix.from_columns(flag.basis, flag.d)
-    return dense_inverse(p) @ m @ p
+    conjugate = dense_inverse(p) @ m @ p
+    return all(x.is_zero() for r in range(m.rows)
+               for x in conjugate.row(r)[r:])
 
 
 def dense_row_space_basis(vectors, d: int, length: int) -> tuple[Vector, ...]:
@@ -165,7 +178,7 @@ def dense_lr_to_dict(s: LRStructure) -> dict:
     for i in range(n):
         for j in range(n):
             terms = [{"k": k + 1, "c": scalar_to_json(c)}
-                     for k, c in enumerate(s.products[i][j]) if not c.is_zero()]
+                     for k, c in enumerate(s.product_basis(i, j)) if not c.is_zero()]
             if terms:
                 product.append({"i": i + 1, "j": j + 1, "terms": terms})
     doc = {"algebra": _algebra_ref_to_json(s.algebra), "product": product}

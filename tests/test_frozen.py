@@ -1,12 +1,13 @@
 """The value types are immutable and never seen half built.
 
 A Lie algebra, a matrix, a rep, an LR-structure, a scalar and the
-polynomials of the solver are values: they are compared and hashed, so a
-value must not change after it is built, and no caller may ever hold one
-whose slots are unset. Every such type derives from ``scalars.Frozen``,
-which owns the one guard: setting or deleting an attribute raises
-AttributeError, and calling a type with no public constructor of its own
-raises TypeError. Copy, deepcopy and pickle rebuild a value from its
+polynomials of the solver are values: all but ``ParametricMatrix``, which
+compares by identity and which no caller compares, are compared and
+hashed, so a value must not change after it is built, and no caller may
+ever hold one whose slots are unset. Every such type derives from
+``scalars.Frozen``, which owns the one guard: setting or deleting an
+attribute raises AttributeError, and calling a type with no public
+constructor of its own raises TypeError. Copy, deepcopy and pickle rebuild a value from its
 slots through ``Frozen.__reduce__``, so a copy is equal and frozen too.
 The lint below parses the package with ``ast`` and keeps that rule in
 one place: no other class defines ``__setattr__`` or ``__delattr__``,

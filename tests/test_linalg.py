@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from dense_reference import (dense_inverse, dense_matrix, dense_nullspace,
-                             dense_rref, dense_row_space_basis, flag_conjugate)
+                             dense_rows, dense_rref, dense_row_space_basis,
+                             flag_triangularizes)
 
 from nilaffine import linalg
 from nilaffine.corpus import bundled_reps
@@ -50,7 +51,7 @@ class TestRref:
         rng = random.Random(4)
         for _ in range(25):
             m = rand_matrix(rng, 4, 5)
-            rows = list(m.row_list())
+            rows = list(dense_rows(m))
             rng.shuffle(rows)
             assert Matrix.from_rows([list(r) for r in rows], 1).rank() == m.rank()
 
@@ -107,11 +108,11 @@ class TestNilpotency:
 
     def test_strict_lower_shift(self):
         m = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        assert m.is_strictly_lower_triangular() and m.is_nilpotent()
+        assert m.is_nilpotent()
 
     def test_nilpotent_but_not_triangular(self):
         m = Matrix.from_rows([[1, -1], [1, -1]])
-        assert not m.is_strictly_lower_triangular() and m.is_nilpotent()
+        assert m.is_nilpotent()
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
@@ -121,7 +122,7 @@ class TestNilpotency:
 class TestEngelFlag:
     def test_zero_family_full_flag(self):
         flag = engel_flag([Matrix.zero(3, 3)])
-        assert flag and flag.size == 3
+        assert flag and len(flag.basis) == 3
 
     def test_identity_fails(self):
         failure = engel_flag([Matrix.identity(3)])
@@ -139,7 +140,7 @@ class TestEngelFlag:
         flag = engel_flag([m])
         e = Matrix.identity(3)
         assert flag.basis == (e.row(2), e.row(1), e.row(0))
-        assert flag_conjugate(flag, m).is_strictly_lower_triangular()
+        assert flag_triangularizes(flag, m)
 
     def test_pair_with_shared_kernel(self):
         a = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
@@ -147,12 +148,12 @@ class TestEngelFlag:
         flag = engel_flag([a, b])
         assert flag
         for m in (a, b):
-            assert flag_conjugate(flag, m).is_strictly_lower_triangular()
+            assert flag_triangularizes(flag, m)
 
     def test_conjugation_strictly_triangularizes(self):
         m = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         flag = engel_flag([m])
-        assert flag_conjugate(flag, m).is_strictly_lower_triangular()
+        assert flag_triangularizes(flag, m)
 
     def test_mixed_family_fails_with_stalled_evidence(self):
         nil = Matrix.from_rows([[0, 0], [1, 0]])
@@ -191,7 +192,7 @@ class TestEngelFlag:
                     Matrix.zero(0, size, d)
                 ann = Matrix.from_rows(dense_nullspace(basis), d)
                 stacked = dense_matrix([row for m in family
-                                        for row in (ann @ m).row_list()], size, d)
+                                        for row in dense_rows(ann @ m)], size, d)
                 nxt = dense_row_space_basis(dense_nullspace(stacked), d, size)
                 if len(nxt) == len(current):
                     break
@@ -243,12 +244,12 @@ class TestMatrixOps:
         rng = random.Random(23)
         m = rand_matrix(rng, 3, 4)
         v = tuple(Scalar.of(Fraction(rng.randint(-5, 5)), 1) for _ in range(4))
-        assert m @ v == m.apply(v)
+        assert (m @ Matrix.from_columns([v])).column(0) == m.apply(v)
 
     def test_commutator_antisymmetry(self):
         rng = random.Random(29)
         a, b = rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)
-        assert a.commutator(b) == -(b.commutator(a))
+        assert a @ b - b @ a == -(b @ a - a @ b)
 
     def test_scalar_rejects_bool(self):
         with pytest.raises(TypeError):
@@ -327,7 +328,7 @@ class TestSparseMatmul:
             got = a @ b
             assert (got.rows, got.cols, got.d) == (rows, cols, d)
             assert got == dense_matmul(a, b)
-            assert all(x.d == d for x in got.entries())
+            assert all(x.d == d for row in dense_rows(got) for x in row)
 
     def test_empty_inner_dimension(self):
         product = Matrix.zero(3, 0, 3) @ Matrix.zero(0, 2, 3)
@@ -338,7 +339,7 @@ class TestSparseMatmul:
 def with_zero_and_repeated_rows(m):
     """m with a zero row, a repeat of its first row and a multiple of its
     last row inserted (an m with no rows gains only the zero row)."""
-    rows = [list(r) for r in m.row_list()]
+    rows = [list(r) for r in dense_rows(m)]
     zero = [Scalar.zero(m.d)] * m.cols
     if rows:
         rows.insert(len(rows) // 2, list(rows[0]))
@@ -449,12 +450,12 @@ class TestKernelMatchesDenseReference:
             got, want = m.rref(), dense_rref(m)
             assert (got.pivots, got.rank) == (want.pivots, want.rank)
             assert got.matrix == want.matrix
-            assert all(x.d == d for x in got.matrix.entries())
+            assert all(x.d == d for row in dense_rows(got.matrix) for x in row)
             assert m.rank() == want.rank
             assert m.nullspace() == dense_nullspace(m)
             basis = linalg._rref(m._rows)[1]
             assert tuple(linalg._dense(r, m.cols, d) for r in basis) == \
-                dense_row_space_basis(m.row_list(), d, m.cols)
+                dense_row_space_basis(dense_rows(m), d, m.cols)
 
     @pytest.mark.parametrize("d", (1, 3))
     @pytest.mark.parametrize("n", (0, 1, 4, 6))
@@ -463,7 +464,7 @@ class TestKernelMatchesDenseReference:
         rng = random.Random(f"{d}-{n}-{density}")
         for _ in range(3):
             m = sparse_rand_matrix(rng, n, n, d, density)
-            rows = m.row_list()
+            rows = dense_rows(m)
             # and m with its last row made a repeat of the first: singular
             for m in (m, dense_matrix(rows[:-1] + rows[:1], n, d)):
                 try:
@@ -499,7 +500,7 @@ class TestJsonHelpers:
 
 
 def lists(m):
-    return [list(row) for row in m.row_list()]
+    return [list(row) for row in dense_rows(m)]
 
 
 def list_matmul(a, b, cols, d):
@@ -578,8 +579,6 @@ class TestStoredRows:
             tuple(x[0] for x in list_matmul(a, [[y] for y in v], 1, d))
         assert A - A == Matrix.zero(rows, cols, d)
         assert hash(A - A) == hash(Matrix.zero(rows, cols, d))
-        assert A.is_strictly_lower_triangular() == all(
-            x.is_zero() for r, p in enumerate(a) for k, x in enumerate(p) if k >= r)
 
     @pytest.mark.parametrize("d", (1, 3))
     @given(data=st.data())
