@@ -33,9 +33,9 @@ from .errors import (DerivationError, FieldMismatchError,
 from .io import read_json, stable_json, write_json
 from .liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
                      catalog_names, derivation_space, get_algebra)
-from .linalg import matrix_to_json, vector_to_json
-from .lr import (LRStructure, check_complete, check_lr, lr_from_dict,
-                 lr_to_dict, lr_to_rep, rep_to_lr)
+from .linalg import engel_flag, matrix_to_json, vector_to_json
+from .lr import (LRStructure, check_lr, lr_from_dict, lr_to_dict, lr_to_rep,
+                 rep_to_lr)
 from .obstruction import (obstruct_abelian, parametric_derivation,
                           variable_namer, verify_certificate)
 
@@ -147,8 +147,8 @@ def _cmd_derivations(parser, args) -> int:
         name = variable_namer(space)
         generic = parametric_derivation(L, 0, space)
         lines.append("generic derivation:")
-        rendered = [[generic.entry(r, c).render(name) if generic.entry(r, c)
-                     else "0" for c in range(L.dim)] for r in range(L.dim)]
+        rendered = [[generic.entry(r, c).render(name) for c in range(L.dim)]
+                    for r in range(L.dim)]
         widths = [max(len(rendered[r][c]) for r in range(L.dim))
                   for c in range(L.dim)]
         for r in range(L.dim):
@@ -241,26 +241,25 @@ def _cmd_check_lr(parser, args) -> int:
     except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    complete = None
-    if report.ok:
-        complete = check_complete(s)
+    # identity (1) is decided by check_lr; once it holds, the Engel flag
+    # alone decides completeness
+    flag = engel_flag(s.lefts, size=s.algebra.dim, d=s.d) if report.ok else None
     doc = {
         "algebra": s.algebra.name,
         "identities_ok": report.ok,
         "violations": [{"identity": v.identity, "where": list(v.where),
                         "residual": vector_to_json(v.residual)}
                        for v in report.violations],
-        "complete": None if complete is None else complete.complete,
-        "flag": [vector_to_json(v) for v in complete.flag.basis]
-        if complete is not None and complete.flag else None,
+        "complete": None if flag is None else bool(flag),
+        "flag": [vector_to_json(v) for v in flag.basis] if flag else None,
     }
     lines = [f"left-symmetric structure on {s.algebra.name}:",
              f"  identities: {_pass(report.ok)}"]
     for v in report.violations[:5]:
         lines.append(f"    identity ({v.identity}) fails at {v.where}")
-    if complete is not None:
-        lines.append(f"  complete: {_pass(complete.complete)}")
-    ok = report.ok and (complete is None or complete.complete)
+    if flag is not None:
+        lines.append(f"  complete: {_pass(bool(flag))}")
+    ok = bool(flag)
     lines.append(f"  overall: {_pass(ok)}")
     _emit(args, doc, lines)
     return 0 if ok else 1
@@ -283,13 +282,8 @@ def _cmd_obstruct(parser, args) -> int:
             lines.append(f"  {key} = {named[key]}")
     if out.certificate is not None:
         c = out.certificate
-        if c.kind == "commutator":
-            lines.append(f"certificate: commutator of pair {c.pair}, entry "
-                         f"{c.position} reduces to {c.constant}")
-        else:
-            lines.append(f"certificate: translation condition of pair "
-                         f"{c.pair}, coordinate {c.coordinate} reduces to "
-                         f"{c.constant}")
+        lines.append(f"certificate: commutator of pair {c.pair}, entry "
+                     f"{c.position} reduces to {c.constant}")
     if out.witness_rep is not None:
         lines.append(f"witness: {out.witness_rep.label}")
     if out.verdict == "Undetermined":

@@ -25,6 +25,11 @@ simple-transitivity verdict yields Found with the witness attached. If
 neither happens the honest answer is Undetermined together with the
 residual system; no general polynomial solving is attempted.
 
+Certificates come only from commutator entries: the translation
+conditions are LR identity (3) for X.Y = -D_X(Y), and X.Y = 1/2 [X, Y]
+satisfies it on every Lie algebra, so D_i = -1/2 ad(X_i), a derivation
+by Jacobi, always solves them.
+
 Coefficients. At d = 1 the structure constants and the derivation basis
 are stored as ``int`` and ``Fraction`` (see :mod:`nilaffine.scalars`) and
 enter the equations as they are, so the equations, the eliminated map and
@@ -408,14 +413,14 @@ class LinearSystem:
 class ObstructionCertificate:
     """Proof that the defining equations have no solution.
 
-    kind "commutator": the equation is entry ``position`` (1-based) of
-    [D_i, D_j] for the source pair ``pair`` = (i, j), always with i < j;
-    kind "translation": the equation is coordinate ``coordinate`` of the
-    translation condition for ``pair``. A certificate sets only the one
-    of ``position`` and ``coordinate`` its kind uses, all indices run
-    over 1..n, n the dimension, and the checker rejects anything else.
-    In both cases substituting the eliminated-variable map of the outcome
-    into that equation leaves the nonzero ``constant``.
+    There is one kind, "commutator": the equation is entry ``position``
+    (1-based) of [D_i, D_j] for the source pair ``pair`` = (i, j), always
+    with i < j, all indices in 1..n, n the dimension. Substituting the
+    eliminated-variable map of the outcome into that equation leaves the
+    nonzero ``constant``. The translation conditions always have a
+    solution (see the module docstring), so ``coordinate`` is kept for
+    readers of the record and is always None; the checker rejects a
+    certificate that sets it, or of any other kind.
     """
 
     kind: str
@@ -514,16 +519,12 @@ class ObstructionOutcome:
             "residual": [],
         }
         if self.certificate is not None:
-            cert = {
+            doc["certificate"] = {
                 "kind": self.certificate.kind,
                 "pair": list(self.certificate.pair),
                 "constant": _encode_fraction(self.certificate.constant),
+                "position": list(self.certificate.position),
             }
-            if self.certificate.position is not None:
-                cert["position"] = list(self.certificate.position)
-            if self.certificate.coordinate is not None:
-                cert["coordinate"] = self.certificate.coordinate
-            doc["certificate"] = cert
         if self.witness_rep is not None:
             doc["witness"] = {
                 "assignment": {name(v): _encode_fraction(c)
@@ -662,12 +663,9 @@ def _force(system: LinearSystem, pending: list[tuple[tuple, Poly]]
 
 
 def _certificate_from_tag(tag: tuple, constant: Fraction) -> ObstructionCertificate:
-    if tag[0] == "commutator":
-        return ObstructionCertificate(kind="commutator", pair=(tag[1], tag[2]),
-                                      constant=constant,
-                                      position=(tag[3], tag[4]))
-    return ObstructionCertificate(kind="translation", pair=(tag[1], tag[2]),
-                                  constant=constant, coordinate=tag[3])
+    """The certificate of a ("commutator", i, j, a, b) tag."""
+    return ObstructionCertificate(kind="commutator", pair=(tag[1], tag[2]),
+                                  constant=constant, position=(tag[3], tag[4]))
 
 
 def _sample_values(rng: random.Random, count: int) -> list[Fraction]:
@@ -713,9 +711,11 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     # round 1 forces the (affine) translation conditions; the bilinear
     # commutator conditions are then built on its map and join later rounds
     system = LinearSystem()
-    leftover = _force(system, _translation_equations(L, space))
-    pending = _force(system, _commutator_equations(L, space, system.rows)
-                     + leftover)
+    if _force(system, _translation_equations(L, space)):
+        raise InternalError(
+            f"the translation conditions on {L.name!r} have no solution, yet "
+            f"D_i = -1/2 ad(X_i) always solves them; this is a bug")
+    pending = _force(system, _commutator_equations(L, space, system.rows))
 
     eliminated = tuple(sorted(system.solved.items()))
 
@@ -759,9 +759,10 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
 def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     """Independent re-check of an outcome's claim; False on any mismatch.
 
-    Obstructed: the tagged equation is rebuilt from scratch and the
-    eliminated-variable map substituted in; the result must be exactly
-    the stated nonzero constant. Found: the claim is the witness rep,
+    Obstructed: the certificate's commutator entry is rebuilt from
+    scratch and the eliminated-variable map substituted in; the result
+    must be exactly the stated nonzero constant (any other kind, or a set
+    ``coordinate``, is rejected). Found: the claim is the witness rep,
     which must build from the outcome's coefficients, act on L and pass
     the full simple-transitivity verdict; its product and the forced
     values are read off the same data, so they cannot disagree with it.
@@ -781,28 +782,20 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
             return False
 
     cert = outcome.certificate
-    if cert is None or not cert.constant:
+    if cert is None or not cert.constant or cert.kind != "commutator" \
+            or cert.coordinate is not None:
         return False
     n = L.dim
     try:
-        i, j = cert.pair
-        a, b = (cert.position if cert.kind == "commutator"
-                else (cert.coordinate, 1))     # a translation has no b
-        if not (1 <= i < j <= n and 1 <= a <= n and 1 <= b <= n) \
-                or (cert.position is None) == (cert.coordinate is None):
+        (i, j), (a, b) = cert.pair, cert.position
+        if not (1 <= i < j <= n and 1 <= a <= n and 1 <= b <= n):
             return False
         space = derivation_space(L)
         if space.basis != outcome.space.basis:
             return False
-        gi = parametric_derivation(L, i - 1, space)
-        gj = parametric_derivation(L, j - 1, space)
-        if cert.kind == "commutator":
-            poly = _commutator_entry(gi, gj, a - 1, b - 1)
-        elif cert.kind == "translation":
-            poly = Poly.const(L._signed.get((i - 1, j - 1), {}).get(a - 1, 0)) \
-                + gi.entry(a - 1, j - 1) - gj.entry(a - 1, i - 1)
-        else:
-            return False
+        poly = _commutator_entry(parametric_derivation(L, i - 1, space),
+                                 parametric_derivation(L, j - 1, space),
+                                 a - 1, b - 1)
         reduced = poly.substitute(dict(outcome.eliminated))
         return reduced.is_constant() and reduced.constant_value() == cert.constant
     except Exception:

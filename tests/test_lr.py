@@ -5,8 +5,7 @@ import pytest
 from dense_reference import (dense_lr_to_dict, flag_triangularizes, unit_vector,
                              vec_is_zero, vec_sub)
 
-from nilaffine.affine import (AffineRep, check_simply_transitive,
-                             rep_from_dict, rep_to_dict)
+from nilaffine.affine import AffineRep, check_simply_transitive
 from nilaffine.corpus import bundled_rep, bundled_reps
 from nilaffine.errors import (IncompleteStructureError, ParseError,
                               PreconditionError, ShapeError)

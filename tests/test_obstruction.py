@@ -1,29 +1,38 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from record_cli_golden import SQRT3_ALGEBRA
 
-from nilaffine import lr, obstruction
+from nilaffine import cli, lr, obstruction
 from nilaffine.affine import check_simply_transitive
+from nilaffine.corpus import bundled_rep, data_dir
 from nilaffine.errors import InternalError, ParseError, PreconditionError
 from nilaffine.liealg import (LieAlgebra, _leibniz_failure, algebra_from_dict,
                               catalog_names, derivation_space, get_algebra,
                               transport)
-from nilaffine.io import stable_json
+from nilaffine.io import read_json, stable_json, write_json
 from nilaffine.linalg import Matrix, _rref
-from nilaffine.lr import lr_to_rep, rep_to_lr
-from nilaffine.obstruction import (Contradiction, LinearSystem, Poly,
+from nilaffine.lr import lr_to_dict, lr_to_rep, rep_to_lr
+from nilaffine.obstruction import (Contradiction, LinearSystem,
+                                   ObstructionCertificate, Poly,
                                    _build_equations, _certificate_from_tag,
                                    _commutator_entry, _commutator_equations,
-                                   _force, obstruct_abelian,
-                                   parametric_derivation, variable_namer,
-                                   verify_certificate)
+                                   _force, _translation_equations,
+                                   obstruct_abelian, parametric_derivation,
+                                   variable_namer, verify_certificate)
 from nilaffine.scalars import Scalar
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 NEGATIVE_CONTROLS = ("R1", "R2", "R3", "R4", "R5", "R6",
                      "h3", "h3+R", "f4", "h3+R2", "g5_6")
@@ -393,8 +402,12 @@ class TestObstructed:
             dataclasses.replace(good, position=(4, -5)),
             dataclasses.replace(good, position=(-2, -5)),
             dataclasses.replace(good, pair=(2, 1), constant=-good.constant),
-            # a field the solver never sets for this kind
+            # a field the solver never sets
             dataclasses.replace(good, coordinate=3),
+            # a kind the solver never builds, as is and well-formed
+            dataclasses.replace(good, kind="translation"),
+            dataclasses.replace(good, kind="translation", position=None,
+                                coordinate=4),
         ):
             tampered = dataclasses.replace(outcome, certificate=bad)
             assert not verify_certificate(tampered, get_algebra("g6_18"))
@@ -453,6 +466,22 @@ class TestObstructed:
         assert doc["certificate"]["position"] == [4, 1]
         assert doc["certificate"]["constant"] == "-1/4"
         assert doc["forced"]["epsilon_41"] == "1/2"
+
+
+@pytest.mark.parametrize("name", ("h3", "f4", "g6_18"))
+def test_forged_translation_certificate_is_rejected(name):
+    """A genuine outcome relabelled Obstructed, every coefficient eliminated
+    to 0, and "translation, pair (1, 2), coordinate 3, constant 1": at the
+    zero map that condition reads [X_1, X_2]_3, which is 1 on all three."""
+    L = get_algebra(name)
+    genuine = obstruct_abelian(L)
+    forged = dataclasses.replace(
+        genuine, verdict="Obstructed", witness_assignment=None,
+        eliminated=tuple((v, Poly()) for v in range(L.dim
+                                                    * genuine.space.dimension)),
+        certificate=ObstructionCertificate(kind="translation", pair=(1, 2),
+                                           constant=Fraction(1), coordinate=3))
+    assert not verify_certificate(forged, L)
 
 
 class TestNegativeControls:
@@ -598,6 +627,18 @@ class TestWitnessDraws:
         with pytest.raises(InternalError, match="two-step solvable"):
             obstruct_abelian(get_algebra("g6_18"), samples=2)
 
+    def test_unsolvable_translation_conditions_are_an_internal_error(
+            self, monkeypatch):
+        # the twin of an affine condition, shifted by 1, contradicts it
+        def inconsistent(L, space):
+            equations = _translation_equations(L, space)
+            tag, poly = next((tag, poly) for tag, poly in equations
+                             if not poly.is_constant())
+            return equations + [(tag, poly + Poly.const(1))]
+        monkeypatch.setattr(obstruction, "_translation_equations", inconsistent)
+        with pytest.raises(InternalError, match=r"-1/2 ad\(X_i\)"):
+            obstruct_abelian(get_algebra("h3"))
+
 
 def filiform_found():
     L = filiform(5)
@@ -659,6 +700,23 @@ class TestEachFactOnce:
         n = s.algebra.dim
         assert sorted(decided) == list(product(range(n), repeat=3))
 
+    def test_check_lr_command_decides_identity_one_once(self, monkeypatch,
+                                                        tmp_path, capsys):
+        s = rep_to_lr(bundled_rep("r4_to_f4"))
+        path = tmp_path / "lr.json"
+        write_json(path, lr_to_dict(s))
+        decided = []
+        real = lr._left_commutator
+
+        def counting(p, i, j, k):
+            decided.append((i, j, k))
+            return real(p, i, j, k)
+        monkeypatch.setattr(lr, "_left_commutator", counting)
+        assert cli.main(["check-lr", str(path)]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        n = s.algebra.dim
+        assert sorted(decided) == list(product(range(n), repeat=3))
+
 
 class TestRenderedVerdictIsRecorded:
     @pytest.mark.parametrize("name", ("g6_18", "h3"))
@@ -705,6 +763,49 @@ class TestPreconditions:
                                   {(1, 2): ((3, 1),), (1, 3): ((1, 1),)})
         with pytest.raises(PreconditionError, match="Jacobi"):
             obstruct_abelian(L)
+
+
+# ------------------------------------------------------------------ the translation conditions
+
+
+@pytest.fixture(scope="module")
+def every_algebra(tmp_path_factory):
+    """The catalog and each member of the two perfbench obstruct pools,
+    whose inputs are written to a temporary directory and read back."""
+    algebras = [get_algebra(name) for name in catalog_names()]
+    for workload in ("obstruct-refute", "obstruct-scaling"):
+        work = tmp_path_factory.mktemp(workload)
+        algebras += [algebra_from_dict(read_json(item.file))
+                     for item in workloads.prepare(workload, None, work,
+                                                   data_dir())]
+    return algebras
+
+
+def minus_half_ad(L, space):
+    """u_ik of D_i = -1/2 ad(X_i): its entry at anchor k, which is its
+    coefficient of E_k, since E_k is 1 there and every other E_l is 0."""
+    r = space.dimension
+    return {i * r + k: Fraction(-1, 2) * L._signed.get((i, b), {}).get(a, 0)
+            for i in range(L.dim) for k, (a, b) in enumerate(space.anchors)}
+
+
+def test_minus_half_ad_solves_the_translation_conditions(every_algebra):
+    """X.Y = 1/2 [X, Y] satisfies LR identity (3), which the translation
+    conditions are: D_i = -1/2 ad(X_i) solves them on every algebra, so
+    round 1 of forcing never leaves an equation."""
+    assert len(every_algebra) == 121
+    for L in every_algebra:
+        space = derivation_space(L)
+        n, r, u = L.dim, space.dimension, minus_half_ad(L, space)
+        for i in range(n):   # the coefficients rebuild -1/2 ad(X_i)
+            assert [[sum(u[i * r + k] * E._rows[a].get(b, 0)
+                         for k, E in enumerate(space.basis))
+                     for b in range(n)] for a in range(n)] == \
+                [[Fraction(-1, 2) * L._signed.get((i, b), {}).get(a, 0)
+                  for b in range(n)] for a in range(n)], (L.name, i)
+        equations = _translation_equations(L, space)
+        assert [tag for tag, poly in equations if poly.evaluate(u)] == [], L.name
+        assert _force(LinearSystem(), equations) == [], L.name
 
 
 # ------------------------------------------------------------------ degree-2 forcing
