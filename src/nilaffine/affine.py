@@ -255,16 +255,12 @@ def check_simply_transitive(rep: AffineRep) -> RepVerdict:
     hom = check_homomorphism(rep)
 
     m, n = rep.source.dim, rep.target.dim
-    if m != n:
-        bij = BijectivityReport(False, rank=min(rep.t_matrix().rank(), n),
-                                source_dim=m, target_dim=n,
-                                reason=f"source dimension {m} differs from "
-                                       f"target dimension {n}")
-    else:
-        rank = rep.t_matrix().rank()
-        bij = BijectivityReport(rank == n, rank=rank, source_dim=m, target_dim=n,
-                                reason=None if rank == n else
-                                f"translation matrix has rank {rank} < {n}")
+    rank = rep.t_matrix().rank()
+    reason = (f"source dimension {m} differs from target dimension {n}"
+              if m != n else None if rank == n else
+              f"translation matrix has rank {rank} < {n}")
+    bij = BijectivityReport(reason is None, rank=rank, source_dim=m,
+                            target_dim=n, reason=reason)
 
     flag = engel_flag(rep.D, size=n, d=rep.d)
     if flag:

@@ -22,6 +22,8 @@ def read_json(path: str | Path) -> object:
     except ValueError as exc:
         # e.g. an integer literal beyond the interpreter's digit limit
         raise ParseError(f"{p}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{p}: invalid JSON: nested too deeply") from exc
 
 
 def stable_json(doc: object) -> str:

@@ -8,10 +8,11 @@ checks its input. Every elimination runs on one sparse kernel, :func:`_rref`,
 over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
 the Leibniz system of ``liealg.derivation_space``, and, through its row
 step :func:`_install`, the linear forcing of ``obstruction.LinearSystem``.
-Products and sums combine rows with :func:`_axpy`. The kernels are generic
-over the coefficient type: they test for zero by truthiness and divide
-only through :func:`_divided`. The kernel returns the reduced row echelon
-form, which is unique, so equal inputs always produce identical output.
+Products and sums combine rows with :func:`_axpy`, one loop for every
+coefficient type. The kernels are generic over that type: they test for
+zero by truthiness and divide only through :func:`_divided`. The kernel
+returns the reduced row echelon form, which is unique, so equal inputs
+always produce identical output.
 The dense views (``get``, ``row``, ``column``, ``apply`` and the report
 vectors) are tuples of :class:`Scalar`, built only for callers:
 no code in the package reads one back, and the JSON writer reads the
@@ -60,28 +61,17 @@ def _dense(v: SparseRow, n: int, d: int) -> Vector:
 
 def _axpy(acc: SparseRow, a: Coefficient, v: SparseRow) -> None:
     """acc += a * v in place for a nonzero a, dropping entries that cancel.
-    On rational rows an integral result is stored as an int."""
-    if not isinstance(a, Scalar):
-        for k, c in v.items():
-            s = acc.get(k)
-            s = a * c if s is None else s + a * c
-            if type(s) is Fraction and s.denominator == 1:   # exact(s) inline
-                s = s.numerator
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        return
+    One loop for every coefficient type: an integral Fraction is stored as
+    an int, and the zero test is truthiness (``Scalar.__bool__``)."""
     for k, c in v.items():
         s = acc.get(k)
-        if s is None:
-            acc[k] = a * c
+        s = a * c if s is None else s + a * c
+        if type(s) is Fraction and s.denominator == 1:   # exact(s) inline
+            s = s.numerator
+        if s:
+            acc[k] = s
         else:
-            s = s + a * c
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
+            del acc[k]
 
 
 def _divided(row: SparseRow, lead: Coefficient) -> SparseRow:

@@ -18,8 +18,9 @@ Rationals enter through :func:`exact`, which makes every integral value an
 int, and every division goes through :func:`quotient`, which gives an int
 when it leaves no remainder; so a ``Fraction`` appears only for a value
 that is not integral or that was computed from one. ``quotient`` and
-:meth:`Scalar.inverse` are the only places that divide. Every value type
-of the package derives from :class:`Frozen`, the one immutability guard.
+:meth:`Scalar.inverse` are the only places that divide: ``Scalar`` has no
+``/`` or ``**``. Every value type of the package derives from
+:class:`Frozen`, the one immutability guard.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def check_context(d: int) -> int:
 
 
 class Frozen:
-    """Base of the value types: immutable and always whole. A type sets its
-    ``__slots__`` once, through ``_fill``; one without a public constructor
-    of its own is built as ``object.__new__(cls)._fill(...)``."""
+    """Base of the value types: immutable and always whole. Slots are set
+    once, through ``_fill`` (``object.__new__(cls)._fill(...)`` without a public
+    constructor); the hot ``_scalar``, ``Poly.__init__`` and ``_poly`` skip it."""
 
     __slots__ = ()
 
@@ -235,9 +236,6 @@ class Scalar(Frozen):
     def __neg__(self):
         return _scalar(-self.rat, -self.irr if self.irr else _ZERO, self.d)
 
-    def __pos__(self):
-        return self
-
     def norm(self) -> Fraction:
         """The field norm rat^2 - irr^2 * d, a rational."""
         return self.rat * self.rat - self.irr * self.irr * self.d
@@ -253,33 +251,6 @@ class Scalar(Frozen):
             # for square-free d the norm vanishes only at zero
             raise ZeroDivisionError("division by zero scalar")
         return _scalar(self.rat / n, -self.irr / n, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if isinstance(exponent, bool) or not isinstance(exponent, int):
-            return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        out = Scalar.one(self.d)
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
 
     # -------------------------------------------------- comparison
 

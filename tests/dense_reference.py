@@ -26,9 +26,17 @@ triangular, for the matrix P of a flag's basis and P^-1 from
 ``dense_lr_to_dict`` is a copy of the old ``lr.lr_to_dict``, which read
 every coordinate of the dense product grid, now through ``product_basis``;
 it is the reference the sparse writer is compared with.
+
+``dense_unit_change`` is a seeded dense change of basis, and
+``transport_rep`` and ``transport_lr`` move a rep and an LR product to
+new bases, so that a test can check that a verdict does not depend on
+the basis.
 """
 
-from nilaffine.liealg import DerivationSpace, LieAlgebra
+import random
+
+from nilaffine.affine import AffineRep
+from nilaffine.liealg import DerivationSpace, LieAlgebra, transport
 from nilaffine.linalg import Flag, Matrix, RrefResult, Vector
 from nilaffine.lr import LRStructure
 from nilaffine.scalars import Scalar, scalar_to_json
@@ -185,3 +193,36 @@ def dense_lr_to_dict(s: LRStructure) -> dict:
     if s.d != 1:
         doc["d"] = s.d
     return doc
+
+
+def dense_unit_change(n: int, seed: int) -> Matrix:
+    """An invertible n x n matrix with diagonal entries 1 and every other
+    entry ``random.Random(seed).randint(-2, 2)``, drawn row by row and
+    drawn again until the matrix is invertible."""
+    rng = random.Random(seed)
+    while True:
+        p = Matrix.from_rows([[1 if r == c else rng.randint(-2, 2)
+                               for c in range(n)] for r in range(n)])
+        if dense_rref(p).rank == n:
+            return p
+
+
+def transport_rep(rep: AffineRep, q: Matrix, p: Matrix) -> AffineRep:
+    """rep in the source basis of Q's columns and the target basis of P's
+    columns: D'_i = sum_j Q_ji P^-1 D_j P and t'_i = sum_j Q_ji P^-1 t_j."""
+    q, p = q.with_field(rep.d), p.with_field(rep.d)
+    p_inv = dense_inverse(p)
+    cols = [q.column(i) for i in range(rep.source.dim)]
+    return AffineRep(transport(rep.source, q), transport(rep.target, p),
+                     [p_inv.apply(rep.t_matrix().apply(x)) for x in cols],
+                     [p_inv @ rep.D_of(x) @ p for x in cols], rep.label)
+
+
+def transport_lr(s: LRStructure, p: Matrix) -> LRStructure:
+    """s in the basis of P's columns: L'(X_i) = sum_j P_ji P^-1 L(X_j) P."""
+    p = p.with_field(s.d)
+    p_inv, n = dense_inverse(p), s.algebra.dim
+    lefts = [sum((c * m for c, m in zip(p.column(i), s.lefts)),
+                 Matrix.zero(n, n, s.d)) for i in range(n)]
+    return LRStructure._of(transport(s.algebra, p),
+                           [p_inv @ m @ p for m in lefts])

@@ -338,6 +338,33 @@ def test_oversized_integer_is_a_parse_error(tmp_path):
     assert "big.json" in proc.stderr
 
 
+DEEP_COMMANDS = {
+    "check-lie": ["check-lie"], "derivations": ["derivations"],
+    "obstruct-abelian": ["obstruct-abelian"], "check-rep": ["check-rep"],
+    "check-rep-three-files": ["check-rep", "--source", "R3.json",
+                              "--target", "h3.json"],
+    "rep-to-lr": ["rep-to-lr"], "lr-to-rep": ["lr-to-rep"],
+    "check-lr": ["check-lr"],
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_COMMANDS))
+def test_deeply_nested_json_is_a_parse_error(tmp_path, case):
+    # the decoder recurses once per level and raises RecursionError
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    for name in ("R3", "h3"):
+        write_json(tmp_path / f"{name}.json", algebra_to_dict(get_algebra(name)))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a
+            for a in DEEP_COMMANDS[case]]
+    proc = subprocess.run([sys.executable, "-m", "nilaffine", argv[0], str(f),
+                           *argv[1:]], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {f}: invalid JSON: nested too deeply\n"
+
+
 def test_oversized_residual_is_a_clean_error(tmp_path):
     # legal input whose identity-(2) residual c^2 is beyond the
     # interpreter's digit limit for int-to-str conversion

@@ -1,6 +1,7 @@
-"""Every obstruct pool member of the benchmark, decided and checked against
-the recorded reference: verdict, certificate, forced values and the SHA-256
-of the rendered --json output. Reads perfbench/ and writes nothing there."""
+"""Every obstruct and check-rep pool member of the benchmark, decided and
+checked against the recorded reference: verdict, certificate or criteria,
+forced values and the SHA-256 of the rendered --json output. Reads
+perfbench/ and writes nothing there."""
 
 import json
 import sys
@@ -19,9 +20,10 @@ import workloads  # noqa: E402
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 DATA = Path(nilaffine.__file__).resolve().parent / "data"
+OBSTRUCT = ["obstruct-refute", "obstruct-scaling"]
 
 
-@pytest.fixture(scope="module", params=["obstruct-refute", "obstruct-scaling"])
+@pytest.fixture(scope="module", params=[*OBSTRUCT, "check-rep"])
 def workload(request):
     return request.param
 
@@ -42,6 +44,7 @@ def test_every_pool_member_matches_the_reference(workload, decisions):
     assert problems == []
 
 
+@pytest.mark.parametrize("workload", OBSTRUCT, indirect=True)
 def test_integral_eliminated_coefficients_are_ints(decisions):
     """Forcing keeps an integral value an int: a Fraction in an eliminated
     form always has a denominator above 1."""

@@ -86,8 +86,9 @@ class TestArithmetic:
         assert x * x.inverse() == Scalar.one(3)
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            Scalar.one(2) / Scalar.zero(2)
+        for d in (1, 2):
+            with pytest.raises(ZeroDivisionError):
+                Scalar.zero(d).inverse()
 
     def test_mixed_context_rejected(self):
         with pytest.raises(FieldMismatchError):
@@ -95,7 +96,7 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("op", [
         lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.__rsub__(b),
-        lambda a, b: a * b, lambda a, b: a / b])
+        lambda a, b: a * b, lambda a, b: a * b.inverse()])
     @pytest.mark.parametrize("a, b", [
         (s(1, 1, 2), s(2, 1, 3)),   # both irrational
         (s(1, 0, 2), s(2, 0, 3)),   # both rational, as on the fast path
@@ -109,17 +110,17 @@ class TestArithmetic:
     def test_rational_literals_mix_in(self):
         assert s(1, 1, 5) + 1 == s(2, 1, 5)
         assert 2 * s(1, 1, 5) == s(2, 2, 5)
-        assert 1 / s(0, 1, 5) == s(0, Fraction(1, 5), 5)
+        assert 3 - s(1, 1, 5) == s(2, -1, 5)
 
     def test_conjugate_and_norm(self):
         x = s(2, 3, 5)
         assert x * s(2, -3, 5) == x.norm() == 4 - 9 * 5
 
-    def test_powers(self):
+    def test_inverse_is_the_only_division(self):
         x = s(1, 1, 2)
-        assert x ** 0 == Scalar.one(2)
-        assert x ** 3 == x * x * x
-        assert x ** -2 == (x * x).inverse()
+        for op in (lambda: x / x, lambda: 1 / x, lambda: x ** 2, lambda: +x):
+            with pytest.raises(TypeError):
+                op()
 
     def test_seeded_inverse_and_cancellation_sweep(self):
         rng = random.Random(20260817)
@@ -131,7 +132,7 @@ class TestArithmetic:
                        Fraction(rng.randint(-30, 30), rng.randint(1, 12)), d)
             assert (a + b) - b == a
             if not b.is_zero():
-                assert (a / b) * b == a
+                assert (a * b.inverse()) * b == a
 
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
