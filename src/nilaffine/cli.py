@@ -31,8 +31,8 @@ from .errors import (DerivationError, FieldMismatchError,
                      IncompleteStructureError, InternalError, ParseError,
                      PreconditionError, ShapeError)
 from .io import read_json, stable_json, write_json
-from .liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
-                     catalog_names, derivation_space, get_algebra)
+from .liealg import (MAX_SAMPLES, LieAlgebra, algebra_from_dict,
+                     algebra_to_dict, catalog_names, derivation_space, get_algebra)
 from .linalg import engel_flag, matrix_to_json, vector_to_json
 from .lr import (LRStructure, check_lr, lr_from_dict, lr_to_dict, lr_to_rep,
                  rep_to_lr)
@@ -384,7 +384,7 @@ def build_parser() -> _Parser:
                        help="decide abelian simple transitivity exactly")
     algebra_input(p)
     p.add_argument("--samples", type=int, default=25,
-                   help="random assignments to try (default 25)")
+                   help=f"random assignments to try (default 25, max {MAX_SAMPLES})")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the witness search (default 0)")
     p.set_defaults(func=_cmd_obstruct)

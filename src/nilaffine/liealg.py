@@ -32,6 +32,10 @@ BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 # obstruction equations grow faster still. Without a bound a huge declared
 # dim exhausts memory.
 MAX_DIM = 16
+# Most seeded candidates obstruct_abelian may draw. The search time grows
+# linearly with them, so with no bound one argument can run for hours; a
+# dense h3 draws them all and ends Undetermined in under a second here.
+MAX_SAMPLES = 1000
 # Largest field context d a document may declare. is_square_free decides d
 # in O(d^(1/3)) trial divisions: under a second at this bound.
 MAX_FIELD_D = 2 ** 63

@@ -10,11 +10,12 @@ choice of derivations D_1, ..., D_n of n satisfying
 for all i < j. Writing each D_i = sum_k u_ik E_k over a derivation-space
 basis turns the first family into linear equations and the second into
 quadratic ones in the coefficients u_ik, whose coefficients are the
-structure constants [E_k, E_l] of the derivation basis. Round 1 solves
-the translation equations by exact elimination on linalg's row kernel
+structure constants [E_k, E_l] of the derivation basis. Round 1 is the
+RREF of the translation equations on linalg's one elimination kernel
 (:class:`LinearSystem`). Each commutator equation is then built with
-that solution substituted, and later rounds solve whatever became
-linear until nothing new does. Every round takes the equations in a
+that solution substituted, from the product u_ik u_jl of each pair with
+[E_k, E_l] != 0, and later rounds solve whatever became linear until
+nothing new does. Every round takes the equations in a
 canonical tag order, so verdicts, forced values and certificates do not
 depend on how the caller enumerated anything. An equation reducing to a
 nonzero constant is an exact proof that no solution exists; the verdict
@@ -47,13 +48,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .affine import (AffineRep, _unit_translations, check_simply_transitive,
                      rep_to_dict)
-from .errors import InternalError, PreconditionError, ShapeError
-from .liealg import DerivationSpace, LieAlgebra, abelian, derivation_space
-from .linalg import SparseRow, _combination, _install
+from .errors import InternalError, PreconditionError, ShapeError, quoted
+from .liealg import (MAX_SAMPLES, DerivationSpace, LieAlgebra, abelian,
+                     derivation_space)
+from .linalg import SparseRow, _combination, _install, _rref
 from .lr import LRStructure, _lr_of_passing_rep, lr_to_dict
 from .scalars import Frozen, Rational, Scalar, _encode_fraction, as_fraction, exact
 
@@ -350,12 +352,15 @@ class LinearSystem:
     An affine equation is a sparse row over the variable ids and the
     constant column ``_CONST``. ``rows`` maps each pivot p to its row
     x_p + sum a_v x_v + c = 0, so x_p's solved form is -sum a_v x_v - c;
-    it is always the RREF of the equations added, which is unique, so it
-    does not depend on the order in which they came.
+    it is always the RREF of the equations given and added, which is
+    unique, so it does not depend on the order in which they came.
     """
 
-    def __init__(self):
-        self.rows: dict[int, SparseRow] = {}
+    def __init__(self, equations: Iterable[Poly] = ()):
+        """Start from the RREF of the affine ``equations``, by ``_rref``."""
+        pivots, rows = _rref({m[0][0] if m else _CONST: c
+                              for m, c in eq.terms.items()} for eq in equations)
+        self.rows: dict[int, SparseRow] = dict(zip(pivots, rows))
 
     @property
     def solved(self) -> dict[int, Poly]:
@@ -581,10 +586,11 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
     ``rows`` (a ``LinearSystem.rows`` map) substituted, tagged
     ("commutator", i, j, a, b) (1-based), in tag order, leaving out the
     entries that vanish. The entry is sum_{k, l} C_kl[a][b] u_ik u_jl,
-    C_kl = [E_k, E_l] the derivation basis' structure constants; expanding
-    each product over the forms of u_ik and u_jl, read straight off their
-    rows, is ``Poly.substitute`` of it, and a u_ik forced to 0 drops its
-    products. With no rows these are the defining equations."""
+    C_kl = [E_k, E_l] (made once per k < l); each product u_ik u_jl is
+    expanded once over the forms read off the rows and added into every
+    entry where C_kl != 0, which is ``Poly.substitute`` of the entry, and
+    a u_ik forced to 0 drops its products. With no rows these are the
+    defining equations."""
     n, r = L.dim, space.dimension
     basis = [E._rows for E in space.basis]
 
@@ -596,16 +602,15 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
                     out[a, b] = out.get((a, b), 0) + xv * yv
         return out
 
-    # quadratic[(a, b)] = [(k, l, C_kl[a][b]), ...] over the nonzero entries
-    quadratic: dict[tuple[int, int], list[tuple[int, int, Rational]]] = {}
+    # bracket[k][l] = C_kl as {(a, b): C_kl[a][b]} over the nonzero entries
+    bracket: list[dict[int, dict]] = [{} for _ in range(r)]
     for k in range(r):
         for l in range(k + 1, r):
             kl, lk = product(basis[k], basis[l]), product(basis[l], basis[k])
-            for pos in kl.keys() | lk.keys():
-                c = kl.get(pos, 0) - lk.get(pos, 0)
-                if c:
-                    quadratic.setdefault(pos, []).extend(((k, l, c), (l, k, -c)))
-    positions = sorted(quadratic.items())
+            if c := {pos: e for pos in kl.keys() | lk.keys()
+                     if (e := kl.get(pos, 0) - lk.get(pos, 0))}:
+                bracket[k][l] = c
+                bracket[l][k] = {pos: -e for pos, e in c.items()}
 
     # factors[i][k]: u_ik, or the terms of its form (none when forced to 0)
     factors = [[_factor(v, rows.get(v)) for v in range(i * r, i * r + r)]
@@ -613,16 +618,20 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
     equations: list[tuple[tuple, Poly]] = []
     for i, fi in enumerate(factors):
         for j in range(i + 1, n):
-            fj = factors[j]
-            for (a, b), entries in positions:
-                out: dict[Monomial, Rational] = {}
-                for k, l, c in entries:
-                    for x, cx in fi[k]:
-                        cx = c if cx is None else c * cx
+            fj, out = factors[j], {}
+            for k, fk in enumerate(fi):
+                for l, c in bracket[k].items():
+                    for x, cx in fk:
                         for y, cy in fj[l]:
-                            m, v = _times(x, y), cx if cy is None else cx * cy
-                            out[m] = out[m] + v if m in out else v
-                if poly := _poly({m: v for m, v in out.items() if v}):
+                            m = _times(x, y)
+                            v = cy if cx is None else cx if cy is None else cx * cy
+                            for pos, e in c.items():
+                                if (terms := out.get(pos)) is None:
+                                    terms = out[pos] = {}
+                                e = e if v is None else e * v
+                                terms[m] = terms[m] + e if m in terms else e
+            for a, b in sorted(out):
+                if poly := _poly({m: v for m, v in out[a, b].items() if v}):
                     equations.append((("commutator", i + 1, j + 1, a + 1,
                                        b + 1), poly))
     return equations
@@ -684,15 +693,16 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
                      ) -> ObstructionOutcome:
     """Decide abelian simple transitivity on L, with exact certificates.
 
-    See the module docstring for the method. Requires samples >= 0, a
-    rational field context (d = 1), a valid bracket and nilpotency;
-    violations raise PreconditionError. A non-two-step-solvable algebra
-    can never carry such an action, so if the pipeline ends anywhere but
-    Obstructed for one, an InternalError is raised rather than an unsound
-    verdict returned.
+    See the module docstring for the method. Requires 0 <= samples <=
+    ``MAX_SAMPLES``, a rational field context (d = 1), a valid bracket
+    and nilpotency; violations raise PreconditionError. A
+    non-two-step-solvable algebra can never carry such an action, so if
+    the pipeline ends anywhere but Obstructed for one, an InternalError
+    is raised rather than an unsound verdict returned.
     """
-    if samples < 0:
-        raise PreconditionError(f"samples must be non-negative, got {samples}")
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise PreconditionError(
+            f"samples must lie in 0..{MAX_SAMPLES}, got {quoted(samples)}")
     if L.d != 1:
         raise PreconditionError(
             f"obstruction runs over the rationals only, got d={L.d}")
@@ -708,10 +718,11 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     space = derivation_space(L)
     n, r = L.dim, space.dimension
 
-    # round 1 forces the (affine) translation conditions; the bilinear
-    # commutator conditions are then built on its map and join later rounds
-    system = LinearSystem()
-    if _force(system, _translation_equations(L, space)):
+    # round 1 is the RREF of the (affine) translation conditions, a pivot
+    # in the constant column if they are inconsistent; the bilinear
+    # commutator conditions are then built on its map and forced
+    system = LinearSystem(poly for _, poly in _translation_equations(L, space))
+    if _CONST in system.rows:
         raise InternalError(
             f"the translation conditions on {L.name!r} have no solution, yet "
             f"D_i = -1/2 ad(X_i) always solves them; this is a bug")

@@ -4,11 +4,13 @@ import sys
 import time
 
 import pytest
+from dense_reference import dense_unit_change
 
 from nilaffine import affine, cli
 from nilaffine.corpus import algebra_path, rep_path
 from nilaffine.io import read_json, write_json
-from nilaffine.liealg import LieAlgebra, algebra_to_dict, derivation_space, get_algebra
+from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, algebra_to_dict,
+                              derivation_space, get_algebra, transport)
 from nilaffine.obstruction import ObstructionOutcome
 
 
@@ -324,6 +326,20 @@ def test_huge_dimension_is_a_parse_error(tmp_path, command):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "largest supported dimension" in proc.stderr
+
+
+def test_samples_past_the_bound_exit_three(tmp_path):
+    # a dense h3 ends Undetermined after drawing every sample, about 0.4 ms
+    # each, so 10^9 of them would run for days
+    f = tmp_path / "h3_dense.json"
+    write_json(f, algebra_to_dict(transport(get_algebra("h3"),
+                                            dense_unit_change(3, 5))))
+    proc = subprocess.run([sys.executable, "-m", "nilaffine", "obstruct-abelian",
+                           str(f), "--samples", str(10 ** 9)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"error: samples must lie in 0..{MAX_SAMPLES}, "
+                           f"got 1000000000\n")
 
 
 def test_oversized_integer_is_a_parse_error(tmp_path):

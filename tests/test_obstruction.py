@@ -2,21 +2,22 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dense_reference import dense_unit_change
 from record_cli_golden import SQRT3_ALGEBRA
 
 from nilaffine import cli, lr, obstruction
 from nilaffine.affine import check_simply_transitive
 from nilaffine.corpus import bundled_rep, data_dir
 from nilaffine.errors import InternalError, ParseError, PreconditionError
-from nilaffine.liealg import (LieAlgebra, _leibniz_failure, algebra_from_dict,
-                              catalog_names, derivation_space, get_algebra,
-                              transport)
+from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, _leibniz_failure,
+                              algebra_from_dict, catalog_names,
+                              derivation_space, get_algebra, transport)
 from nilaffine.io import read_json, stable_json, write_json
 from nilaffine.linalg import Matrix, _rref
 from nilaffine.lr import lr_to_dict, lr_to_rep, rep_to_lr
@@ -508,7 +509,7 @@ class TestNegativeControls:
             calls.append(count)
             return real(rng, count)
         monkeypatch.setattr(obstruction, "_sample_values", counting)
-        outcome = obstruct_abelian(get_algebra("h3"), samples=10**12)
+        outcome = obstruct_abelian(get_algebra("h3"), samples=MAX_SAMPLES)
         assert outcome.verdict == "Found"
         assert calls == []
 
@@ -749,6 +750,12 @@ class TestPreconditions:
         with pytest.raises(PreconditionError, match="samples"):
             obstruct_abelian(get_algebra("h3"), samples=-5)
 
+    def test_samples_are_bounded(self):
+        L = get_algebra("h3")
+        assert obstruct_abelian(L, samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        with pytest.raises(PreconditionError, match=f"0..{MAX_SAMPLES}, got"):
+            obstruct_abelian(L, samples=MAX_SAMPLES + 1)
+
     def test_irrational_context_rejected(self):
         with pytest.raises(PreconditionError, match="rationals"):
             obstruct_abelian(get_algebra("g5_6").with_field(3))
@@ -806,6 +813,54 @@ def test_minus_half_ad_solves_the_translation_conditions(every_algebra):
         equations = _translation_equations(L, space)
         assert [tag for tag, poly in equations if poly.evaluate(u)] == [], L.name
         assert _force(LinearSystem(), equations) == [], L.name
+
+
+# ------------------------------------------------------------------ dense bases
+
+
+DENSE_TRANSPORTS = [
+    transport(L, dense_unit_change(L.dim, seed), name=f"{L.name}@{seed}")
+    for L in [get_algebra(name) for name in ("h3", "f4", "g5_6", "g6_18")]
+    + [filiform(5)] for seed in (5, 6)]
+# h3 and f4: on the others the builder alone takes 5-16 s per basis, and
+# the Poly.substitute reference as long again
+SMALL_DENSE = DENSE_TRANSPORTS[:4]
+
+
+@pytest.mark.parametrize("L", [get_algebra(name) for name in catalog_names()]
+                         + DENSE_TRANSPORTS, ids=lambda L: L.name)
+def test_round_one_is_the_rref_of_the_translation_rows(L):
+    """The kernel's rows are the map that forcing the translation
+    equations one at a time reaches: both are the unique RREF."""
+    space = derivation_space(L)
+    equations = _translation_equations(L, space)
+    forced = LinearSystem()
+    assert _force(forced, equations) == []
+    assert LinearSystem(poly for _, poly in equations).rows == forced.rows
+
+
+@pytest.mark.parametrize("L", SMALL_DENSE, ids=lambda L: L.name)
+def test_commutator_builder_on_multi_term_forms(L):
+    """In a dense basis the round-1 forms have many terms, a constant among
+    them; each built entry is the generic entry with that map substituted
+    by the general Poly.substitute, and the tags strictly increase."""
+    space, n = derivation_space(L), L.dim
+    system = LinearSystem(poly for _, poly in _translation_equations(L, space))
+    solved = system.solved
+    assert max(len(form.terms) for form in solved.values()) > 2
+    assert any(() in form.terms for form in solved.values())
+    grids = [parametric_derivation(L, i, space) for i in range(n)]
+    expected = []
+    for i, j in combinations(range(n), 2):
+        for a, b in product(range(n), repeat=2):
+            entry = _commutator_entry(grids[i], grids[j], a, b)
+            if poly := entry.substitute(solved):
+                expected.append((("commutator", i + 1, j + 1, a + 1, b + 1),
+                                 poly.terms))
+    built = _commutator_equations(L, space, system.rows)
+    assert [(tag, poly.terms) for tag, poly in built] == expected
+    tags = [tag for tag, _ in built]
+    assert all(s < t for s, t in zip(tags, tags[1:]))
 
 
 # ------------------------------------------------------------------ degree-2 forcing
