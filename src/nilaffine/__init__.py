@@ -12,8 +12,8 @@ from .affine import (AffineRep, BijectivityReport, HomReport, HomViolation,
                      rep_from_dict, rep_of_files, rep_to_dict)
 from .corpus import bundled_rep, bundled_rep_names
 from .errors import (DerivationError, FieldMismatchError,
-                     IncompleteStructureError, InternalError, NilaffineError,
-                     ParseError, PreconditionError, ShapeError)
+                     IncompleteStructureError, InternalError, LRIdentityError,
+                     NilaffineError, ParseError, PreconditionError, ShapeError)
 from .io import read_json, stable_json, write_json
 from .liealg import (DerivationSpace, JacobiReport, JacobiViolation,
                      LieAlgebra, abelian, algebra_from_dict, algebra_to_dict,
@@ -39,8 +39,8 @@ __all__ = [
     "DerivationError", "DerivationSpace", "EngelFailure",
     "FieldMismatchError", "Flag", "HomReport", "HomViolation",
     "IncompleteStructureError", "InternalError", "JacobiReport",
-    "JacobiViolation", "LRReport", "LRStructure", "LRViolation",
-    "LieAlgebra", "LinearSystem", "Matrix", "NilaffineError",
+    "JacobiViolation", "LRIdentityError", "LRReport", "LRStructure",
+    "LRViolation", "LieAlgebra", "LinearSystem", "Matrix", "NilaffineError",
     "NilpotencyReport", "NonNilpotentWitness", "ObstructionCertificate",
     "ObstructionOutcome", "ParametricMatrix", "ParseError", "Poly",
     "PreconditionError", "RepVerdict", "Scalar", "ShapeError", "abelian",
@@ -50,6 +50,6 @@ __all__ = [
     "derivation_space", "engel_flag", "get_algebra", "lr_from_dict",
     "lr_to_dict", "lr_to_rep", "matrix_to_json", "obstruct_abelian",
     "parametric_derivation", "read_json", "rep_from_dict", "rep_of_files",
-    "rep_to_dict", "rep_to_lr", "stable_json", "transport",
-    "variable_namer", "vector_to_json", "verify_certificate", "write_json",
+    "rep_to_dict", "rep_to_lr", "stable_json", "transport", "variable_namer",
+    "vector_to_json", "verify_certificate", "write_json",
 ]

@@ -49,6 +49,10 @@ class PreconditionError(NilaffineError):
     """An operation was invoked on input violating its stated preconditions."""
 
 
+class LRIdentityError(PreconditionError):
+    """A left-symmetric product fails an LR identity, so it has no rep."""
+
+
 class IncompleteStructureError(NilaffineError):
     """A left-symmetric product is not complete; carries the evidence."""
 

@@ -6,8 +6,8 @@ that holds no zero, each coefficient in the stored form of the context (see
 ``Scalar``; it is built only by ``Matrix._of`` or by a builder that
 checks its input. Every elimination runs on one sparse kernel, :func:`_rref`,
 over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
-the Leibniz system of ``liealg.derivation_space``, and, through its row
-step :func:`_install`, the linear forcing of ``obstruction.LinearSystem``.
+the Leibniz system of ``liealg.derivation_space``, and round 1 in
+``obstruction.LinearSystem``, whose ``add`` takes the row step :func:`_install`.
 Products and sums combine rows with :func:`_axpy`, one loop for every
 coefficient type. The kernels are generic over that type: they test for
 zero by truthiness and divide only through :func:`_divided`. The kernel
@@ -471,17 +471,19 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
     {v : M v in U_k for all M}. If the chain exhausts the space, refining
     it yields a full flag strictly decreased by every family member; if it
     stalls on a proper subspace, the quotient action has zero joint kernel
-    and the failure is returned with that subspace as evidence.
+    and the failure is returned with that subspace as evidence. A given
+    size and d must match the family's (ShapeError, FieldMismatchError);
+    an empty family needs both.
     """
     family = list(family)
     if family:
-        size = family[0].rows
-        d = family[0].d
+        size = family[0].rows if size is None else size
+        d = family[0].d if d is None else d
         for m in family:
             if not m.is_square() or m.rows != size:
-                raise ShapeError("engel_flag needs square matrices of equal size")
+                raise ShapeError(f"engel_flag needs square matrices of size {size}")
             if m.d != d:
-                raise FieldMismatchError("engel_flag family mixes field contexts")
+                raise FieldMismatchError(f"engel_flag needs matrices over d={d}")
     elif size is None or d is None:
         raise ShapeError("engel_flag on an empty family needs explicit size and d")
 

@@ -32,8 +32,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .affine import (AffineRep, _algebra_ref_from_json, _algebra_ref_to_json,
                      _resolve_context, _unit_translations, check_simply_transitive)
-from .errors import (IncompleteStructureError, ParseError, PreconditionError,
-                     ShapeError, quoted)
+from .errors import (IncompleteStructureError, LRIdentityError, ParseError,
+                     PreconditionError, ShapeError, quoted)
 from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, _transpose, engel_flag)
@@ -256,17 +256,19 @@ def _lr_of_passing_rep(rep: AffineRep) -> LRStructure:
 def lr_to_rep(s: LRStructure) -> AffineRep:
     """Representation with abelian source, identity translations, D_i = -L(X_i).
 
-    Refuses structures that fail the identities (PreconditionError, with
-    the violation list) or completeness (IncompleteStructureError, with
-    the stalled-subspace evidence). Identity (1) is decided once, by
-    check_lr; once it holds, the Engel flag alone decides completeness.
-    The rep is not re-checked: the LR identities make each -L(X_i) a
-    derivation, and completeness makes the rep simply transitive.
+    Refuses structures that fail the identities (LRIdentityError, a
+    PreconditionError, naming the first violation) or completeness
+    (IncompleteStructureError, with the stalled-subspace evidence); a
+    Jacobi failure of the algebra is a plain PreconditionError. Identity
+    (1) is decided once, by check_lr; once it holds, the Engel flag alone
+    decides completeness. The rep is not re-checked: the LR identities
+    make each -L(X_i) a derivation, and completeness makes the rep simply
+    transitive.
     """
     report = check_lr(s)
     if not report.ok:
         first = report.violations[0]
-        raise PreconditionError(
+        raise LRIdentityError(
             f"product violates LR identity {first.identity} at {first.where}")
     n = s.algebra.dim
     flag = engel_flag(s.lefts, size=n, d=s.d)

@@ -14,22 +14,28 @@ structure constants [E_k, E_l] of the derivation basis. Round 1 is the
 RREF of the translation equations on linalg's one elimination kernel
 (:class:`LinearSystem`). Each commutator equation is then built with
 that solution substituted, from the product u_ik u_jl of each pair with
-[E_k, E_l] != 0, and later rounds solve whatever became linear until
-nothing new does. Every round takes the equations in a
-canonical tag order, so verdicts, forced values and certificates do not
-depend on how the caller enumerated anything. An equation reducing to a
-nonzero constant is an exact proof that no solution exists; the verdict
-Obstructed carries it as a certificate. Otherwise the
-free coefficients are sampled (zeros first, then seeded rationals) and any
-assignment satisfying the residual equations and the full
-simple-transitivity verdict yields Found with the witness attached. If
-neither happens the honest answer is Undetermined together with the
-residual system; no general polynomial solving is attempted.
+[E_k, E_l] != 0, in a canonical tag order, so verdicts, forced values
+and certificates do not depend on how the caller enumerated anything.
 
-Certificates come only from commutator entries: the translation
-conditions are LR identity (3) for X.Y = -D_X(Y), and X.Y = 1/2 [X, Y]
-satisfies it on every Lie algebra, so D_i = -1/2 ad(X_i), a derivation
-by Jacobi, always solves them.
+With Delta_i = D_i + 1/2 ad(X_i) the translation conditions, which are
+LR identity (3) for X.Y = -D_X(Y), say Delta_i(X_j) = Delta_j(X_i); so
+D_i = -1/2 ad(X_i), a derivation by Jacobi, always solves them, and
+certificates come only from commutator entries. A derivation Delta has
+[Delta, ad X] = ad(Delta X), so the cross terms cancel in
+
+  [D_i, D_j] = 1/4 ad([X_i, X_j]) + [Delta_i, Delta_j],
+
+a constant plus a quadratic form on the space S of such Delta. Round 1's
+particular solution lies in S too, so an entry whose quadratic part
+vanishes has a vanishing polar form, which is its linear part: no built
+equation is affine (one that is raises InternalError). A constant one
+(vanishing ones are left out) is an exact proof that no solution exists;
+the verdict Obstructed carries the first in tag order as a certificate.
+Otherwise the free coefficients are sampled (zeros first, then seeded
+rationals) and any assignment satisfying the residual equations and the
+full simple-transitivity verdict yields Found with the witness attached.
+If neither happens the honest answer is Undetermined together with the
+residual system; no general polynomial solving is attempted.
 
 Coefficients. At d = 1 the structure constants and the derivation basis
 are stored as ``int`` and ``Fraction`` (see :mod:`nilaffine.scalars`) and
@@ -315,7 +321,7 @@ def variable_namer(space: DerivationSpace) -> Callable[[int], str]:
     return name
 
 
-# ------------------------------------------------------------------ linear forcing
+# ------------------------------------------------------------------ linear elimination
 
 
 class Contradiction(Exception):
@@ -349,7 +355,9 @@ def _times(a: int | None, b: int | None) -> Monomial:
 class LinearSystem:
     """Exact incremental elimination on ``linalg._rref``'s row step.
 
-    An affine equation is a sparse row over the variable ids and the
+    Round 1 is its constructor; ``reduce`` and ``add`` serve callers of
+    the exported class and the perfbench tracer, not the pipeline. An
+    affine equation is a sparse row over the variable ids and the
     constant column ``_CONST``. ``rows`` maps each pivot p to its row
     x_p + sum a_v x_v + c = 0, so x_p's solved form is -sum a_v x_v - c;
     it is always the RREF of the equations given and added, which is
@@ -371,8 +379,8 @@ class LinearSystem:
 
     def reduce(self, eq: Poly) -> Poly:
         """eq with each solved variable replaced by its affine form, for eq
-        of degree <= 2 (else ValueError), the only degree forcing meets; the
-        checker keeps the general ``Poly.substitute``."""
+        of degree <= 2 (else ValueError), the degree of the defining
+        equations; the checker keeps the general ``Poly.substitute``."""
         rows, out, hit = self.rows, {}, False
         for m, c in eq.terms.items():
             if len(m) == 2 and m[0][1] == m[1][1] == 1:
@@ -643,40 +651,6 @@ def _build_equations(L: LieAlgebra, space: DerivationSpace
     return _commutator_equations(L, space, {}) + _translation_equations(L, space)
 
 
-def _force(system: LinearSystem, pending: list[tuple[tuple, Poly]]
-           ) -> list[tuple[tuple, Poly]]:
-    """Force each tagged equation that is (or becomes) affine, in the order
-    given, until a round forces nothing; return the rest, fully reduced.
-
-    Each comes in reduced by ``system`` and is reduced again only after a
-    new pivot. A nonzero constant is an inconsistency: it stays pending, not
-    poisoning the map, and the first in tag order becomes the certificate
-    (constants are stable under substitution, so deferring them is safe)."""
-    marked = [(tag, poly, len(system.rows)) for tag, poly in pending]
-    while True:
-        progressed, still = False, []
-        for tag, poly, mark in marked:
-            if mark != len(system.rows):
-                poly = system.reduce(poly)
-            if not poly:
-                continue
-            if any(len(m) == 2 or m and m[0][1] == 2 for m in poly.terms) \
-                    or poly.is_constant():
-                still.append((tag, poly, len(system.rows)))
-            else:
-                system.add(poly)
-                progressed = True
-        marked = still
-        if not progressed:
-            return [(tag, poly) for tag, poly, _ in marked]
-
-
-def _certificate_from_tag(tag: tuple, constant: Fraction) -> ObstructionCertificate:
-    """The certificate of a ("commutator", i, j, a, b) tag."""
-    return ObstructionCertificate(kind="commutator", pair=(tag[1], tag[2]),
-                                  constant=constant, position=(tag[3], tag[4]))
-
-
 def _sample_values(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(count)]
 
@@ -719,26 +693,32 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     n, r = L.dim, space.dimension
 
     # round 1 is the RREF of the (affine) translation conditions, a pivot
-    # in the constant column if they are inconsistent; the bilinear
-    # commutator conditions are then built on its map and forced
+    # in the constant column if they are inconsistent; the commutator
+    # conditions are then built on its map, each constant or quadratic
     system = LinearSystem(poly for _, poly in _translation_equations(L, space))
     if _CONST in system.rows:
         raise InternalError(
             f"the translation conditions on {L.name!r} have no solution, yet "
             f"D_i = -1/2 ad(X_i) always solves them; this is a bug")
-    pending = _force(system, _commutator_equations(L, space, system.rows))
+    residual = tuple(_commutator_equations(L, space, system.rows))
+    degrees = [max(sum(map(_exponent, m)) for m in poly.terms)
+               for _, poly in residual]
+    if 1 in degrees:
+        raise InternalError(
+            f"commutator condition {residual[degrees.index(1)][0]} on "
+            f"{L.name!r} is affine after round 1, yet it is a constant plus "
+            f"a quadratic form on round 1's solutions; this is a bug")
 
     eliminated = tuple(sorted(system.solved.items()))
 
-    for tag, reduced in pending:
-        if reduced.is_constant():
-            return ObstructionOutcome(
-                space=space, verdict="Obstructed", eliminated=eliminated,
-                certificate=_certificate_from_tag(tag,
-                                                  reduced.constant_value()),
-                samples=samples, seed=seed, two_step_solvable=metabelian)
-
-    residual = tuple(pending)
+    if 0 in degrees:
+        (_, i, j, a, b), poly = residual[degrees.index(0)]
+        return ObstructionOutcome(
+            space=space, verdict="Obstructed", eliminated=eliminated,
+            certificate=ObstructionCertificate(
+                kind="commutator", pair=(i, j), constant=poly.constant_value(),
+                position=(a, b)),
+            samples=samples, seed=seed, two_step_solvable=metabelian)
 
     free = [v for v in range(n * r) if v not in system.rows]
     for values in _candidates(len(free), samples, seed):

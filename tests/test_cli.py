@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from dense_reference import dense_unit_change
@@ -9,8 +10,10 @@ from dense_reference import dense_unit_change
 from nilaffine import affine, cli
 from nilaffine.corpus import algebra_path, rep_path
 from nilaffine.io import read_json, write_json
-from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, algebra_to_dict,
-                              derivation_space, get_algebra, transport)
+from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, abelian,
+                              algebra_to_dict, derivation_space, get_algebra,
+                              transport)
+from nilaffine.lr import LRStructure, lr_to_dict
 from nilaffine.obstruction import ObstructionOutcome
 
 
@@ -132,6 +135,41 @@ class TestExitCodes:
         write_json(f, algebra_to_dict(bad))
         assert run(["check-lie", str(f)]) == 1
         assert "jacobi: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check-lr", "lr-to-rep"])
+    def test_lr_on_a_jacobi_failure_is_three(self, tmp_path, capsys,
+                                             monkeypatch, command):
+        """Unusable input, as for check-rep and obstruct-abelian; Jacobi is
+        decided once."""
+        bad = LieAlgebra.from_table("bad", 3, {(1, 2): ((1, 1),),
+                                               (1, 3): ((1, 1),),
+                                               (2, 3): ((2, 1),)})
+        f = tmp_path / "bad.lr.json"
+        write_json(f, lr_to_dict(LRStructure.from_table(bad, {})))
+        decided = []
+        real = LieAlgebra.check_jacobi
+
+        def counting(self):
+            decided.append(self.name)
+            return real(self)
+        monkeypatch.setattr(LieAlgebra, "check_jacobi", counting)
+        assert run([command, str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: algebra 'bad' fails the Jacobi "
+                                "identity at triple (1, 2, 3)\n")
+        assert not captured.out
+        assert decided == ["bad"]
+
+    @pytest.mark.parametrize("command", ["check-lr", "lr-to-rep"])
+    @pytest.mark.parametrize("algebra, table", [
+        (get_algebra("h3"), {(1, 2): ((3, Fraction(1, 2)),),   # identity (3)
+                             (2, 1): ((3, Fraction(1, 2)),)}),
+        (abelian(1), {(1, 1): ((1, 1),)})], ids=["identity", "incomplete"])
+    def test_failed_lr_is_one(self, tmp_path, capsys, command, algebra, table):
+        f = tmp_path / "s.lr.json"
+        write_json(f, lr_to_dict(LRStructure.from_table(algebra, table)))
+        assert run([command, str(f)]) == 1
+        capsys.readouterr()
 
 
 class TestQuiet:

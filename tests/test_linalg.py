@@ -10,7 +10,7 @@ from dense_reference import (dense_inverse, dense_matrix, dense_nullspace,
 
 from nilaffine import linalg
 from nilaffine.corpus import bundled_reps
-from nilaffine.errors import ParseError, ShapeError
+from nilaffine.errors import FieldMismatchError, ParseError, ShapeError
 from nilaffine.linalg import (EngelFailure, Matrix, as_vector,
                               engel_flag, matrix_from_json, matrix_to_json,
                               vector_from_json, vector_to_json)
@@ -129,6 +129,14 @@ class TestEngelFlag:
         assert not failure
         assert isinstance(failure, EngelFailure)
         assert failure.stalled == ()
+
+    @pytest.mark.parametrize("size, d, error", [
+        (4, None, ShapeError), (4, 3, ShapeError), (None, 3, FieldMismatchError),
+        (3, 3, FieldMismatchError)])
+    def test_given_size_and_d_must_match_the_family(self, size, d, error):
+        with pytest.raises(error):
+            engel_flag([Matrix.zero(3, 3)], size=size, d=d)
+        assert engel_flag([Matrix.zero(3, 3)], size=3, d=1)
 
     def test_empty_family_needs_explicit_size(self):
         flag = engel_flag([], size=3, d=1)

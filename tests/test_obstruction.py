@@ -19,15 +19,15 @@ from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, _leibniz_failure,
                               algebra_from_dict, catalog_names,
                               derivation_space, get_algebra, transport)
 from nilaffine.io import read_json, stable_json, write_json
-from nilaffine.linalg import Matrix, _rref
+from nilaffine.linalg import Matrix, _combination, _rref
 from nilaffine.lr import lr_to_dict, lr_to_rep, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem,
                                    ObstructionCertificate, Poly,
-                                   _build_equations, _certificate_from_tag,
-                                   _commutator_entry, _commutator_equations,
-                                   _force, _translation_equations,
-                                   obstruct_abelian, parametric_derivation,
-                                   variable_namer, verify_certificate)
+                                   _build_equations, _commutator_entry,
+                                   _commutator_equations,
+                                   _translation_equations, obstruct_abelian,
+                                   parametric_derivation, variable_namer,
+                                   verify_certificate)
 from nilaffine.scalars import Scalar
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -622,11 +622,26 @@ class TestWitnessDraws:
         assert len(doc["residual"]) == (0 if name == "R1" else 10)
 
     def test_unsound_pipeline_is_an_internal_error(self, monkeypatch):
-        # with nothing forced or pending every candidate reaches the
+        # with no commutator condition every candidate reaches the
         # checker, and g6_18, which is not two-step solvable, fails them all
-        monkeypatch.setattr(obstruction, "_force", lambda system, pending: [])
+        monkeypatch.setattr(obstruction, "_commutator_equations",
+                            lambda L, space, rows: [])
         with pytest.raises(InternalError, match="two-step solvable"):
             obstruct_abelian(get_algebra("g6_18"), samples=2)
+
+    def test_affine_commutator_condition_is_an_internal_error(
+            self, monkeypatch):
+        # no built commutator condition is affine, so one that is can only
+        # come from a bug; forcing it would hide that bug
+        real = obstruction._commutator_equations
+
+        def with_affine(L, space, rows):
+            return real(L, space, rows) + [
+                (("commutator", 2, 3, 3, 3), Poly.var(0) + Poly.const(1))]
+        monkeypatch.setattr(obstruction, "_commutator_equations", with_affine)
+        with pytest.raises(InternalError,
+                           match=r"\('commutator', 2, 3, 3, 3\) .* affine"):
+            obstruct_abelian(get_algebra("h3"))
 
     def test_unsolvable_translation_conditions_are_an_internal_error(
             self, monkeypatch):
@@ -788,6 +803,15 @@ def every_algebra(tmp_path_factory):
     return algebras
 
 
+def added(equations):
+    """A LinearSystem with the tagged affine equations added one at a time;
+    Contradiction if they have no solution."""
+    system = LinearSystem()
+    for _, poly in equations:
+        system.add(poly)
+    return system
+
+
 def minus_half_ad(L, space):
     """u_ik of D_i = -1/2 ad(X_i): its entry at anchor k, which is its
     coefficient of E_k, since E_k is 1 there and every other E_l is 0."""
@@ -812,7 +836,7 @@ def test_minus_half_ad_solves_the_translation_conditions(every_algebra):
                   for b in range(n)] for a in range(n)], (L.name, i)
         equations = _translation_equations(L, space)
         assert [tag for tag, poly in equations if poly.evaluate(u)] == [], L.name
-        assert _force(LinearSystem(), equations) == [], L.name
+        added(equations)
 
 
 # ------------------------------------------------------------------ dense bases
@@ -830,13 +854,11 @@ SMALL_DENSE = DENSE_TRANSPORTS[:4]
 @pytest.mark.parametrize("L", [get_algebra(name) for name in catalog_names()]
                          + DENSE_TRANSPORTS, ids=lambda L: L.name)
 def test_round_one_is_the_rref_of_the_translation_rows(L):
-    """The kernel's rows are the map that forcing the translation
+    """The kernel's rows are the map that adding the translation
     equations one at a time reaches: both are the unique RREF."""
-    space = derivation_space(L)
-    equations = _translation_equations(L, space)
-    forced = LinearSystem()
-    assert _force(forced, equations) == []
-    assert LinearSystem(poly for _, poly in equations).rows == forced.rows
+    equations = _translation_equations(L, derivation_space(L))
+    assert LinearSystem(poly for _, poly in equations).rows == \
+        added(equations).rows
 
 
 @pytest.mark.parametrize("L", SMALL_DENSE, ids=lambda L: L.name)
@@ -863,7 +885,7 @@ def test_commutator_builder_on_multi_term_forms(L):
     assert all(s < t for s, t in zip(tags, tags[1:]))
 
 
-# ------------------------------------------------------------------ degree-2 forcing
+# ------------------------------------------------------------------ degree-2 reduce
 
 
 def heisenberg(k):
@@ -1009,57 +1031,50 @@ class TestDegreeTwoReduce:
         assert verify_certificate(outcome, L)
 
 
-def comm(index):
-    return ("commutator", 1, 2, 1, index)
+# ------------------------------------------------------------------ no affine commutator condition
 
 
-def trans(index):
-    return ("translation", 1, 2, index)
+def round_one(L, space):
+    return LinearSystem(poly for _, poly in _translation_equations(L, space))
 
 
-class TestLaterRounds:
-    """The fixpoint loop on synthetic tagged equations, in tag order."""
+@pytest.mark.parametrize("L", FORCING_FAMILY + SMALL_DENSE, ids=lambda L: L.name)
+def test_no_commutator_condition_is_affine(L):
+    """After round 1 every built commutator equation is constant or has a
+    degree-2 term, so there is nothing left to force."""
+    space = derivation_space(L)
+    built = _commutator_equations(L, space, round_one(L, space).rows)
+    assert {degree(poly) for _, poly in built} <= {0, 2}, L.name
 
-    x0, x1, x2, x3 = (Poly.var(v) for v in range(4))
 
-    def test_commutator_becomes_affine_after_round_one(self):
-        system = LinearSystem()
-        pending = _force(system, [(comm(1), self.x0 * self.x1 - self.x2),
-                                  (trans(1), self.x0 - Poly.const(1))])
-        assert pending == []
-        assert system.solved == {0: Poly.const(1), 1: self.x2}
+def ad(L, v):
+    """ad(sum_k v_k X_k) for the map v = {k: v_k}, as a Matrix."""
+    n = L.dim
+    return Matrix.from_rows([[sum(c * L._signed.get((k, b), {}).get(a, 0)
+                                  for k, c in v.items()) for b in range(n)]
+                             for a in range(n)])
 
-    def test_certificate_is_the_first_constant_in_tag_order(self):
-        # trans(2) turns constant in round 1, comm(2) only in round 2, yet
-        # comm(2) sorts first; comm(1) stays quadratic
-        system = LinearSystem()
-        pending = _force(system, [
-            (comm(1), self.x2 * self.x3 + self.x1),
-            (comm(2), self.x0 * self.x1 - self.x1 - Poly.const(2)),
-            (trans(1), self.x0 - Poly.const(1)),
-            (trans(2), self.x0 - Poly.const(2))])
-        assert pending == [(comm(1), self.x2 * self.x3 + self.x1),
-                           (comm(2), Poly.const(-2)),
-                           (trans(2), Poly.const(-1))]
-        tag, poly = next((tag, poly) for tag, poly in pending
-                         if poly.is_constant())
-        certificate = _certificate_from_tag(tag, poly.constant_value())
-        assert (certificate.kind, certificate.position,
-                certificate.constant) == ("commutator", (1, 2), -2)
 
-    def test_reduces_only_after_a_new_pivot(self, monkeypatch):
-        calls = []
-        reduce = LinearSystem.reduce
-
-        def counted(self, eq):
-            calls.append(eq)
-            return reduce(self, eq)
-        system = LinearSystem()
-        system.add(self.x0 - Poly.const(1))
-        monkeypatch.setattr(LinearSystem, "reduce", counted)
-        quadratic = self.x1 * self.x2 + self.x3
-        assert _force(system, [(comm(1), quadratic)]) == [(comm(1), quadratic)]
-        assert calls == []
+@pytest.mark.parametrize("L", FORCING_FAMILY + SMALL_DENSE, ids=lambda L: L.name)
+def test_commutators_are_a_constant_plus_a_quadratic_form(L):
+    """At seeded rational points of round 1's solution set, with Delta_i =
+    D_i + 1/2 ad(X_i): Delta_i(X_j) = Delta_j(X_i), and [D_i, D_j] =
+    1/4 ad([X_i, X_j]) + [Delta_i, Delta_j]."""
+    space, n = derivation_space(L), L.dim
+    r, solved = space.dimension, round_one(L, space).solved
+    rng = random.Random(2026)
+    for _ in range(3):
+        u = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for v in range(n * r) if v not in solved}
+        u.update({v: form.evaluate(u) for v, form in solved.items()})
+        D = [_combination(((u[i * r + k], E) for k, E in enumerate(space.basis)),
+                          n, n, 1) for i in range(n)]
+        delta = [D[i] + ad(L, {i: Fraction(1, 2)}) for i in range(n)]
+        for i, j in combinations(range(n), 2):
+            assert delta[i].column(j) == delta[j].column(i), (L.name, i, j)
+            assert D[i] @ D[j] - D[j] @ D[i] == \
+                ad(L, L._signed.get((i, j), {})) * Fraction(1, 4) \
+                + delta[i] @ delta[j] - delta[j] @ delta[i], (L.name, i, j)
 
 
 def render_before(poly, name):
