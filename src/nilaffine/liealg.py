@@ -21,7 +21,7 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError, quoted
-from .linalg import Matrix, Vector, _axpy, _dense, _nullspace, _rref, _sparse
+from .linalg import Matrix, Vector, _axpy, _dense, _kernel, _rref, _sparse
 from .scalars import (Coefficient, Frozen, check_context, exact, scalar_from_json,
                       scalar_to_json, stored, unit)
 
@@ -191,8 +191,7 @@ class LieAlgebra(Frozen):
         for (i, j), terms in self._signed.items():
             for k, c in terms.items():
                 rows.setdefault((j, k), {})[i] = c
-        _, basis = _rref(_nullspace(rows.values(), self.dim, unit(self.d)))
-        return self._dense_rows(basis)
+        return self._dense_rows(_kernel(rows.values(), self.dim, unit(self.d)))
 
     # -------------------------------------------------- derived objects
 
@@ -275,18 +274,18 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     """Solve the Leibniz identity for all of gl(n) at once.
 
     Unknowns are the n^2 entries of D in row-major order; one sparse
-    linear equation per basis pair per coordinate. The kernel is
-    canonicalized by row reduction, which makes basis order and anchor
-    entries stable across runs and platforms. The system holds the stored
-    form of the constants, so at d = 1 it is eliminated over int and
-    Fraction coefficients (see :func:`nilaffine.scalars.exact`).
+    linear equation per basis pair per coordinate. One elimination gives the
+    kernel's unique RREF basis (:func:`~nilaffine.linalg._kernel`), so basis
+    order and anchors (leading entries) are stable across runs. The system
+    holds the stored form of the constants, so at d = 1 it is eliminated
+    over int and Fraction coefficients (see :func:`nilaffine.scalars.exact`).
     """
     n, br = L.dim, L._signed
-    system: list[dict] = []
+    last, system = n * n - 1, []
     for i in range(n):
         for j in range(i + 1, n):
             # row k holds coordinate k of D[X_i, X_j] - [D X_i, X_j]
-            # - [X_i, D X_j] as a form in the entries D_ab, at column a * n + b
+            # - [X_i, D X_j] in the D_ab, at column a * n + b, flipped below
             rows: list[dict] = [{} for _ in range(n)]
             for m, c in br.get((i, j), {}).items():
                 for k in range(n):
@@ -296,13 +295,13 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
                     for k, c in br.get(pair, {}).items():
                         s = rows[k].get(col)
                         rows[k][col] = -c if s is None else s - c
-            system += ({col: c for col, c in row.items() if c} for row in rows)
-    pivots, reduced = _rref(_nullspace(system, n * n, unit(L.d)))
+            system += ({last - col: c for col, c in row.items() if c} for row in rows)
+    kernel = _kernel(system, n * n, unit(L.d), flipped=True)
     # row a of a basis matrix holds the columns a * n + b of its flat row
     basis = tuple(Matrix._of(({col % n: c for col, c in flat.items() if col // n == a}
                               for a in range(n)), n, L.d)
-                  for flat in reduced)
-    return DerivationSpace(L, basis, tuple(divmod(p, n) for p in pivots))
+                  for flat in kernel)
+    return DerivationSpace(L, basis, tuple(divmod(min(flat), n) for flat in kernel))
 
 
 # ------------------------------------------------------------------ semidirect

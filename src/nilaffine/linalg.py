@@ -6,8 +6,8 @@ that holds no zero, each coefficient in the stored form of the context (see
 ``Scalar``; it is built only by ``Matrix._of`` or by a builder that
 checks its input. Every elimination runs on one sparse kernel, :func:`_rref`,
 over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
-the Leibniz system of ``liealg.derivation_space``, and round 1 in
-``obstruction.LinearSystem``, whose ``add`` takes the row step :func:`_install`.
+round 1 in ``obstruction.LinearSystem`` (``add`` takes its row step
+:func:`_install`) and :func:`_kernel` (derivations, center, Engel chain).
 Products and sums combine rows with :func:`_axpy`, one loop for every
 coefficient type. The kernels are generic over that type: they test for
 zero by truthiness and divide only through :func:`_divided`. The kernel
@@ -143,10 +143,25 @@ def _nullspace(rows: Iterable[SparseRow], cols: int,
         for j, c in row.items():
             if j != p:
                 basis[j][p] = -c
-    for j, v in basis.items():
-        lead = v[min(v)]
-        if lead != 1:
-            basis[j] = _divided(v, lead)
+    return [v if (lead := v[min(v)]) == 1 else _divided(v, lead)
+            for v in basis.values()]
+
+
+def _kernel(rows: Iterable[SparseRow], cols: int, one: Coefficient,
+            flipped: bool = False) -> list[SparseRow]:
+    """RREF basis of {v : r . v = 0 for every row r} from one :func:`_rref`
+    over the columns in reverse order (``flipped`` rows come so: their
+    column c is cols - 1 - c). Each pivot p is the last nonzero column of
+    its row, so the vector of free column j, 1 at j and -R[p, j] at each
+    pivot p > j, is 0 at every other free column."""
+    last = cols - 1
+    reduced = dict(zip(*_rref(rows if flipped else (
+        {last - c: x for c, x in row.items()} for row in rows))))
+    basis = {j: {j: one} for j in range(cols) if last - j not in reduced}
+    for p, row in reduced.items():
+        for c, x in row.items():
+            if c != p:
+                basis[last - c][last - p] = -x
     return list(basis.values())
 
 
@@ -493,11 +508,11 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
     one = unit(d)
     while len(current) < size:
         # v is in U_{k+1} exactly when c . (M v) = 0 for every c in the
-        # annihilator of U_k and every M: the rows of C M for every M. With
-        # no M that is every v.
+        # annihilator of U_k and every M: the nonzero rows of C M for every
+        # M (most are zero). With no M that is every v.
         c = Matrix._of(_nullspace(current, size, one), size, d)
-        system = [row for m in family for row in (c @ m)._rows]
-        nxt = _rref(_nullspace(system, size, one))[1]
+        system = [row for m in family for row in (c @ m)._rows if row]
+        nxt = _kernel(system, size, one)
         if len(nxt) == len(current):
             return EngelFailure(size=size, d=d, stalled=tuple(
                 _dense(v, size, d) for v in current))

@@ -701,18 +701,19 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             f"the translation conditions on {L.name!r} have no solution, yet "
             f"D_i = -1/2 ad(X_i) always solves them; this is a bug")
     residual = tuple(_commutator_equations(L, space, system.rows))
-    degrees = [max(sum(map(_exponent, m)) for m in poly.terms)
-               for _, poly in residual]
-    if 1 in degrees:
+    # quadratic from the first degree-2 term on; the rest must be constant
+    low = [(tag, poly) for tag, poly in residual
+           if not any(sum(map(_exponent, m)) == 2 for m in poly.terms)]
+    if affine := next((tag for tag, poly in low if not poly.is_constant()), None):
         raise InternalError(
-            f"commutator condition {residual[degrees.index(1)][0]} on "
-            f"{L.name!r} is affine after round 1, yet it is a constant plus "
-            f"a quadratic form on round 1's solutions; this is a bug")
+            f"commutator condition {affine} on {L.name!r} is affine after "
+            f"round 1, yet it is a constant plus a quadratic form on round "
+            f"1's solutions; this is a bug")
 
     eliminated = tuple(sorted(system.solved.items()))
 
-    if 0 in degrees:
-        (_, i, j, a, b), poly = residual[degrees.index(0)]
+    if low:
+        (_, i, j, a, b), poly = low[0]
         return ObstructionOutcome(
             space=space, verdict="Obstructed", eliminated=eliminated,
             certificate=ObstructionCertificate(

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 from dense_reference import (dense_derivation_space, dense_nullspace,
+                             dense_unit_change,
                              dense_row_space_basis, dense_rows, unit_vector,
                              vec_add, vec_is_zero)
 from record_cli_golden import SQRT3_ALGEBRA
 
+from nilaffine import liealg, linalg
 from nilaffine.errors import ParseError, ShapeError
 from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra, _leibniz,
                               _leibniz_failure, _semidirect_into,
@@ -366,7 +368,14 @@ def filiform_r(n):
     return LieAlgebra.from_table(f"R{n}", n, table)
 
 
-SPARSE_DERIVATION_CASES = (
+# seeded dense changes of basis, under which most constants are Fractions
+DENSE_TRANSPORTS = [transport(L, dense_unit_change(L.dim, seed),
+                              name=f"{L.name}@{seed}")
+                    for L in (get_algebra("h3"), get_algebra("f4"),
+                              get_algebra("g5_6"), filiform(5))
+                    for seed in (5, 6)]
+
+SPARSE_DERIVATION_CASES = DENSE_TRANSPORTS + (
     [get_algebra(name) for name in catalog_names()]
     + [LieAlgebra(f"{name} d=3", get_algebra(name).dim,
                   get_algebra(name)._upper(), 3) for name in catalog_names()]
@@ -382,6 +391,41 @@ def test_derivation_space_matches_dense_reference(L):
     assert got.basis == want.basis
     assert all(x.d == L.d for m in got.basis
                for row in dense_rows(m) for x in row)
+
+
+@pytest.mark.parametrize("L", DENSE_TRANSPORTS, ids=lambda L: L.name)
+def test_center_after_a_dense_transport_is_the_dense_rref_basis(L):
+    assert L.center() == dense_center(L)
+
+
+class TestEachFactOnce:
+    """Each canonical kernel is one elimination: no nullspace is reduced
+    again to reach its RREF."""
+
+    @pytest.fixture
+    def rref_calls(self, monkeypatch):
+        counted = []
+        real = linalg._rref
+
+        def counting(rows):
+            counted.append(rows)
+            return real(rows)
+        monkeypatch.setattr(linalg, "_rref", counting)
+        monkeypatch.setattr(liealg, "_rref", counting)
+        return counted
+
+    @pytest.mark.parametrize("L", [get_algebra("g6_18"), filiform(5)]
+                             + DENSE_TRANSPORTS[:2], ids=lambda L: L.name)
+    def test_derivation_space_eliminates_once(self, rref_calls, L):
+        space = derivation_space(L)
+        assert len(rref_calls) == 1
+        assert space == dense_derivation_space(L)
+
+    @pytest.mark.parametrize("name", ("h3+R", "g6_18"))
+    def test_center_eliminates_once(self, rref_calls, name):
+        L = get_algebra(name)
+        L.center()
+        assert len(rref_calls) == 1
 
 
 def diagonal(entries):

@@ -484,6 +484,77 @@ class TestKernelMatchesDenseReference:
                 assert m.inverse() == want
 
 
+class TestCanonicalKernel:
+    """``_kernel``, one elimination over the reversed columns, against the
+    dense RREF of the dense nullspace."""
+
+    @staticmethod
+    def rows_of(kind, rng, rows, cols, density):
+        """Seeded sparse rows of int, Fraction or d = 3 Scalar entries, with
+        a dependent row added, and the 1 of their type."""
+        if kind == "int":
+            out = TestRationalRows.int_rows(rng, rows, cols, density)
+            one = 1
+        else:
+            d = 1 if kind == "Fraction" else 3
+            out = list(sparse_rand_matrix(rng, rows, cols, d, density)._rows)
+            one = Scalar.one(d) if d != 1 else 1
+        return out + [dict(out[0])] if out else out, one
+
+    @staticmethod
+    def reference(rows, cols, d):
+        m = dense_matrix([linalg._dense(row, cols, d) for row in rows], cols, d)
+        want = dense_rref(dense_matrix(dense_nullspace(m), cols, d))
+        return tuple(want.matrix.row(r) for r in range(want.rank))
+
+    @pytest.mark.parametrize("kind", ("int", "Fraction", "Scalar"))
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES,
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("density", (0.2, 0.6, 1.0))
+    def test_matches_dense_rref_of_dense_nullspace(self, kind, shape, density):
+        rng = random.Random(f"kernel-{kind}-{shape}-{density}")
+        d = 3 if kind == "Scalar" else 1
+        for _ in range(3):
+            rows, one = self.rows_of(kind, rng, *shape, density)
+            before = [dict(row) for row in rows]
+            got = linalg._kernel(rows, shape[1], one)
+            assert rows == before                       # input not changed
+            assert tuple(linalg._dense(v, shape[1], d) for v in got) == \
+                self.reference(rows, shape[1], d)
+            for v in got:
+                assert all(v.values())
+                for x in v.values():
+                    if d == 1:
+                        assert_exact_rational(x)
+                    else:
+                        assert type(x) is Scalar and x.d == 3
+            last = shape[1] - 1
+            flipped = [{last - c: x for c, x in row.items()} for row in rows]
+            assert linalg._kernel(flipped, shape[1], one, flipped=True) == got
+
+    @pytest.mark.parametrize("one", (1, Scalar.one(3)), ids=("d1", "d3"))
+    def test_no_rows_give_the_identity_basis(self, one):
+        assert linalg._kernel([], 4, one) == [{j: one} for j in range(4)]
+        assert linalg._kernel([{}, {}], 3, one) == [{j: one} for j in range(3)]
+
+    def test_full_column_rank_gives_no_vector(self):
+        assert linalg._kernel([{0: 2, 1: 1}, {1: 3}], 2, 1) == []
+        assert linalg._kernel([{0: 1, 2: 5}, {1: -1}, {2: 2}, {0: 4}], 3, 1) == []
+
+    def test_no_columns(self):
+        assert linalg._kernel([], 0, 1) == []
+        assert linalg._kernel([{}], 0, 1) == []
+
+    def test_pivots_are_last_columns_and_ints_stay_ints(self):
+        # 2 x0 + x2 = 0 and x1 - x3 = 0 pivot at x2 and x3, so the free
+        # x0 and x1 lead, and no division is needed
+        got = linalg._kernel([{0: 2, 2: 1}, {1: 1, 3: -1}], 4, 1)
+        assert got == [{0: 1, 2: -2}, {1: 1, 3: 1}]
+        assert all(type(x) is int for v in got for x in v.values())
+        # 2 x0 + 3 x1 = 0 pivots at x1: x1 = -2/3 x0
+        assert linalg._kernel([{0: 2, 1: 3}], 2, 1) == [{0: 1, 1: Fraction(-2, 3)}]
+
+
 class TestJsonHelpers:
     def test_vector_round_trip(self):
         v = as_vector([Fraction(1, 2), Scalar(0, 1, 3), 0], 3)

@@ -656,6 +656,56 @@ class TestWitnessDraws:
             obstruct_abelian(get_algebra("h3"))
 
 
+class TestDegreeGuard:
+    """The commutator conditions come out constant or quadratic. One that
+    is affine raises InternalError with its tag, wherever it stands; an
+    equation with a degree-2 term is quadratic whatever else it holds; the
+    certificate is the first constant equation."""
+
+    # quadratic, each led by a term of lower degree
+    MIXED = (Poly({((5, 1),): 2, ((0, 1), (1, 1)): 1, (): 3}),
+             Poly({(): -1, ((4, 1),): 1, ((4, 2),): -1}))
+
+    @staticmethod
+    def with_builder(monkeypatch, equations):
+        monkeypatch.setattr(obstruction, "_commutator_equations",
+                            lambda L, space, rows: list(equations))
+
+    @pytest.mark.parametrize("lead", ("quadratic", "constant"))
+    def test_affine_after_others_is_named(self, monkeypatch, lead):
+        first = [(("commutator", 1, 2, 1, 1), self.MIXED[0]),
+                 (("commutator", 1, 2, 2, 1), self.MIXED[1])]
+        if lead == "constant":
+            first.insert(1, (("commutator", 1, 2, 1, 3), Poly.const(2)))
+        self.with_builder(monkeypatch, first + [
+            (("commutator", 2, 3, 1, 2), Poly.var(7) - Poly.var(3)),
+            (("commutator", 2, 3, 3, 1), Poly.var(9) * Poly.var(10))])
+        with pytest.raises(InternalError,
+                           match=r"\('commutator', 2, 3, 1, 2\) .* affine"):
+            obstruct_abelian(get_algebra("h3"))
+
+    def test_quadratic_with_linear_terms_is_not_flagged(self, monkeypatch):
+        self.with_builder(monkeypatch, [
+            (("commutator", 1, 2, 1, 1), self.MIXED[0]),
+            (("commutator", 1, 2, 2, 1), self.MIXED[1]),
+            (("commutator", 1, 3, 2, 3), Poly.const(Fraction(-1, 2))),
+            (("commutator", 2, 3, 1, 1), Poly.const(5))])
+        outcome = obstruct_abelian(get_algebra("h3"))
+        assert outcome.verdict == "Obstructed"
+        assert outcome.certificate == ObstructionCertificate(
+            kind="commutator", pair=(1, 3), constant=Fraction(-1, 2),
+            position=(2, 3))
+
+    def test_only_quadratic_equations_are_the_residual(self, monkeypatch):
+        self.with_builder(monkeypatch, [
+            (("commutator", 1, 2, 1, 1), self.MIXED[0]),
+            (("commutator", 1, 2, 2, 1), self.MIXED[1])])
+        outcome = obstruct_abelian(get_algebra("h3"), samples=0)
+        assert outcome.verdict in ("Found", "Undetermined")
+        assert [tag for tag, _ in outcome.residual] == \
+            [("commutator", 1, 2, 1, 1), ("commutator", 1, 2, 2, 1)]
+
+
 def filiform_found():
     L = filiform(5)
     outcome = obstruct_abelian(L)
