@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 from dense_reference import (dense_derivation_space, dense_nullspace,
-                             dense_unit_change,
-                             dense_row_space_basis, dense_rows, unit_vector,
-                             vec_add, vec_is_zero)
+                             dense_row_space_basis, dense_rows,
+                             dense_unit_change, unit_vector, vec_add,
+                             vec_is_zero)
 from record_cli_golden import SQRT3_ALGEBRA
 
 from nilaffine import liealg, linalg
@@ -368,7 +368,7 @@ def filiform_r(n):
     return LieAlgebra.from_table(f"R{n}", n, table)
 
 
-# seeded dense changes of basis, under which most constants are Fractions
+# the algebras in seeded dense bases, where every constant may be nonzero
 DENSE_TRANSPORTS = [transport(L, dense_unit_change(L.dim, seed),
                               name=f"{L.name}@{seed}")
                     for L in (get_algebra("h3"), get_algebra("f4"),
