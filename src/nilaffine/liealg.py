@@ -297,11 +297,13 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
                         rows[k][col] = -c if s is None else s - c
             system += ({last - col: c for col, c in row.items() if c} for row in rows)
     kernel = _kernel(system, n * n, unit(L.d), flipped=True)
-    # row a of a basis matrix holds the columns a * n + b of its flat row
-    basis = tuple(Matrix._of(({col % n: c for col, c in flat.items() if col // n == a}
-                              for a in range(n)), n, L.d)
-                  for flat in kernel)
-    return DerivationSpace(L, basis, tuple(divmod(min(flat), n) for flat in kernel))
+    basis = []
+    for flat in kernel:   # row a holds the columns a * n + b of the flat row
+        rows = [{} for _ in range(n)]
+        for col, c in flat.items():
+            rows[col // n][col % n] = c
+        basis.append(Matrix._of(rows, n, L.d))
+    return DerivationSpace(L, tuple(basis), tuple(divmod(min(v), n) for v in kernel))
 
 
 # ------------------------------------------------------------------ semidirect

@@ -8,6 +8,7 @@ checks its input. Every elimination runs on one sparse kernel, :func:`_rref`,
 over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
 round 1 in ``obstruction.LinearSystem`` (``add`` takes its row step
 :func:`_install`) and :func:`_kernel` (derivations, center, Engel chain).
+One function, :func:`_free_vectors`, reads a kernel off an RREF.
 Products and sums combine rows with :func:`_axpy`, one loop for every
 coefficient type. The kernels are generic over that type: they test for
 zero by truthiness and divide only through :func:`_divided`. The kernel
@@ -127,42 +128,41 @@ def _rref(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
     return pivots, [reduced[p] for p in pivots]
 
 
-def _nullspace(rows: Iterable[SparseRow], cols: int,
-               one: Coefficient) -> list[SparseRow]:
-    """Basis of {v : r . v = 0 for every row r}, over ``cols`` columns.
-
-    One vector per free column j of the RREF R: v_j = 1 and v_p = -R[p, j]
-    at each pivot p, scaled so its first nonzero coordinate is 1. With no
-    rows this is the standard basis. ``one`` is the 1 of the rows'
-    coefficient type, :func:`~nilaffine.scalars.unit`.
-    """
-    pivots, reduced = _rref(rows)
-    free = set(range(cols)).difference(pivots)
-    basis = {j: {j: one} for j in sorted(free)}
-    for p, row in zip(pivots, reduced):
+def _free_vectors(pivots: Sequence[int], rows: Iterable[SparseRow], cols: int,
+                  one: Coefficient) -> list[SparseRow]:
+    """The kernel of an RREF R (pivots, rows) over ``cols`` columns, read off
+    without eliminating: for each free column j in order, 1 at j and
+    -R[p, j] at each pivot p; ``one`` is :func:`~nilaffine.scalars.unit`."""
+    taken = set(pivots)
+    basis = {j: {j: one} for j in range(cols) if j not in taken}
+    for p, row in zip(pivots, rows):
         for j, c in row.items():
             if j != p:
                 basis[j][p] = -c
+    return list(basis.values())
+
+
+def _nullspace(rows: Iterable[SparseRow], cols: int,
+               one: Coefficient) -> list[SparseRow]:
+    """The :func:`_free_vectors` of the RREF of rows, each scaled so its
+    first nonzero coordinate is 1. With no rows this is the standard basis."""
     return [v if (lead := v[min(v)]) == 1 else _divided(v, lead)
-            for v in basis.values()]
+            for v in _free_vectors(*_rref(rows), cols, one)]
 
 
 def _kernel(rows: Iterable[SparseRow], cols: int, one: Coefficient,
             flipped: bool = False) -> list[SparseRow]:
-    """RREF basis of {v : r . v = 0 for every row r} from one :func:`_rref`
-    over the columns in reverse order (``flipped`` rows come so: their
-    column c is cols - 1 - c). Each pivot p is the last nonzero column of
-    its row, so the vector of free column j, 1 at j and -R[p, j] at each
-    pivot p > j, is 0 at every other free column."""
+    """RREF basis of {v : r . v = 0 for every row r}: the reversed
+    :func:`_free_vectors` of one :func:`_rref` over the columns in reverse
+    order (``flipped`` rows come so: their column c is cols - 1 - c). Each
+    pivot p is the last nonzero column of its row, so the vector of free
+    column j, 1 at j and -R[p, j] at each pivot p > j, is 0 at every other
+    free column."""
     last = cols - 1
-    reduced = dict(zip(*_rref(rows if flipped else (
-        {last - c: x for c, x in row.items()} for row in rows))))
-    basis = {j: {j: one} for j in range(cols) if last - j not in reduced}
-    for p, row in reduced.items():
-        for c, x in row.items():
-            if c != p:
-                basis[last - c][last - p] = -x
-    return list(basis.values())
+    pivots, reduced = _rref(rows if flipped else (
+        {last - c: x for c, x in row.items()} for row in rows))
+    return [{last - c: x for c, x in v.items()}
+            for v in reversed(_free_vectors(pivots, reduced, cols, one))]
 
 
 class RrefResult(NamedTuple):
@@ -502,7 +502,7 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
     elif size is None or d is None:
         raise ShapeError("engel_flag on an empty family needs explicit size and d")
 
-    # each U_k is kept as the sparse RREF basis of its span
+    # each U_k is kept as the sparse RREF basis of its span, led by min(v)
     chain: list[list[SparseRow]] = []
     current: list[SparseRow] = []
     one = unit(d)
@@ -510,7 +510,8 @@ def engel_flag(family: Sequence[Matrix], size: int | None = None,
         # v is in U_{k+1} exactly when c . (M v) = 0 for every c in the
         # annihilator of U_k and every M: the nonzero rows of C M for every
         # M (most are zero). With no M that is every v.
-        c = Matrix._of(_nullspace(current, size, one), size, d)
+        c = Matrix._of(_free_vectors([min(v) for v in current], current, size,
+                                     one), size, d)
         system = [row for m in family for row in (c @ m)._rows if row]
         nxt = _kernel(system, size, one)
         if len(nxt) == len(current):

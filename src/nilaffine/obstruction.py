@@ -352,22 +352,32 @@ def _times(a: int | None, b: int | None) -> Monomial:
     return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
+def _affine_row(eq: Poly) -> SparseRow:
+    """eq as a sparse row over the variable ids and ``_CONST``, if affine."""
+    row: SparseRow = {}
+    for m, c in eq.terms.items():
+        if len(m) > 1 or m and m[0][1] > 1:
+            raise ValueError(f"LinearSystem takes affine equations, got the term {m}")
+        row[m[0][0] if m else _CONST] = c
+    return row
+
+
 class LinearSystem:
     """Exact incremental elimination on ``linalg._rref``'s row step.
 
     Round 1 is its constructor; ``reduce`` and ``add`` serve callers of
     the exported class and the perfbench tracer, not the pipeline. An
     affine equation is a sparse row over the variable ids and the
-    constant column ``_CONST``. ``rows`` maps each pivot p to its row
-    x_p + sum a_v x_v + c = 0, so x_p's solved form is -sum a_v x_v - c;
-    it is always the RREF of the equations given and added, which is
-    unique, so it does not depend on the order in which they came.
+    constant column ``_CONST``; a term of higher degree raises ValueError.
+    ``rows`` maps each pivot p to its row x_p + sum a_v x_v + c = 0, so
+    x_p's solved form is -sum a_v x_v - c; it is always the RREF of the
+    equations given and added, which is unique, so it does not depend on
+    the order in which they came.
     """
 
     def __init__(self, equations: Iterable[Poly] = ()):
         """Start from the RREF of the affine ``equations``, by ``_rref``."""
-        pivots, rows = _rref({m[0][0] if m else _CONST: c
-                              for m, c in eq.terms.items()} for eq in equations)
+        pivots, rows = _rref(map(_affine_row, equations))
         self.rows: dict[int, SparseRow] = dict(zip(pivots, rows))
 
     @property
@@ -378,44 +388,27 @@ class LinearSystem:
                 for p, row in self.rows.items()}
 
     def reduce(self, eq: Poly) -> Poly:
-        """eq with each solved variable replaced by its affine form, for eq
-        of degree <= 2 (else ValueError), the degree of the defining
-        equations; the checker keeps the general ``Poly.substitute``."""
-        rows, out, hit = self.rows, {}, False
-        for m, c in eq.terms.items():
-            if len(m) == 2 and m[0][1] == m[1][1] == 1:
-                (a, _), (b, _) = m
-            elif len(m) == 1 and m[0][1] <= 2:
-                a, b = m[0][0], m[0][0] if m[0][1] == 2 else None
-            elif m:
+        """eq with each solved variable replaced by its affine form
+        (``Poly.substitute``), for eq of degree <= 2 (else ValueError), the
+        degree of the defining equations."""
+        for m in eq.terms:
+            if sum(map(_exponent, m)) > 2:
                 raise ValueError(f"reduce takes degree <= 2, got the term {m}")
-            else:
-                a = b = None
-            ra, rb = rows.get(a), rows.get(b)
-            if ra is None and rb is None:
-                out[m] = out[m] + c if m in out else c
-                continue
-            hit, second = True, _factor(b, rb)
-            for x, cx in _factor(a, ra):
-                cx = c if cx is None else c * cx
-                for y, cy in second:
-                    k, v = _times(x, y), cx if cy is None else cx * cy
-                    out[k] = out[k] + v if k in out else v
-        return _poly({k: v for k, v in out.items() if v}) if hit else eq
+        return eq.substitute(self.solved)
 
     def add(self, eq: Poly) -> bool:
         """Incorporate one affine equation eq = 0.
 
         Returns True if it forced a new pivot, False if redundant; raises
-        Contradiction when it reduces to a nonzero constant.
+        Contradiction when it reduces to a nonzero constant, and ValueError
+        when it reduces to an equation that is not affine.
         """
         reduced = self.reduce(eq)
         if not reduced:
             return False
         if reduced.is_constant():
             raise Contradiction(reduced.constant_value())
-        _install(self.rows, {m[0][0] if m else _CONST: exact(c)
-                             for m, c in reduced.terms.items()})
+        _install(self.rows, {v: exact(c) for v, c in _affine_row(reduced).items()})
         return True
 
 

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,91 @@ class TestEngelFlag:
                 if Matrix.from_rows(kept + [v], d).rref()[2] > len(kept):
                     kept.append(v)
             assert chain and flag.basis == tuple(reversed(kept))
+
+
+class TestEngelChainEliminatesOnce:
+    """Each Engel step is one elimination, the joint kernel: the annihilator
+    of U_k is read off its RREF, so the chain of s steps makes s + 1
+    ``_rref`` calls with the final pivot choice, and ``_nullspace`` none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = {"_rref": 0, "_kernel": 0}
+        for name in counted:
+            def counting(*args, real=getattr(linalg, name), name=name, **kw):
+                counted[name] += 1
+                return real(*args, **kw)
+            monkeypatch.setattr(linalg, name, counting)
+
+        def refuse(*args):
+            raise AssertionError("engel_flag must not call _nullspace")
+        monkeypatch.setattr(linalg, "_nullspace", refuse)
+        return counted
+
+    @pytest.mark.parametrize("size", (1, 3, 6))
+    def test_shift_takes_one_step_per_dimension(self, calls, size):
+        shift = Matrix.from_rows([[int(c == r + 1) for c in range(size)]
+                                  for r in range(size)])
+        assert engel_flag([shift])
+        assert calls == {"_rref": size + 1, "_kernel": size}
+
+    def test_zero_family_takes_one_step(self, calls):
+        assert engel_flag([Matrix.zero(4, 4)])
+        assert calls == {"_rref": 2, "_kernel": 1}
+
+    def test_a_stall_makes_no_pivot_choice(self, calls):
+        assert not engel_flag([Matrix.identity(3)])
+        assert calls == {"_rref": 1, "_kernel": 1}
+
+    @pytest.mark.parametrize("name", sorted(bundled_reps()))
+    def test_bundled_families(self, calls, name):
+        rep = bundled_reps()[name]
+        calls["_kernel"] = calls["_rref"] = 0
+        flag = engel_flag(list(rep.D))
+        assert flag and calls["_rref"] == calls["_kernel"] + 1
+
+
+class _References(ast.NodeVisitor):
+    """Collect the qualified scope of each reference to ``name``: a load,
+    a store, an attribute or an import."""
+
+    def __init__(self, name: str):
+        self.name, self.scope, self.found = name, [], []
+
+    def _record(self) -> None:
+        self.found.append(".".join(self.scope) or "<module>")
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id == self.name:
+            self._record()
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == self.name:
+            self._record()
+        self.generic_visit(node)
+
+    def visit_alias(self, node: ast.alias) -> None:
+        if node.name == self.name:
+            self._record()
+
+
+def test_nullspace_has_one_caller():
+    """Only ``Matrix.nullspace`` reduces rows to a normalized kernel with
+    ``_nullspace``; a package path that holds an RREF reads its kernel with
+    ``_free_vectors`` and does not reduce it again."""
+    callers = []
+    for path in sorted(Path(linalg.__file__).resolve().parent.glob("*.py")):
+        visitor = _References("_nullspace")
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        callers += [(path.stem, scope) for scope in visitor.found]
+    assert callers == [("linalg", "Matrix.nullspace")]
 
 
 class TestBasisHelpers:
@@ -553,6 +640,36 @@ class TestCanonicalKernel:
         assert all(type(x) is int for v in got for x in v.values())
         # 2 x0 + 3 x1 = 0 pivots at x1: x1 = -2/3 x0
         assert linalg._kernel([{0: 2, 1: 3}], 2, 1) == [{0: 1, 1: Fraction(-2, 3)}]
+
+
+class TestFreeVectors:
+    """``_free_vectors`` reads a kernel off an RREF without eliminating. A
+    ``_kernel`` output is an RREF led by min(v), and the kernel read off it
+    is the row space of the rows it was the kernel of."""
+
+    @pytest.mark.parametrize("kind", ("int", "Fraction", "Scalar"))
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES,
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_annihilates_a_kernel_and_spans_the_row_space(self, kind, shape):
+        rng = random.Random(f"free-{kind}-{shape}")
+        cols = shape[1]
+        for density in (0.2, 0.6, 1.0):
+            rows, one = TestCanonicalKernel.rows_of(kind, rng, *shape, density)
+            kernel = linalg._kernel(rows, cols, one)
+            free = linalg._free_vectors([min(v) for v in kernel], kernel,
+                                        cols, one)
+            for a in free:
+                for v in kernel:
+                    assert not sum(x * v[c] for c, x in a.items() if c in v)
+            rank = len(linalg._rref(rows)[0])
+            assert len(free) == cols - len(kernel) == rank
+            assert len(linalg._rref(rows + free)[0]) == rank
+
+    def test_reads_the_vectors_off_the_rows(self):
+        # x0 + 2 x2 = 0 and x1 - x2 = 0 leave x2 and x3 free
+        got = linalg._free_vectors((0, 1), [{0: 1, 2: 2}, {1: 1, 2: -1}], 4, 1)
+        assert got == [{2: 1, 0: -2, 1: 1}, {3: 1}]
+        assert linalg._free_vectors((), [], 2, 1) == [{0: 1}, {1: 1}]
 
 
 class TestJsonHelpers:

@@ -208,6 +208,30 @@ class TestLinearSystem:
                 else:
                     assert sys_.solved == baseline
 
+    def test_add_rejects_an_equation_that_stays_quadratic(self):
+        # read as affine, x0 x1 - 2 would store x0 = 2
+        x0, x1 = Poly.var(0), Poly.var(1)
+        sys_ = LinearSystem()
+        for eq in (x0 * x1 - Poly.const(2), x0 * x0, x1 + x0 * x1):
+            with pytest.raises(ValueError):
+                sys_.add(eq)
+        assert sys_.rows == {}
+
+    def test_constructor_rejects_a_term_of_higher_degree(self):
+        # read as affine, x0 + x0 x1 would collapse to one x0 coefficient
+        x0, x1 = Poly.var(0), Poly.var(1)
+        for eq in (x0 + x0 * x1, x0 * x0 - Poly.const(1), x0 * x1 * x1):
+            with pytest.raises(ValueError):
+                LinearSystem([x1 - Poly.const(3), eq])
+
+    def test_add_takes_an_equation_that_reduces_to_an_affine_one(self):
+        x0, x1 = Poly.var(0), Poly.var(1)
+        sys_ = LinearSystem([x0 - Poly.const(3)])
+        assert sys_.add(x0 * x1 - Poly.const(6))
+        assert sys_.solved == {0: Poly.const(3), 1: Poly.const(2)}
+        with pytest.raises(Contradiction):
+            sys_.add(x0 * x1)
+
 
 class TestParametricDerivation:
     def test_abelian_grid_is_generic(self):
