@@ -13,7 +13,8 @@ from .affine import (AffineRep, BijectivityReport, HomReport, HomViolation,
 from .corpus import bundled_rep, bundled_rep_names
 from .errors import (DerivationError, FieldMismatchError,
                      IncompleteStructureError, InternalError, LRIdentityError,
-                     NilaffineError, ParseError, PreconditionError, ShapeError)
+                     NilaffineError, NotSimplyTransitiveError, ParseError,
+                     PreconditionError, ShapeError)
 from .io import read_json, stable_json, write_json
 from .liealg import (DerivationSpace, JacobiReport, JacobiViolation,
                      LieAlgebra, abelian, algebra_from_dict, algebra_to_dict,
@@ -41,15 +42,15 @@ __all__ = [
     "IncompleteStructureError", "InternalError", "JacobiReport",
     "JacobiViolation", "LRIdentityError", "LRReport", "LRStructure",
     "LRViolation", "LieAlgebra", "LinearSystem", "Matrix", "NilaffineError",
-    "NilpotencyReport", "NonNilpotentWitness", "ObstructionCertificate",
-    "ObstructionOutcome", "ParametricMatrix", "ParseError", "Poly",
-    "PreconditionError", "RepVerdict", "Scalar", "ShapeError", "abelian",
-    "algebra_from_dict", "algebra_to_dict", "bundled_rep",
-    "bundled_rep_names", "catalog_names", "check_complete",
+    "NilpotencyReport", "NonNilpotentWitness", "NotSimplyTransitiveError",
+    "ObstructionCertificate", "ObstructionOutcome", "ParametricMatrix",
+    "ParseError", "Poly", "PreconditionError", "RepVerdict", "Scalar",
+    "ShapeError", "abelian", "algebra_from_dict", "algebra_to_dict",
+    "bundled_rep", "bundled_rep_names", "catalog_names", "check_complete",
     "check_homomorphism", "check_lr", "check_simply_transitive",
     "derivation_space", "engel_flag", "get_algebra", "lr_from_dict",
     "lr_to_dict", "lr_to_rep", "matrix_to_json", "obstruct_abelian",
     "parametric_derivation", "read_json", "rep_from_dict", "rep_of_files",
-    "rep_to_dict", "rep_to_lr", "stable_json", "transport", "variable_namer",
-    "vector_to_json", "verify_certificate", "write_json",
+    "rep_to_dict", "rep_to_lr", "stable_json", "transport",
+    "variable_namer", "vector_to_json", "verify_certificate", "write_json",
 ]

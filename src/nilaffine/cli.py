@@ -29,14 +29,15 @@ from .affine import (AffineRep, check_simply_transitive, rep_from_dict,
 from .corpus import bundled_rep_names
 from .errors import (DerivationError, FieldMismatchError,
                      IncompleteStructureError, InternalError, LRIdentityError,
-                     ParseError, PreconditionError, ShapeError)
+                     NotSimplyTransitiveError, ParseError, PreconditionError,
+                     ShapeError)
 from .io import read_json, stable_json, write_json
 from .liealg import (MAX_SAMPLES, LieAlgebra, algebra_from_dict,
                      algebra_to_dict, catalog_names, derivation_space, get_algebra)
 from .linalg import engel_flag, matrix_to_json, vector_to_json
 from .lr import (LRStructure, check_lr, lr_from_dict, lr_to_dict, lr_to_rep,
                  rep_to_lr)
-from .obstruction import (obstruct_abelian, parametric_derivation,
+from .obstruction import (_render_many, obstruct_abelian, parametric_derivation,
                           variable_namer, verify_certificate)
 
 
@@ -147,14 +148,12 @@ def _cmd_derivations(parser, args) -> int:
         name = variable_namer(space)
         generic = parametric_derivation(L, 0, space)
         lines.append("generic derivation:")
-        rendered = [[generic.entry(r, c).render(name) for c in range(L.dim)]
-                    for r in range(L.dim)]
-        widths = [max(len(rendered[r][c]) for r in range(L.dim))
-                  for c in range(L.dim)]
-        for r in range(L.dim):
-            row = "  ".join(rendered[r][c].rjust(widths[c])
-                            for c in range(L.dim))
-            lines.append(f"  [ {row} ]")
+        texts = iter(_render_many([generic.entry(r, c) for r in range(L.dim)
+                                   for c in range(L.dim)], name))
+        rendered = list(zip(*[texts] * L.dim))   # the grid's rows, rendered
+        widths = [max(map(len, column)) for column in zip(*rendered)]
+        for row in rendered:
+            lines.append(f"  [ {'  '.join(map(str.rjust, row, widths))} ]")
     _emit(args, doc, lines)
     return 0
 
@@ -216,7 +215,7 @@ def _cmd_rep_to_lr(parser, args) -> int:
     try:
         rep = _load_rep(args)
         s = rep_to_lr(rep)
-    except (DerivationError, PreconditionError) as err:
+    except (DerivationError, NotSimplyTransitiveError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     _write_doc(args, lr_to_dict(s))

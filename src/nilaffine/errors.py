@@ -53,6 +53,10 @@ class LRIdentityError(PreconditionError):
     """A left-symmetric product fails an LR identity, so it has no rep."""
 
 
+class NotSimplyTransitiveError(PreconditionError):
+    """A representation to convert fails the simple-transitivity verdict."""
+
+
 class IncompleteStructureError(NilaffineError):
     """A left-symmetric product is not complete; carries the evidence."""
 

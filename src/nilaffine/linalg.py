@@ -411,8 +411,8 @@ def _combination(terms: Iterable[tuple[EntryLike, Matrix]], rows: int,
 # ------------------------------------------------------------------ json
 
 
-def vector_to_json(v: Vector) -> list:
-    return [scalar_to_json(x) for x in v]
+def vector_to_json(v: Vector) -> list:   # an exact int is written as it is
+    return [x if type(x) is int else scalar_to_json(x) for x in v]
 
 
 def vector_from_json(data: object, length: int, d: int, where: str) -> Vector:
@@ -425,8 +425,8 @@ def vector_from_json(data: object, length: int, d: int, where: str) -> Vector:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(row[c]) if c in row else 0 for c in range(m.cols)]
-            for row in m._rows]
+    return [[x if type(x := row.get(c, 0)) is int else scalar_to_json(x)
+             for c in range(m.cols)] for row in m._rows]
 
 
 def matrix_from_json(data: object, rows: int, cols: int, d: int, where: str) -> Matrix:

@@ -32,8 +32,9 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .affine import (AffineRep, _algebra_ref_from_json, _algebra_ref_to_json,
                      _resolve_context, _unit_translations, check_simply_transitive)
-from .errors import (IncompleteStructureError, LRIdentityError, ParseError,
-                     PreconditionError, ShapeError, quoted)
+from .errors import (IncompleteStructureError, LRIdentityError,
+                     NotSimplyTransitiveError, ParseError, PreconditionError,
+                     ShapeError, quoted)
 from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, _transpose, engel_flag)
@@ -212,8 +213,8 @@ def rep_to_lr(rep: AffineRep) -> LRStructure:
     """Product X.Y = -D_X(Y) of a passing representation with abelian source.
 
     The representation is checked through the full simple-transitivity
-    verdict first; a failing one raises PreconditionError naming the
-    failed criteria. See :func:`_lr_of_passing_rep` for the conversion.
+    verdict first; a failing one raises NotSimplyTransitiveError naming
+    the failed criteria. See :func:`_lr_of_passing_rep` for the conversion.
     """
     if not rep.source.is_abelian():
         raise PreconditionError(
@@ -231,7 +232,7 @@ def rep_to_lr(rep: AffineRep) -> LRStructure:
             parts.append("translation bijectivity")
         if not verdict.linear_parts_nilpotent:
             parts.append("nilpotency of linear parts")
-        raise PreconditionError(
+        raise NotSimplyTransitiveError(
             "representation is not simply transitive; failing: "
             + ", ".join(parts))
     return _lr_of_passing_rep(rep)

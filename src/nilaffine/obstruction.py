@@ -193,27 +193,37 @@ class Poly(Frozen):
         return total if type(total) is Scalar else Fraction(total)
 
     def render(self, name: Callable[[int], str]) -> str:
-        if not self.terms:
-            return "0"
-        text: list[str] = []
-        for m, c in sorted(self.terms.items(),
-                           key=lambda item: (sum(map(_exponent, item[0])),
-                                             item[0])):
-            factors = [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m]
-            # a Scalar with a sqrt(d) part is printed whole, in parentheses
-            lead = (c.rat or c.irr) if type(c) is Scalar else c
-            size = str(abs(lead)) if lead == c else f"({-c if lead < 0 else c})"
-            if factors:
-                size = "" if size == "1" else size + "*"
-            if text:
-                text.append(" - " if lead < 0 else " + ")
-            elif lead < 0:
-                text.append("-")
-            text.append(size + "*".join(factors))
-        return "".join(text)
+        return _render_many((self,), name)[0]
 
     def __repr__(self):
         return f"Poly({self.render(lambda v: f'x{v}')})"
+
+
+def _render_many(polys: Sequence[Poly], name: Callable[[int], str]) -> list[str]:
+    """The text of each poly, terms by degree and then monomial, from one
+    sorted table of all their monomials, each of whose text is built once."""
+    table = sorted(set().union(*[p.terms for p in polys]))
+    table.sort(key=lambda m: sum(map(_exponent, m)))   # stable: by degree first
+    rank = {m: k for k, m in enumerate(table)}.__getitem__
+    text = ["*".join([name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m])
+            for m in table]
+    plus = [" + " + body if body else None for body in text]
+    minus = [" - " + body if body else None for body in text]
+    out = []
+    for p in polys:
+        pieces = []
+        for k, c in sorted(zip(map(rank, p.terms), p.terms.values())):
+            piece = plus[k] if c == 1 else minus[k] if c == -1 else None
+            if piece is None:
+                # a Scalar with a sqrt(d) part is printed whole, in parentheses
+                lead = (c.rat or c.irr) if type(c) is Scalar else c
+                size = str(abs(lead)) if lead == c else f"({-c if lead < 0 else c})"
+                sign = " - " if lead < 0 else " + "
+                piece = sign + size + "*" + text[k] if text[k] else sign + size
+            pieces.append(piece)
+        line = "".join(pieces)   # the first sign: " - " is "-", " + " nothing
+        out.append("-" + line[3:] if line[1:2] == "-" else line[3:] or "0")
+    return out
 
 
 def _poly(terms: dict[Monomial, Rational]) -> Poly:
@@ -507,9 +517,8 @@ class ObstructionOutcome:
         return tuple(v for v in range(total) if v not in solved)
 
     def to_dict(self) -> dict:
-        name = variable_namer(self.space)    # called once per variable
-        name = list(map(name, range(self.algebra.dim
-                                    * self.space.dimension))).__getitem__
+        name = list(map(variable_namer(self.space),   # once per variable
+                        range(self.algebra.dim * self.space.dimension))).__getitem__
 
         doc: dict = {
             "algebra": self.algebra.name,
@@ -539,10 +548,9 @@ class ObstructionOutcome:
                 "lr": lr_to_dict(self.witness_lr),
             }
         if self.residual:
-            doc["residual"] = [
-                {"equation": "/".join(str(part) for part in tag),
-                 "poly": poly.render(name)}
-                for tag, poly in self.residual]
+            tags, polys = zip(*self.residual)
+            doc["residual"] = [{"equation": "/".join(map(str, tag)), "poly": text}
+                               for tag, text in zip(tags, _render_many(polys, name))]
         return doc
 
 

@@ -13,6 +13,7 @@ from nilaffine.io import read_json, write_json
 from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, abelian,
                               algebra_to_dict, derivation_space, get_algebra,
                               transport)
+from nilaffine.linalg import Matrix
 from nilaffine.lr import LRStructure, lr_to_dict
 from nilaffine.obstruction import ObstructionOutcome
 
@@ -172,6 +173,41 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestRepToLrExitCodes:
+    """rep-to-lr: a rep it cannot convert is unusable input (exit 3); only
+    a rep that fails the simple-transitivity verdict is a failed check."""
+
+    @staticmethod
+    def write_rep(tmp_path, source, target, identity=False):
+        """A rep with unit translations, each linear part 0 or the identity."""
+        n = target.dim
+        linear = Matrix.identity(n, 1) if identity else Matrix.zero(n, n)
+        rep = affine.AffineRep(source, target, [[int(a == b) for a in range(n)]
+                                                for b in range(source.dim)],
+                               [linear] * source.dim)
+        f = tmp_path / "rep.json"
+        write_json(f, affine.rep_to_dict(rep))
+        return str(f)
+
+    def test_nonabelian_source_is_three(self, tmp_path, capsys):
+        h3 = get_algebra("h3")
+        f = self.write_rep(tmp_path, h3, h3)
+        assert run(["check-rep", f, "--quiet"]) == 0
+        assert run(["rep-to-lr", f]) == 3
+        assert capsys.readouterr().err == \
+            "error: source algebra 'h3' is not abelian\n"
+
+    def test_dimension_mismatch_is_three(self, tmp_path, capsys):
+        f = self.write_rep(tmp_path, abelian(2), get_algebra("h3"))
+        assert run(["rep-to-lr", f]) == 3
+        assert "differs from target dimension" in capsys.readouterr().err
+
+    def test_not_simply_transitive_is_one(self, tmp_path, capsys):
+        f = self.write_rep(tmp_path, abelian(2), abelian(2), identity=True)
+        assert run(["rep-to-lr", f]) == 1
+        assert "not simply transitive" in capsys.readouterr().err
+
+
 class TestQuiet:
     def test_quiet_suppresses_stdout(self, capsys):
         code, out = run_out(capsys, ["obstruct-abelian", "--algebra", "g6_18",
@@ -317,7 +353,7 @@ class TestPipelines:
         capsys.readouterr()
 
     def test_rep_to_lr_rejects_nonabelian_source(self, capsys):
-        assert run(["rep-to-lr", str(rep_path("h3_to_r3"))]) == 1
+        assert run(["rep-to-lr", str(rep_path("h3_to_r3"))]) == 3
         assert "abelian" in capsys.readouterr().err
 
     def test_check_lr_flags_incomplete(self, tmp_path, capsys):

@@ -7,7 +7,8 @@ from dense_reference import (dense_lr_to_dict, flag_triangularizes, unit_vector,
 
 from nilaffine.affine import AffineRep, check_simply_transitive
 from nilaffine.corpus import bundled_rep, bundled_reps
-from nilaffine.errors import (IncompleteStructureError, ParseError,
+from nilaffine.errors import (IncompleteStructureError,
+                              NotSimplyTransitiveError, ParseError,
                               PreconditionError, ShapeError)
 from nilaffine.liealg import LieAlgebra, _leibniz_failure, abelian, get_algebra
 from nilaffine.linalg import EngelFailure, Matrix, as_vector
@@ -447,13 +448,14 @@ class TestRoundTrips:
             lr_to_rep(s)
 
     def test_non_abelian_source_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as caught:
             rep_to_lr(bundled_rep("h3_to_r3"))
+        assert not isinstance(caught.value, NotSimplyTransitiveError)
 
     def test_failing_rep_rejected_with_reason(self):
         L = get_algebra("R3")
         rep = AffineRep(L, L, [(0, 0, 0)] * 3, [Matrix.zero(3, 3)] * 3)
-        with pytest.raises(PreconditionError, match="bij"):
+        with pytest.raises(NotSimplyTransitiveError, match="bij"):
             rep_to_lr(rep)
 
     def test_rebuilt_linear_parts_satisfy_leibniz(self):

@@ -24,7 +24,7 @@ from nilaffine.lr import lr_to_dict, lr_to_rep, rep_to_lr
 from nilaffine.obstruction import (Contradiction, LinearSystem,
                                    ObstructionCertificate, Poly,
                                    _build_equations, _commutator_entry,
-                                   _commutator_equations,
+                                   _commutator_equations, _render_many,
                                    _translation_equations, obstruct_abelian,
                                    parametric_derivation, variable_namer,
                                    verify_certificate)
@@ -1179,6 +1179,57 @@ def render_before(poly, name):
     return text
 
 
+def render_loop(poly, name):
+    """Poly.render's own loop as it was before the shared renderer, kept
+    verbatim; the oracle for Scalar coefficients with a sqrt(d) part."""
+    self = poly
+    if not self.terms:
+        return "0"
+    text: list[str] = []
+    for m, c in sorted(self.terms.items(),
+                       key=lambda item: (sum(e for _, e in item[0]), item[0])):
+        factors = [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m]
+        # a Scalar with a sqrt(d) part is printed whole, in parentheses
+        lead = (c.rat or c.irr) if type(c) is Scalar else c
+        size = str(abs(lead)) if lead == c else f"({-c if lead < 0 else c})"
+        if factors:
+            size = "" if size == "1" else size + "*"
+        if text:
+            text.append(" - " if lead < 0 else " + ")
+        elif lead < 0:
+            text.append("-")
+        text.append(size + "*".join(factors))
+    return "".join(text)
+
+
+def seeded_polys(count=300):
+    """The zero poly, constants (+-1 among them), squares, and seeded polys
+    over five variables with int and Fraction coefficients."""
+    rng = random.Random(2024)
+    coefficients = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2),
+                    Fraction(-7, 3), Fraction(5, 4), Fraction(-1, 1)]
+    polys = [Poly(), Poly.const(-1), Poly.const(1), Poly.const(Fraction(-2, 3)),
+             Poly.const(5), Poly.var(0) * Poly.var(0),
+             Poly.var(1) * Poly.var(1) * -1 + Poly.var(0) * Fraction(-1, 2),
+             Poly({(): 1, ((0, 2),): -1, ((1, 1), (2, 2)): 3}),
+             Poly({(): -1, ((0, 1),): -1, ((0, 2),): 1})]
+    for k in range(count):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            monomial = {}
+            for _ in range(rng.randint(0, 3)):
+                v = rng.randrange(5)
+                monomial[v] = monomial.get(v, 0) + 1
+            c = rng.choice(coefficients)
+            # every other poly keeps its int coefficients as ints
+            terms[tuple(sorted(monomial.items()))] = c if k % 2 else Fraction(c)
+        polys.append(Poly(terms))
+    return polys
+
+
+NAMES = [lambda v: f"x{v}", lambda v: f"u{v // 3 + 1}_{v % 3 + 1}"]
+
+
 class TestRenderIsUnchanged:
     @pytest.mark.parametrize("L", [filiform(n) for n in range(5, 9)]
                              + [heisenberg(3), filiform_r(7)],
@@ -1187,30 +1238,53 @@ class TestRenderIsUnchanged:
         outcome = obstruct_abelian(L)
         name = variable_namer(outcome.space)
         assert outcome.residual
-        for _, poly in outcome.residual:
+        polys = [poly for _, poly in outcome.residual]
+        for poly in polys:
             assert poly.render(name) == render_before(poly, name)
+        assert _render_many(polys, name) == \
+            [render_before(poly, name) for poly in polys]
 
     def test_seeded_random_polys(self):
-        rng = random.Random(2024)
-        coefficients = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2),
-                        Fraction(-7, 3), Fraction(5, 4), Fraction(-1, 1)]
-        names = [lambda v: f"x{v}", lambda v: f"u{v // 3 + 1}_{v % 3 + 1}"]
-        polys = [Poly(), Poly.const(-1), Poly.const(Fraction(-2, 3)),
-                 Poly.const(5), Poly.var(0) * Poly.var(0),
-                 Poly.var(1) * Poly.var(1) * -1 + Poly.var(0) * Fraction(-1, 2)]
-        for _ in range(300):
-            terms = {}
-            for _ in range(rng.randint(0, 6)):
-                monomial = {}
-                for _ in range(rng.randint(0, 3)):
-                    v = rng.randrange(5)
-                    monomial[v] = monomial.get(v, 0) + 1
-                terms[tuple(sorted(monomial.items()))] = \
-                    Fraction(rng.choice(coefficients))
-            polys.append(Poly(terms))
-        for poly in polys:
-            for name in names:
+        polys = seeded_polys()
+        assert any(type(c) is int for poly in polys for c in poly.terms.values())
+        for name in NAMES:
+            for poly in polys:
                 assert poly.render(name) == render_before(poly, name)
+                assert poly.render(name) == render_loop(poly, name)
+
+    def test_one_batch_shares_one_monomial_table(self):
+        polys = seeded_polys()
+        for name in NAMES:
+            assert _render_many(polys, name) == \
+                [render_before(poly, name) for poly in polys]
+        assert _render_many([], NAMES[0]) == []
+        assert _render_many([Poly(), Poly()], NAMES[0]) == ["0", "0"]
+
+    def test_generic_derivation_over_sqrt3(self):
+        # the d = 3 generic derivation of n4_sqrt3: Scalar coefficients,
+        # some with a sqrt(3) part, printed as the loop printed them
+        L = algebra_from_dict(SQRT3_ALGEBRA)
+        space = derivation_space(L)
+        name = variable_namer(space)
+        entries = [p for row in parametric_derivation(L, 0, space).grid
+                   for p in row]
+        assert any(type(c) is Scalar and c.irr
+                   for p in entries for c in p.terms.values())
+        assert _render_many(entries, name) == \
+            [render_loop(p, name) for p in entries]
+        assert [p.render(name) for p in entries] == \
+            [render_loop(p, name) for p in entries]
+
+    def test_sqrt_coefficients_in_one_batch(self):
+        polys = [Poly({(): Scalar(-1, 1, 3), ((0, 1),): Scalar(0, -1, 3),
+                       ((1, 1),): Scalar(1, 1, 3), ((2, 1),): Scalar(-2, 0, 3),
+                       ((3, 1),): Scalar(0, Fraction(1, 3), 3)}),
+                  Poly({((0, 1),): Scalar(1, 0, 3), ((1, 1),): Scalar(-1, 0, 3),
+                        (): Scalar(1, 0, 3)}),
+                  Poly({((0, 2),): Scalar(0, 1, 3)})]
+        name = NAMES[0]
+        assert _render_many(polys, name) == [render_loop(p, name) for p in polys]
+        assert _render_many(polys, name)[1] == "1 + x0 - x1"
 
 
 # ------------------------------------------------------------------ exact types
