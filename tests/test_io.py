@@ -90,7 +90,7 @@ def test_every_pool_document(pool_docs, monkeypatch):
 
 # escapes, control characters, non-ASCII, a lone surrogate and the two
 # line separators that JavaScript, but not JSON, treats as newlines
-SPECIAL = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80 é中  \ud800\U0001f600'
+SPECIAL = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80 é中\u2028\u2029\ud800\U0001f600'
 TEXT = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()), max_size=8)
 LEAVES = st.one_of(TEXT, st.integers(), st.integers(-10 ** 40, 10 ** 40),
                    st.booleans(), st.none())
