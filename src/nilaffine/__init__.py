@@ -6,7 +6,7 @@ concrete violating equation, and non-existence comes with a certificate
 that can be re-verified independently.
 """
 
-from .affine import (AffineRep, BijectivityReport, HomReport, HomViolation,
+from .affine import (AffineRep, BijectivityReport, HomViolation,
                      NilpotencyReport, NonNilpotentWitness, RepVerdict,
                      check_homomorphism, check_simply_transitive,
                      rep_from_dict, rep_of_files, rep_to_dict)
@@ -16,14 +16,13 @@ from .errors import (DerivationError, FieldMismatchError,
                      NilaffineError, NotSimplyTransitiveError, ParseError,
                      PreconditionError, ShapeError)
 from .io import read_json, stable_json, write_json
-from .liealg import (DerivationSpace, JacobiReport, JacobiViolation,
+from .liealg import (DerivationSpace, IdentityReport, JacobiViolation,
                      LieAlgebra, abelian, algebra_from_dict, algebra_to_dict,
                      catalog_names, derivation_space, get_algebra, transport)
 from .linalg import (EngelFailure, Flag, Matrix, engel_flag, matrix_to_json,
                      vector_to_json)
-from .lr import (CompletenessVerdict, LRReport, LRStructure, LRViolation,
-                 check_complete, check_lr, lr_from_dict, lr_to_dict,
-                 lr_to_rep, rep_to_lr)
+from .lr import (LRStructure, LRViolation, check_complete, check_lr,
+                 lr_from_dict, lr_to_dict, lr_to_rep, rep_to_lr)
 from .obstruction import (LinearSystem, ObstructionCertificate,
                           ObstructionOutcome, ParametricMatrix, Poly,
                           obstruct_abelian, parametric_derivation,
@@ -36,12 +35,11 @@ __version__ = "0.1.0"
 # checker use, and the report and error types of those functions;
 # tests/test_public_surface.py keeps it so
 __all__ = [
-    "AffineRep", "BijectivityReport", "CompletenessVerdict",
-    "DerivationError", "DerivationSpace", "EngelFailure",
-    "FieldMismatchError", "Flag", "HomReport", "HomViolation",
-    "IncompleteStructureError", "InternalError", "JacobiReport",
-    "JacobiViolation", "LRIdentityError", "LRReport", "LRStructure",
-    "LRViolation", "LieAlgebra", "LinearSystem", "Matrix", "NilaffineError",
+    "AffineRep", "BijectivityReport", "DerivationError", "DerivationSpace",
+    "EngelFailure", "FieldMismatchError", "Flag", "HomViolation",
+    "IdentityReport", "IncompleteStructureError", "InternalError",
+    "JacobiViolation", "LRIdentityError", "LRStructure", "LRViolation",
+    "LieAlgebra", "LinearSystem", "Matrix", "NilaffineError",
     "NilpotencyReport", "NonNilpotentWitness", "NotSimplyTransitiveError",
     "ObstructionCertificate", "ObstructionOutcome", "ParametricMatrix",
     "ParseError", "Poly", "PreconditionError", "RepVerdict", "Scalar",
@@ -51,6 +49,6 @@ __all__ = [
     "derivation_space", "engel_flag", "get_algebra", "lr_from_dict",
     "lr_to_dict", "lr_to_rep", "matrix_to_json", "obstruct_abelian",
     "parametric_derivation", "read_json", "rep_from_dict", "rep_of_files",
-    "rep_to_dict", "rep_to_lr", "stable_json", "transport",
-    "variable_namer", "vector_to_json", "verify_certificate", "write_json",
+    "rep_to_dict", "rep_to_lr", "stable_json", "transport", "variable_namer",
+    "vector_to_json", "verify_certificate", "write_json",
 ]

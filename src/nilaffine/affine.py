@@ -28,9 +28,10 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DerivationError, FieldMismatchError, ParseError,
                      PreconditionError, ShapeError, quoted)
-from .liealg import (LieAlgebra, _catalog_key, _expect_field,
-                     _leibniz_failure, _semidirect_into, _sparse_element,
-                     algebra_from_dict, algebra_to_dict, catalog, resolve_name)
+from .liealg import (IdentityReport, LieAlgebra, _build_catalog, _catalog_key,
+                     _expect_field, _leibniz_failure, _semidirect_into,
+                     _sparse_element, algebra_from_dict, algebra_to_dict,
+                     get_algebra)
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
@@ -133,16 +134,7 @@ class HomViolation(NamedTuple):
     matrix_residual: Matrix
 
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
-    violations: tuple[HomViolation, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_homomorphism(rep: AffineRep) -> HomReport:
+def check_homomorphism(rep: AffineRep) -> IdentityReport:
     """Whether X_i -> (t_i, D_i) respects brackets into the semidirect sum.
 
     Preconditions (raised, not reported): the source satisfies Jacobi and
@@ -175,7 +167,7 @@ def check_homomorphism(rep: AffineRep) -> HomReport:
             if vec or any(rows):
                 violations.append(HomViolation(
                     (i + 1, j + 1), _dense(vec, n, d), Matrix._of(rows, n, d)))
-    return HomReport(not violations, tuple(violations))
+    return IdentityReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -232,7 +224,7 @@ def _search_non_nilpotent(rep: AffineRep) -> NonNilpotentWitness | None:
 
 @dataclass(frozen=True)
 class RepVerdict:
-    homomorphism: HomReport
+    homomorphism: IdentityReport
     t_bijective: BijectivityReport
     linear_parts_nilpotent: NilpotencyReport
     overall: bool
@@ -278,7 +270,7 @@ def check_simply_transitive(rep: AffineRep) -> RepVerdict:
 def _algebra_ref_to_json(L: LieAlgebra) -> object:
     """Catalog name when the algebra is (a re-contexted) catalog entry."""
     key = _catalog_key(L.name)
-    if key is not None and L == catalog()[key].with_field(L.d):
+    if key is not None and L == _build_catalog()[key].with_field(L.d):
         return key
     return algebra_to_dict(L)
 
@@ -286,10 +278,9 @@ def _algebra_ref_to_json(L: LieAlgebra) -> object:
 def _algebra_ref_from_json(data: object, d: int | None, where: str) -> LieAlgebra:
     if isinstance(data, str):
         try:
-            key = resolve_name(data)
+            L = get_algebra(data)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        L = catalog()[key]
         return L.with_field(d) if d is not None else L
     L = algebra_from_dict(data, where)
     if d is not None and L.d != d:

@@ -77,6 +77,8 @@ def stable_json(doc: object) -> str:
             return json.dumps(doc, sort_keys=True, indent=2,
                               ensure_ascii=False) + "\n"
     except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise   # json.dumps's own, as "Circular reference detected"
         raise PreconditionError(
             "the report holds an integer too long to render as JSON") from exc
 

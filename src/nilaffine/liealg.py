@@ -47,9 +47,12 @@ class JacobiViolation(NamedTuple):
 
 
 @dataclass(frozen=True)
-class JacobiReport:
+class IdentityReport:
+    """An identity's verdict and violations: of Jacobi from check_jacobi, of
+    the homomorphism from check_homomorphism and of LR from check_lr."""
+
     ok: bool
-    violations: tuple[JacobiViolation, ...]
+    violations: tuple
 
     def __bool__(self) -> bool:
         return self.ok
@@ -132,7 +135,7 @@ class LieAlgebra(Frozen):
 
     # -------------------------------------------------- diagnostics
 
-    def check_jacobi(self) -> JacobiReport:
+    def check_jacobi(self) -> IdentityReport:
         """Evaluate the Jacobi cyclic sum on every basis triple."""
         violations = []
         n, one, br = self.dim, unit(self.d), self._signed
@@ -146,7 +149,7 @@ class LieAlgebra(Frozen):
                     if res:
                         violations.append(JacobiViolation(
                             (i + 1, j + 1, k + 1), _dense(res, n, self.d)))
-        return JacobiReport(not violations, tuple(violations))
+        return IdentityReport(not violations, tuple(violations))
 
     def _series(self, derived: bool) -> tuple[list[list[dict]], bool]:
         """Sparse RREF bases of g = g_0, g_1, ... until stable or zero, with
@@ -393,16 +396,12 @@ def _normalize_name(name: str) -> str:
     return s
 
 
-_CANONICAL_BY_NORMALIZED = {
-    "r1": "R1", "r2": "R2", "r3": "R3", "r4": "R4", "r5": "R5", "r6": "R6",
-    "h3": "h3", "h3+r": "h3+R", "h3+r1": "h3+R", "h3+r2": "h3+R2",
-    "f4": "f4", "g56": "g5_6", "g618": "g6_18",
-}
-
-
-def catalog() -> dict[str, LieAlgebra]:
-    """Fresh dict of the bundled algebras, keyed by canonical name."""
-    return dict(_build_catalog())
+@cache
+def _keys_by_normalized() -> dict[str, str]:
+    """Each catalog key under its normalized name, and the alias h3+r1."""
+    keys = {_normalize_name(key): key for key in _build_catalog()}
+    keys["h3+r1"] = "h3+R"
+    return keys
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -411,7 +410,7 @@ def catalog_names() -> tuple[str, ...]:
 
 def _catalog_key(name: str) -> str | None:
     """Canonical catalog key for a (possibly aliased or unicode) name, or None."""
-    return _CANONICAL_BY_NORMALIZED.get(_normalize_name(name))
+    return _keys_by_normalized().get(_normalize_name(name))
 
 
 def resolve_name(name: str) -> str:

@@ -27,17 +27,18 @@ the solver's witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .affine import (AffineRep, _algebra_ref_from_json, _algebra_ref_to_json,
-                     _resolve_context, _unit_translations, check_simply_transitive)
+from .affine import (AffineRep, NilpotencyReport, _algebra_ref_from_json,
+                     _algebra_ref_to_json, _resolve_context, _unit_translations,
+                     check_simply_transitive)
 from .errors import (IncompleteStructureError, LRIdentityError,
                      NotSimplyTransitiveError, ParseError, PreconditionError,
                      ShapeError, quoted)
-from .liealg import LieAlgebra, _table_from_json, _table_to_json, abelian
-from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
-                     _dense, _transpose, engel_flag)
+from .liealg import (IdentityReport, LieAlgebra, _table_from_json, _table_to_json,
+                     abelian)
+from .linalg import (Matrix, Vector, _axpy, _combination, _dense, _transpose,
+                     engel_flag)
 from .scalars import Frozen, exact, stored, unit
 
 
@@ -45,25 +46,6 @@ class LRViolation(NamedTuple):
     identity: int                 # 1, 2 or 3
     where: tuple[int, ...]        # 1-based basis triple (identities 1, 2) or pair (3)
     residual: Vector
-
-
-@dataclass(frozen=True)
-class LRReport:
-    ok: bool
-    violations: tuple[LRViolation, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class CompletenessVerdict:
-    complete: bool
-    flag: Flag | None = None
-    failure: EngelFailure | None = None
-
-    def __bool__(self) -> bool:
-        return self.complete
 
 
 class LRStructure(Frozen):
@@ -145,7 +127,7 @@ def _left_commutator(p: list, i: int, j: int, k: int) -> dict:
     return acc
 
 
-def check_lr(s: LRStructure) -> LRReport:
+def check_lr(s: LRStructure) -> IdentityReport:
     """Decide identities (1), (2), (3) on all basis triples and pairs."""
     jac = s.algebra.check_jacobi()
     if not jac.ok:
@@ -181,11 +163,12 @@ def check_lr(s: LRStructure) -> LRReport:
                 violations.append(LRViolation(3, (i + 1, j + 1),
                                               _dense(r3, n, d)))
     violations.sort(key=lambda v: (v.identity, v.where))
-    return LRReport(not violations, tuple(violations))
+    return IdentityReport(not violations, tuple(violations))
 
 
-def check_complete(s: LRStructure) -> CompletenessVerdict:
-    """Whether all left multiplications are nilpotent, via a common flag.
+def check_complete(s: LRStructure) -> NilpotencyReport:
+    """Whether all left multiplications are nilpotent, via a common flag: the
+    nilpotency criterion of lr_to_rep(s), D_i = -L(X_i), with no witness.
 
     Requires commuting left multiplications (identity (1)); without it a
     flag's absence would not certify a non-nilpotent L(X). That slice of
@@ -202,8 +185,8 @@ def check_complete(s: LRStructure) -> CompletenessVerdict:
                     f"not commute; identity (1) fails")
     flag = engel_flag(s.lefts, size=n, d=s.d)
     if flag:
-        return CompletenessVerdict(True, flag=flag)
-    return CompletenessVerdict(False, failure=flag)
+        return NilpotencyReport(True, flag=flag)
+    return NilpotencyReport(False, failure=flag)
 
 
 # ------------------------------------------------------------------ the two directions

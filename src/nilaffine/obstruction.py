@@ -250,26 +250,13 @@ class ParametricMatrix(Frozen):
     def entry(self, r: int, c: int) -> Poly:
         return self.grid[r][c]
 
-    def __matmul__(self, other: "ParametricMatrix") -> "ParametricMatrix":
-        if not isinstance(other, ParametricMatrix):
-            return NotImplemented
-        if other.size != self.size:
-            raise ShapeError("size mismatch")
-        cols = list(zip(*other.grid))
-        return ParametricMatrix(
-            [[sum((a * b for a, b in zip(row, col) if a and b), Poly())
-              for col in cols] for row in self.grid])
-
-    def __sub__(self, other: "ParametricMatrix") -> "ParametricMatrix":
-        if not isinstance(other, ParametricMatrix):
-            return NotImplemented
-        if other.size != self.size:
-            raise ShapeError("size mismatch")
-        return ParametricMatrix([[a - b for a, b in zip(mine, theirs)]
-                                 for mine, theirs in zip(self.grid, other.grid)])
-
     def commutator(self, other: "ParametricMatrix") -> "ParametricMatrix":
-        return (self @ other) - (other @ self)
+        """[self, other] = self other - other self, one entry at a time."""
+        if other.size != self.size:
+            raise ShapeError("size mismatch")
+        return ParametricMatrix([[_commutator_entry(self, other, r, c)
+                                  for c in range(self.size)]
+                                 for r in range(self.size)])
 
 
 def _commutator_entry(x: ParametricMatrix, y: ParametricMatrix, r: int,

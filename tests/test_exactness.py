@@ -30,7 +30,8 @@ from nilaffine import scalars
 from nilaffine.affine import check_homomorphism, rep_from_dict, rep_to_dict
 from nilaffine.corpus import bundled_rep_names, bundled_reps
 from nilaffine.liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
-                              catalog, derivation_space, transport)
+                              catalog_names, derivation_space, get_algebra,
+                              transport)
 from nilaffine.linalg import Matrix, _combination, _nullspace
 from nilaffine.lr import check_lr, lr_from_dict, lr_to_dict, rep_to_lr
 from nilaffine.obstruction import obstruct_abelian, verify_certificate
@@ -134,7 +135,7 @@ class C:
 
 
 REPS = bundled_reps()
-ALGEBRAS = catalog()
+ALGEBRAS = {name: get_algebra(name) for name in catalog_names()}
 LR = {slug: rep_to_lr(rep) for slug, rep in REPS.items()
       if rep.source.is_abelian() and rep.source.dim == rep.target.dim}
 

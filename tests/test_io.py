@@ -148,11 +148,10 @@ def test_what_it_does_not_build_goes_to_json_dumps(doc, monkeypatch):
 
 def test_self_containing_list_raises_as_json_dumps_does():
     doc = self_containing()
-    with pytest.raises(ValueError, match="Circular"):
+    with pytest.raises(ValueError, match="Circular reference detected"):
         reference(doc)
-    with pytest.raises(PreconditionError) as caught:
+    with pytest.raises(ValueError, match="Circular reference detected"):
         io.stable_json(doc)
-    assert isinstance(caught.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("doc", [{"n": 7 * 10 ** 5000}, [[7 * 10 ** 5000]],

@@ -13,7 +13,7 @@ from nilaffine.errors import ParseError, ShapeError
 from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra, _leibniz,
                               _leibniz_failure, _semidirect_into,
                               _sparse_element, abelian, algebra_from_dict,
-                              algebra_to_dict, catalog, catalog_names,
+                              algebra_to_dict, catalog_names,
                               derivation_space, get_algebra, resolve_name,
                               transport)
 from nilaffine.linalg import Matrix, _dense, as_vector
@@ -557,9 +557,15 @@ class TestSemidirect:
 
 class TestCatalog:
     def test_twelve_entries(self):
-        assert len(catalog()) == 12
+        assert len(catalog_names()) == 12
         assert catalog_names() == ("R1", "R2", "R3", "R4", "R5", "R6", "h3",
                                    "h3+R", "f4", "h3+R2", "g5_6", "g6_18")
+
+    def test_normalized_names_are_the_catalog_keys_and_one_alias(self):
+        assert liealg._keys_by_normalized() == {
+            "r1": "R1", "r2": "R2", "r3": "R3", "r4": "R4", "r5": "R5",
+            "r6": "R6", "h3": "h3", "h3+r": "h3+R", "h3+r1": "h3+R",
+            "h3+r2": "h3+R2", "f4": "f4", "g56": "g5_6", "g618": "g6_18"}
 
     def test_alias_resolution(self):
         assert resolve_name("G6,18") == "g6_18"

@@ -339,7 +339,7 @@ class TestCompleteness:
     def test_nilpotent_lefts_give_flag(self):
         s = h3_halved()
         verdict = check_complete(s)
-        assert verdict.complete
+        assert verdict.ok
         assert len(verdict.flag.basis) == 3
         for i in range(3):
             assert flag_triangularizes(verdict.flag, s.lefts[i])
@@ -347,7 +347,7 @@ class TestCompleteness:
     def test_idempotent_product_is_incomplete(self):
         s = LRStructure.from_table(abelian(1), {(1, 1): ((1, 1),)})
         verdict = check_complete(s)
-        assert not verdict.complete
+        assert not verdict.ok
         assert isinstance(verdict.failure, EngelFailure)
         assert verdict.failure.stalled == ()
 
@@ -390,7 +390,7 @@ def assert_lr_correspondence(s):
     complete LR-structure, each -L(X_i) is a derivation, and the rebuilt
     rep passes and converts back to the same product."""
     assert check_lr(s).ok
-    assert check_complete(s).complete
+    assert check_complete(s).ok
     for i in range(s.algebra.dim):
         assert _leibniz_failure(s.algebra, -s.lefts[i]) is None, i + 1
     back = lr_to_rep(s)

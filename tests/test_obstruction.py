@@ -364,15 +364,24 @@ class TestBuilderMatchesGrids:
 
 @pytest.mark.parametrize("L", [get_algebra("g6_18"), transported_g6_18()],
                          ids=lambda L: L.name)
-def test_commutator_entry_matches_the_full_commutator(L):
+def test_commutator_evaluates_to_the_matrix_commutator(L):
+    """At seeded rational u, each entry of the symbolic [D_i, D_j] takes
+    the value of A_i A_j - A_j A_i, where A_i = sum_k u_ik E_k is built by
+    Matrix arithmetic; u_ik is variable i * r + k."""
     space = derivation_space(L)
-    grids = [parametric_derivation(L, i, space) for i in range(L.dim)]
-    for i, j in [(0, 1), (0, 5), (2, 4), (4, 5)]:
-        full = grids[i].commutator(grids[j])
-        for r in range(L.dim):
-            for c in range(L.dim):
-                assert _commutator_entry(grids[i], grids[j], r, c) == \
-                    full.entry(r, c), (i, j, r, c)
+    n, r = L.dim, space.dimension
+    grids = [parametric_derivation(L, i, space) for i in range(n)]
+    rng = random.Random(30)
+    for _ in range(3):
+        u = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             for v in range(n * r)}
+        A = [sum((u[i * r + k] * E for k, E in enumerate(space.basis)),
+                 Matrix.zero(n)) for i in range(n)]
+        for i, j in combinations(range(n), 2):
+            comm = grids[i].commutator(grids[j])
+            want = A[i] @ A[j] - A[j] @ A[i]
+            for a, b in product(range(n), repeat=2):
+                assert comm.entry(a, b).evaluate(u) == want.get(a, b), (i, j, a, b)
 
 
 @pytest.fixture(scope="module")

@@ -21,8 +21,9 @@ passes.
 """
 
 import ast
+import dataclasses
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 from types import ModuleType
 from typing import Iterator
@@ -37,17 +38,16 @@ PACKAGE = Path(nilaffine.__file__).resolve().parent
 # exported name -> why it stays, though no user names it
 ALLOWED = {
     "BijectivityReport": "the translation criterion of RepVerdict",
-    "CompletenessVerdict": "return type of check_complete",
     "EngelFailure": "what engel_flag returns when no flag exists",
-    "Flag": "what engel_flag returns, kept in NilpotencyReport and CompletenessVerdict",
-    "HomReport": "return type of check_homomorphism",
-    "HomViolation": "the violations of a HomReport",
-    "JacobiReport": "return type of LieAlgebra.check_jacobi",
-    "JacobiViolation": "the violations of a JacobiReport",
-    "LRReport": "return type of check_lr",
-    "LRViolation": "the violations of an LRReport",
+    "Flag": "what engel_flag returns, kept in a NilpotencyReport",
+    "HomViolation": "the violations of check_homomorphism's IdentityReport",
+    "IdentityReport": "return type of LieAlgebra.check_jacobi, "
+                      "check_homomorphism and check_lr",
+    "JacobiViolation": "the violations of check_jacobi's IdentityReport",
+    "LRViolation": "the violations of check_lr's IdentityReport",
     "NilaffineError": "base class of every error the package raises",
-    "NilpotencyReport": "the nilpotency criterion of RepVerdict",
+    "NilpotencyReport": "return type of check_complete and the nilpotency "
+                        "criterion of RepVerdict",
     "NonNilpotentWitness": "the witness of a failed NilpotencyReport",
     "RepVerdict": "return type of check_simply_transitive",
 }
@@ -151,6 +151,37 @@ def test_the_exports_are_exactly_the_imports():
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public == set(nilaffine.__all__)
     assert len(nilaffine.__all__) == len(set(nilaffine.__all__))
+
+
+def record_types_by_fields(names: list[str]) -> dict[tuple[str, ...], list[str]]:
+    """The exported dataclasses and NamedTuples among ``names``, grouped by
+    their sorted field names."""
+    groups = defaultdict(list)
+    for name in names:
+        value = getattr(nilaffine, name)
+        if dataclasses.is_dataclass(value):
+            fields = [f.name for f in dataclasses.fields(value)]
+        elif isinstance(value, type) and issubclass(value, tuple) \
+                and hasattr(value, "_fields"):
+            fields = list(value._fields)
+        else:
+            continue
+        groups[tuple(sorted(fields))].append(name)
+    return groups
+
+
+def test_no_two_record_types_have_the_same_fields():
+    twins = {fields: names for fields, names
+             in record_types_by_fields(nilaffine.__all__).items() if len(names) > 1}
+    assert not twins, f"record types with the same fields: {twins}"
+
+
+def test_the_record_lint_sees_dataclasses_and_namedtuples():
+    groups = record_types_by_fields(["IdentityReport", "JacobiViolation",
+                                     "NilpotencyReport", "Matrix", "check_lr"])
+    assert groups == {("ok", "violations"): ["IdentityReport"],
+                      ("residual", "triple"): ["JacobiViolation"],
+                      ("failure", "flag", "ok", "witness"): ["NilpotencyReport"]}
 
 
 def test_the_lint_sees_each_kind_of_name():
