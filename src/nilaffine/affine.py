@@ -270,7 +270,8 @@ def check_simply_transitive(rep: AffineRep) -> RepVerdict:
 def _algebra_ref_to_json(L: LieAlgebra) -> object:
     """Catalog name when the algebra is (a re-contexted) catalog entry."""
     key = _catalog_key(L.name)
-    if key is not None and L == _build_catalog()[key].with_field(L.d):
+    entry = _build_catalog().get(key)   # compared in place: rational Scalar == int
+    if entry is not None and entry.dim == L.dim and entry._signed == L._signed:
         return key
     return algebra_to_dict(L)
 

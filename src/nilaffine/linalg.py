@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import FieldMismatchError, ParseError, ShapeError
-from .scalars import (Coefficient, Frozen, RationalLike, Scalar, as_scalar,
-                      check_context, exact, quotient, scalar_from_json,
+from .scalars import (Coefficient, Frozen, RationalLike, Scalar, _scalar,
+                      as_scalar, check_context, exact, quotient, scalar_from_json,
                       scalar_to_json, stored, unit)
 
 Vector = tuple[Coefficient, ...]   # of Scalar in the public views
@@ -420,8 +420,14 @@ def vector_from_json(data: object, length: int, d: int, where: str) -> Vector:
         raise ParseError(f"{where}: expected a list of {length} scalars")
     if len(data) != length:
         raise ParseError(f"{where}: expected {length} entries, got {len(data)}")
-    return tuple(x if type(x) is int and d == 1 else   # stored as it is
-                 scalar_from_json(x, d, f"{where}[{k}]") for k, x in enumerate(data))
+    zero = 0 if d == 1 else _scalar(0, 0, 1, d)   # one zero for the vector
+    try:   # an int is stored as it is at d = 1, else as (x + 0 sqrt(d))/1
+        return tuple((x if d == 1 else _scalar(x, 0, 1, d) if x else zero)
+                     if type(x) is int else scalar_from_json(x, d) for x in data)
+    except ParseError:   # read again, to name the entry in the message
+        for k, x in enumerate(data):
+            scalar_from_json(x, d, f"{where}[{k}]")
+        raise
 
 
 def matrix_to_json(m: Matrix) -> list:

@@ -63,7 +63,7 @@ from .liealg import (MAX_SAMPLES, DerivationSpace, LieAlgebra, abelian,
                      derivation_space)
 from .linalg import SparseRow, _combination, _install, _rref
 from .lr import LRStructure, _lr_of_passing_rep, lr_to_dict
-from .scalars import Frozen, Rational, Scalar, _encode_fraction, as_fraction, exact
+from .scalars import Frozen, Rational, Scalar, as_fraction, exact, scalar_to_json
 
 Monomial = tuple[tuple[int, int], ...]   # ((var, exp), ...) sorted by var
 _exponent = itemgetter(1)
@@ -512,7 +512,7 @@ class ObstructionOutcome:
             "verdict": self.verdict,
             "derivation_space_dim": self.space.dimension,
             "two_step_solvable": self.two_step_solvable,
-            "forced": {name(v): _encode_fraction(c) for v, c in self.forced},
+            "forced": {name(v): scalar_to_json(c) for v, c in self.forced},
             "free_variables": sorted(name(v) for v in self.free_variables()),
             "samples": self.samples,
             "seed": self.seed,
@@ -524,12 +524,12 @@ class ObstructionOutcome:
             doc["certificate"] = {
                 "kind": self.certificate.kind,
                 "pair": list(self.certificate.pair),
-                "constant": _encode_fraction(self.certificate.constant),
+                "constant": scalar_to_json(self.certificate.constant),
                 "position": list(self.certificate.position),
             }
         if self.witness_rep is not None:
             doc["witness"] = {
-                "assignment": {name(v): _encode_fraction(c)
+                "assignment": {name(v): scalar_to_json(c)
                                for v, c in self.witness_assignment},
                 "rep": rep_to_dict(self.witness_rep),
                 "lr": lr_to_dict(self.witness_lr),

@@ -1,32 +1,33 @@
 """Exact arithmetic in the real quadratic field Q(sqrt(d)).
 
-A :class:`Scalar` is a pair of rationals ``(rat, irr)`` standing for
-``rat + irr*sqrt(d)``, with ``d`` a square-free positive integer fixed per
-computation context. ``d = 1`` encodes the plain rationals; a nonzero
-irrational part is folded into the rational part on construction in that
-case, so the invariant ``d == 1 implies irr == 0`` always holds. Values
-from contexts with different ``d`` never mix silently: combining them
-raises :class:`~nilaffine.errors.FieldMismatchError`.
+A :class:`Scalar` is ``(a + b*sqrt(d))/q`` for three ints with ``q > 0``
+and ``gcd(a, b, q) = 1``: one integral numerator over one denominator, the
+standard form of a number-field element, on which arithmetic runs with one
+gcd per result. ``d`` is square-free, positive and fixed per computation
+context. ``d = 1`` encodes the plain rationals: a nonzero irrational part
+is folded into the rational part on construction, so ``b == 0`` there.
+Values from contexts with different ``d`` never mix silently: combining
+them raises :class:`~nilaffine.errors.FieldMismatchError`.
 
 Floats are rejected everywhere; all arithmetic is exact. ``Scalar`` is the
-type of the public API, and ``Scalar.rat`` and ``Scalar.irr`` are always
-``Fraction``. The package stores and computes on coefficients in the
+type of the public API; its read-only ``rat`` (a/q) and ``irr`` (b/q) are
+always ``Fraction``. The package stores and computes on coefficients in the
 stored form of their context (:func:`stored`): a ``Scalar`` when d != 1,
 and at d = 1 an ``int`` or a ``Fraction``, because int arithmetic is many
 times faster; :func:`as_scalar` makes the ``Scalar`` an accessor returns.
 Rationals enter through :func:`exact`, which makes every integral value an
 int, and every division goes through :func:`quotient`, which gives an int
 when it leaves no remainder; so a ``Fraction`` appears only for a value
-that is not integral or that was computed from one. ``quotient`` and
-:meth:`Scalar.inverse` are the only places that divide: ``Scalar`` has no
-``/`` or ``**``. Every value type of the package derives from
-:class:`Frozen`, the one immutability guard.
+that is not integral or that was computed from one. :meth:`Scalar.inverse`
+multiplies by the conjugate over ints; ``Scalar`` has no ``/`` or ``**``.
+Every value type of the package derives from :class:`Frozen`, the one
+immutability guard.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 from .errors import FieldMismatchError, ParseError, quoted
@@ -137,9 +138,9 @@ def _rebuild(cls, *values):
 
 
 class Scalar(Frozen):
-    """An element rat + irr*sqrt(d) of Q(sqrt(d)), immutable."""
+    """An element (a + b*sqrt(d))/q of Q(sqrt(d)), immutable; see the module."""
 
-    __slots__ = ("rat", "irr", "d")
+    __slots__ = ("_a", "_b", "_q", "d")
 
     def __init__(self, rat: RationalLike = 0, irr: RationalLike = 0, d: int = 1):
         check_context(d)
@@ -148,17 +149,17 @@ class Scalar(Frozen):
         if d == 1 and i:
             # sqrt(1) = 1, fold into the rational part
             r, i = r + i, Fraction(0)
-        self._fill(r, i, d)
+        self._fill(*_parts(r, i), d)
 
     # -------------------------------------------------- constructors
 
     @classmethod
     def zero(cls, d: int = 1) -> "Scalar":
-        return _scalar(_ZERO, _ZERO, check_context(d))
+        return _scalar(0, 0, 1, check_context(d))
 
     @classmethod
     def one(cls, d: int = 1) -> "Scalar":
-        return _scalar(_ONE, _ZERO, check_context(d))
+        return _scalar(1, 0, 1, check_context(d))
 
     @classmethod
     def of(cls, value: "Scalar | RationalLike", d: int = 1) -> "Scalar":
@@ -170,17 +171,21 @@ class Scalar(Frozen):
             return cls(value.rat, value.irr, d) if value.d != d else value
         return cls(value, 0, d)
 
+    # the public parts a/q and b/q, read-only Fractions
+    rat = property(lambda self: Fraction(self._a, self._q))
+    irr = property(lambda self: Fraction(self._b, self._q))
+
     # -------------------------------------------------- predicates
 
     def is_zero(self) -> bool:
-        return not self.rat and not self.irr
+        return not self._a and not self._b
 
     def is_rational(self) -> bool:
-        return not self.irr
+        return not self._b
 
     def __bool__(self) -> bool:
         # is_zero inlined: elimination tests every entry by truthiness
-        return not (not self.rat and not self.irr)
+        return not (not self._a and not self._b)
 
     # -------------------------------------------------- arithmetic
 
@@ -191,20 +196,19 @@ class Scalar(Frozen):
                     f"mixed field contexts: d={self.d} and d={other.d}")
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return _scalar(as_fraction(other), _ZERO, self.d)
+            return _scalar(other.numerator, 0, other.denominator, self.d)
         return None
 
     # Results of arithmetic on valid operands are built by _scalar, which
-    # skips validation. When both irrational parts are zero (always so at
-    # d = 1) only the rational part is computed.
+    # skips validation and divides the parts by their gcd. At d = 1 both
+    # b are zero, so the same formulas are those of the rationals.
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.irr and not o.irr:
-            return _scalar(self.rat + o.rat, _ZERO, self.d)
-        return _scalar(self.rat + o.rat, self.irr + o.irr, self.d)
+        p, q = self._q, o._q
+        return _scalar(self._a * q + o._a * p, self._b * q + o._b * p, p * q, self.d)
 
     __radd__ = __add__
 
@@ -212,9 +216,8 @@ class Scalar(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.irr and not o.irr:
-            return _scalar(self.rat - o.rat, _ZERO, self.d)
-        return _scalar(self.rat - o.rat, self.irr - o.irr, self.d)
+        p, q = self._q, o._q
+        return _scalar(self._a * q - o._a * p, self._b * q - o._b * p, p * q, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -226,85 +229,94 @@ class Scalar(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.irr and not o.irr:
-            return _scalar(self.rat * o.rat, _ZERO, self.d)
-        return _scalar(self.rat * o.rat + self.irr * o.irr * self.d,
-                       self.rat * o.irr + self.irr * o.rat, self.d)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _scalar(a * c + b * e * self.d, a * e + b * c, self._q * o._q, self.d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _scalar(-self.rat, -self.irr if self.irr else _ZERO, self.d)
+        return _scalar(-self._a, -self._b, self._q, self.d)
 
     def norm(self) -> Fraction:
         """The field norm rat^2 - irr^2 * d, a rational."""
         return self.rat * self.rat - self.irr * self.irr * self.d
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse via the conjugate: 1/s = conj(s)/norm(s)."""
-        if not self.irr:
-            if not self.rat:
-                raise ZeroDivisionError("division by zero scalar")
-            return _scalar(1 / self.rat, _ZERO, self.d)
-        n = self.norm()
+        """Multiplicative inverse via the conjugate: q(a - b sqrt(d))/(a^2 - d b^2)."""
+        a, b, q = self._a, self._b, self._q
+        n = a * a - b * b * self.d
         if not n:
             # for square-free d the norm vanishes only at zero
             raise ZeroDivisionError("division by zero scalar")
-        return _scalar(self.rat / n, -self.irr / n, self.d)
+        if n < 0:
+            a, b, n = -a, -b, -n
+        return _scalar(q * a, -q * b, n, self.d)
 
     # -------------------------------------------------- comparison
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.irr == 0 and self.rat == other
+            return not self._b and self._a == other.numerator \
+                and self._q == other.denominator
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.rat != other.rat or self.irr != other.irr:
+        if self._a != other._a or self._b != other._b or self._q != other._q:
             return False
         # rational values are equal across contexts
-        return self.d == other.d or (not self.irr and not other.irr)
+        return self.d == other.d or not self._b
 
     def __hash__(self):
         # rational values equal ints and Fractions, so they hash alike
-        if not self.irr:
-            return hash(self.rat)
-        return hash((self.rat, self.irr, self.d))
+        if not self._b:
+            return hash(self._a) if self._q == 1 else hash(self.rat)
+        return hash((self._a, self._b, self._q, self.d))
 
     # -------------------------------------------------- formatting
 
     def __str__(self):
-        if not self.irr:
-            return str(self.rat)
-        if self.irr == 1:
+        rat, irr = self.rat, self.irr
+        if not irr:
+            return str(rat)
+        if irr == 1:
             root = f"sqrt({self.d})"
-        elif self.irr == -1:
+        elif irr == -1:
             root = f"-sqrt({self.d})"
         else:
-            root = f"{self.irr}*sqrt({self.d})"
-        if not self.rat:
+            root = f"{irr}*sqrt({self.d})"
+        if not rat:
             return root
-        sign = "-" if self.irr < 0 else "+"
-        mag = -self.irr if self.irr < 0 else self.irr
+        sign = "-" if irr < 0 else "+"
+        mag = -irr if irr < 0 else irr
         tail = f"sqrt({self.d})" if mag == 1 else f"{mag}*sqrt({self.d})"
-        return f"{self.rat} {sign} {tail}"
+        return f"{rat} {sign} {tail}"
 
     def __repr__(self):
         return f"Scalar({str(self.rat)!r}, {str(self.irr)!r}, d={self.d})"
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 _new_scalar = object.__new__
-_set_rat, _set_irr, _set_d = Scalar.rat.__set__, Scalar.irr.__set__, Scalar.d.__set__
+_set_a, _set_b, _set_q, _set_d = (getattr(Scalar, n).__set__ for n in Scalar.__slots__)
 
 
-def _scalar(rat: Fraction, irr: Fraction, d: int) -> Scalar:
-    """Build a Scalar from parts already known valid: Fractions, d accepted,
-    and irr zero when d = 1."""
+def _scalar(a: int, b: int, q: int, d: int) -> Scalar:
+    """(a + b*sqrt(d))/q from valid int parts (q > 0), divided by their gcd."""
+    g = gcd(a, b, q)
+    if g != 1:
+        a, b, q = a // g, b // g, q // g
     s = _new_scalar(Scalar)
-    _set_rat(s, rat)
-    _set_irr(s, irr)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_q(s, q)
     _set_d(s, d)
     return s
+
+
+def _parts(rat: Fraction, irr: Fraction) -> tuple[int, int, int]:
+    """(a, b, q) of rat + irr*sqrt(d); q = lcm of the denominators leaves gcd 1."""
+    q = lcm(rat.denominator, irr.denominator)
+    return (rat.numerator * (q // rat.denominator),
+            irr.numerator * (q // irr.denominator), q)
 
 
 def stored(x: "Scalar | RationalLike", d: int) -> Coefficient:
@@ -323,20 +335,21 @@ def unit(d: int) -> Coefficient:
 
 def as_scalar(x: Coefficient) -> Scalar:
     """The public Scalar of a stored coefficient."""
-    return x if type(x) is Scalar else _scalar(Fraction(x), _ZERO, 1)
+    return x if type(x) is Scalar else _scalar(x.numerator, 0, x.denominator, 1)
 
 
-def _encode_fraction(f: Fraction):
-    return int(f) if f.denominator == 1 else str(f)
+def _encode(n: int, q: int):   # n/q as an int or a "p/q" string
+    g = gcd(n, q)
+    return n // g if g == q else f"{n // g}/{q // g}"
 
 
 def scalar_to_json(s: Coefficient):
     """Canonical serialized form: int, "p/q" string, or a two-element list."""
-    if not isinstance(s, Scalar):
-        return _encode_fraction(s)
-    if not s.irr:
-        return _encode_fraction(s.rat)
-    return [_encode_fraction(s.rat), _encode_fraction(s.irr)]
+    if type(s) is not Scalar:
+        return _encode(s.numerator, s.denominator)
+    if not s._b:
+        return _encode(s._a, s._q)
+    return [_encode(s._a, s._q), _encode(s._b, s._q)]
 
 
 def scalar_from_json(obj, d: int, where: str = "scalar") -> Coefficient:
@@ -367,4 +380,4 @@ def scalar_from_json(obj, d: int, where: str = "scalar") -> Coefficient:
                              f"in a d=1 (rational) context")
     else:
         rat, irr = part(obj, "value"), _ZERO
-    return exact(rat) if d == 1 else _scalar(rat, irr, d)
+    return exact(rat) if d == 1 else _scalar(*_parts(rat, irr), d)

@@ -27,6 +27,11 @@ triangular, for the matrix P of a flag's basis and P^-1 from
 every coordinate of the dense product grid, now through ``product_basis``;
 it is the reference the sparse writer is compared with.
 
+``PairScalar`` is the element rat + irr*sqrt(d) as a pair of Fractions,
+the form ``Scalar`` had before it stored int parts over one denominator:
+its arithmetic, equality, hash, ``str``, ``repr`` and JSON form are the
+old ones, kept as the reference model the int form is compared with.
+
 ``dense_unit_change`` is a seeded dense change of basis, and
 ``transport_rep`` and ``transport_lr`` move a rep and an LR product to
 new bases, so that a test can check that a verdict does not depend on
@@ -34,6 +39,7 @@ the basis.
 """
 
 import random
+from fractions import Fraction
 
 from nilaffine.affine import AffineRep
 from nilaffine.liealg import DerivationSpace, LieAlgebra, transport
@@ -226,3 +232,69 @@ def transport_lr(s: LRStructure, p: Matrix) -> LRStructure:
                  Matrix.zero(n, n, s.d)) for i in range(n)]
     return LRStructure._of(transport(s.algebra, p),
                            [p_inv @ m @ p for m in lefts])
+
+
+class PairScalar:
+    """rat + irr*sqrt(d) as two Fractions; see the module docstring."""
+
+    def __init__(self, rat, irr, d):
+        rat, irr = Fraction(rat), Fraction(irr)
+        if d == 1 and irr:
+            rat, irr = rat + irr, Fraction(0)
+        self.rat, self.irr, self.d = rat, irr, d
+
+    def __add__(self, o):
+        return PairScalar(self.rat + o.rat, self.irr + o.irr, self.d)
+
+    def __sub__(self, o):
+        return PairScalar(self.rat - o.rat, self.irr - o.irr, self.d)
+
+    def __mul__(self, o):
+        return PairScalar(self.rat * o.rat + self.irr * o.irr * self.d,
+                          self.rat * o.irr + self.irr * o.rat, self.d)
+
+    def inverse(self):
+        if not self.irr:
+            if not self.rat:
+                raise ZeroDivisionError("division by zero scalar")
+            return PairScalar(1 / self.rat, 0, self.d)
+        n = self.rat * self.rat - self.irr * self.irr * self.d
+        return PairScalar(self.rat / n, -self.irr / n, self.d)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.irr == 0 and self.rat == other
+        if self.rat != other.rat or self.irr != other.irr:
+            return False
+        return self.d == other.d or (not self.irr and not other.irr)
+
+    def __hash__(self):
+        if not self.irr:
+            return hash(self.rat)
+        return hash((self.rat, self.irr, self.d))
+
+    def __str__(self):
+        if not self.irr:
+            return str(self.rat)
+        if self.irr == 1:
+            root = f"sqrt({self.d})"
+        elif self.irr == -1:
+            root = f"-sqrt({self.d})"
+        else:
+            root = f"{self.irr}*sqrt({self.d})"
+        if not self.rat:
+            return root
+        sign = "-" if self.irr < 0 else "+"
+        mag = -self.irr if self.irr < 0 else self.irr
+        tail = f"sqrt({self.d})" if mag == 1 else f"{mag}*sqrt({self.d})"
+        return f"{self.rat} {sign} {tail}"
+
+    def __repr__(self):
+        return f"Scalar({str(self.rat)!r}, {str(self.irr)!r}, d={self.d})"
+
+    def to_json(self):
+        def encode(f):
+            return int(f) if f.denominator == 1 else str(f)
+        if not self.irr:
+            return encode(self.rat)
+        return [encode(self.rat), encode(self.irr)]

@@ -5,17 +5,19 @@ import pytest
 from dense_reference import (dense_matrix, dense_rows, flag_triangularizes,
                              unit_vector)
 
-from nilaffine.affine import (AffineRep, HomViolation, check_homomorphism,
-                              check_simply_transitive, rep_from_dict,
-                              rep_of_files, rep_to_dict, validate_derivations)
+from nilaffine.affine import (AffineRep, HomViolation, _algebra_ref_to_json,
+                              check_homomorphism, check_simply_transitive,
+                              rep_from_dict, rep_of_files, rep_to_dict,
+                              validate_derivations)
 from nilaffine.corpus import bundled_rep, bundled_rep_names, bundled_reps
 from nilaffine.errors import (DerivationError, FieldMismatchError, ParseError,
                               PreconditionError, ShapeError)
 from nilaffine.io import write_json
-from nilaffine.liealg import (_leibniz, _leibniz_failure, algebra_to_dict,
-                              catalog_names, derivation_space, get_algebra,
-                              transport)
+from nilaffine.liealg import (LieAlgebra, _leibniz, _leibniz_failure,
+                              algebra_to_dict, catalog_names, derivation_space,
+                              get_algebra, transport)
 from nilaffine.linalg import Matrix, _dense, as_vector
+from nilaffine.lr import LRStructure, lr_to_dict, rep_to_lr
 from nilaffine.scalars import Scalar
 
 
@@ -386,6 +388,32 @@ class TestRepJson:
     def test_field_context_spelled_out_when_irrational(self):
         doc = rep_to_dict(bundled_rep("h3R2_to_g5_6"))
         assert doc["d"] == 3
+
+    def test_rendering_over_sqrt3_builds_no_algebra(self, monkeypatch):
+        # a catalog algebra in Q(sqrt 3) is named by comparing its constants
+        # with the entry's in place, not with a copy of the entry
+        rep = bundled_rep("h3R2_to_g5_6")
+        s = rep_to_lr(bundled_rep("r4_to_f4"))
+        lifted = LRStructure._of(s.algebra.with_field(3),
+                                 [m.with_field(3) for m in s.lefts])
+        target = rep.target
+        scaled = LieAlgebra(target.name, target.dim, {   # g5_6 times sqrt(3)
+            pair: [(k, c * Scalar(0, 1, 3)) for k, c in terms]
+            for pair, terms in target._upper().items()}, 3)
+        built = []
+        init = LieAlgebra.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LieAlgebra, "__init__", counting_init)
+        doc, lr_doc = rep_to_dict(rep), lr_to_dict(lifted)
+        inline = _algebra_ref_to_json(scaled)
+        assert built == []
+        assert (doc["source"], doc["target"], lr_doc["algebra"]) == \
+            ("h3+R2", "g5_6", "f4")
+        assert inline == algebra_to_dict(scaled) and inline["d"] == 3
 
     def test_sqrt_scalar_in_rational_context_rejected(self):
         doc = rep_to_dict(bundled_rep("r3_to_h3"))

@@ -6,7 +6,8 @@ an int, so this test parses every module under ``src/nilaffine`` and fails
 on a ``/`` or ``/=``, a negative literal exponent, a float or complex
 literal, or any use of the name ``float``, outside the functions listed in
 ALLOWED. Exact division goes through ``scalars.quotient`` (int or Fraction)
-and ``Scalar.inverse``.
+and ``Scalar.inverse``, which divides no value: it multiplies by the
+conjugate over ints.
 
 At run time, the values stored at d = 1 are exact rationals, an int when
 integral and a Fraction otherwise, and in any other context Scalars of
@@ -21,13 +22,16 @@ right multiplications of a product build no Scalar at all
 import ast
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import nilaffine
-from nilaffine import scalars
-from nilaffine.affine import check_homomorphism, rep_from_dict, rep_to_dict
+from nilaffine import linalg, scalars
+from nilaffine.affine import (AffineRep, check_homomorphism,
+                              check_simply_transitive, rep_from_dict,
+                              rep_to_dict)
 from nilaffine.corpus import bundled_rep_names, bundled_reps
 from nilaffine.liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
                               catalog_names, derivation_space, get_algebra,
@@ -41,7 +45,6 @@ PACKAGE = Path(nilaffine.__file__).resolve().parent
 
 # (module, function qualname) -> the kinds of use allowed there, and why
 ALLOWED = {
-    ("scalars", "Scalar.inverse"): {"div"},          # Fraction / Fraction
     ("scalars", "scalar_from_json.part"): {"float"},  # rejects float input
     ("corpus", "data_dir"): {"div"},                 # pathlib joins
     ("corpus", "rep_path"): {"div"},
@@ -145,8 +148,11 @@ def assert_stored(values, d):
     for x in values:
         if d == 1:
             assert type(x) is int or type(x) is Fraction and x.denominator != 1, x
-        else:
+        else:   # (a + b sqrt(d))/q as ints, q > 0 and gcd(a, b, q) = 1
             assert type(x) is Scalar and x.d == d, x
+            a, b, q = x._a, x._b, x._q
+            assert type(a) is type(b) is type(q) is int, x
+            assert q > 0 and gcd(a, b, q) == 1, x
 
 
 def matrix_values(*ms):
@@ -257,7 +263,7 @@ class TestContextCopiesAreEqual:
 def built(monkeypatch):
     """The Scalars built while a test runs: every Scalar.__init__ and every
     call of scalars._scalar, which the package's arithmetic and constructors
-    go through."""
+    go through, and which linalg's readers call by their own name."""
     made = []
     init, make = Scalar.__init__, scalars._scalar
 
@@ -271,6 +277,22 @@ def built(monkeypatch):
 
     monkeypatch.setattr(Scalar, "__init__", counting_init)
     monkeypatch.setattr(scalars, "_scalar", counting_make)
+    monkeypatch.setattr(linalg, "_scalar", counting_make)
+    return made
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """The Fractions built while a test runs: Fraction arithmetic and every
+    constructor go through Fraction.__new__."""
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     return made
 
 
@@ -330,3 +352,34 @@ class TestNoScalarInRationalKernels:
         assert L.with_field(1) is L
         assert LieAlgebra("copy", L.dim, L._upper(), L.d) == L
         assert built == []
+
+
+SQRT3 = rep_from_dict(rep_to_dict(REPS["h3R2_to_g5_6"]))
+# each D_i rescaled as perfbench's hom: refutations do, where that breaks
+# only the homomorphism identity: D_i t_j != 0 for some j != i
+SQRT3_REFUTATIONS = {
+    f"D{i + 1}*{f}": AffineRep(SQRT3.source, SQRT3.target, SQRT3.t,
+                               [Scalar.of(f, 3) * m if k == i else m
+                                for k, m in enumerate(SQRT3.D)])
+    for i, D in enumerate(SQRT3.D)
+    if any(any(D.apply(t)) for j, t in enumerate(SQRT3.t) if j != i)
+    for f in (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3))}
+
+
+class TestNoFractionInSqrtDecisions:
+    """A Q(sqrt 3) decision computes on the int parts of its Scalars."""
+
+    def test_the_count_sees_constructors_and_arithmetic(self, fractions_built):
+        Fraction(1, 2) * Fraction(2, 3) + 1
+        Scalar(0, 1, 3).rat
+        assert len(fractions_built) >= 5
+
+    def test_checking_the_bundled_rep(self, fractions_built):
+        verdict = check_simply_transitive(SQRT3)
+        assert verdict.overall and fractions_built == []
+
+    @pytest.mark.parametrize("key", sorted(SQRT3_REFUTATIONS))
+    def test_checking_a_hom_refutation(self, key, fractions_built):
+        verdict = check_simply_transitive(SQRT3_REFUTATIONS[key])
+        assert not verdict.homomorphism and verdict.t_bijective \
+            and verdict.linear_parts_nilpotent and fractions_built == []

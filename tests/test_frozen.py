@@ -105,8 +105,13 @@ def test_fill_sets_every_slot_or_fails():
 
 class TestPublicConstructorsBuildTheSameValues:
     def test_scalar(self):
-        assert slots(Scalar(1, 2, 3)) == (1, 2, 3)
-        assert slots(Scalar("1/2", 2, 1)) == (Fraction(5, 2), 0, 1)
+        # (a + b sqrt(d))/q as ints, q > 0 and gcd(a, b, q) = 1, then d
+        for value, parts in [(Scalar(1, 2, 3), (1, 2, 1, 3)),
+                             (Scalar("1/2", 2, 1), (5, 0, 2, 1)),
+                             (Scalar("-1/2", "1/6", 3), (-3, 1, 6, 3)),
+                             (Scalar(Fraction(4, 6), "-2/4", 5), (4, -3, 6, 5))]:
+            assert slots(value) == parts
+            assert all(type(x) is int for x in slots(value))
         assert Scalar(1, 2, 3) == Scalar("1", Fraction(2), 3)
 
     def test_lie_algebra(self):

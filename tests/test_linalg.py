@@ -691,6 +691,19 @@ class TestJsonHelpers:
         with pytest.raises(ParseError):
             vector_from_json("nope", 2, 1, "v")
 
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_a_bad_entry_is_named_by_its_path(self, d):
+        for bad, message in [("1/0", "not a rational literal"),
+                             (True, "value must be an int"),
+                             ([1, 2, 3], "scalar arrays must have exactly two")]:
+            with pytest.raises(ParseError, match=r"^m\[1\]\[2\]: " + message):
+                matrix_from_json([[0, 1, "1/2"], [2, 0, bad]], 2, 3, d, "m")
+
+    def test_ints_read_straight_into_scalars(self):
+        v = vector_from_json([0, 5, -2, 0], 4, 3, "v")
+        assert v == as_vector([0, 5, -2, 0], 3)
+        assert all(type(x) is Scalar and x.d == 3 for x in v)
+
 
 # ------------------------------------------------------------------ storage
 

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from dense_reference import unit_vector
+from dense_reference import PairScalar, unit_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,6 +161,69 @@ class TestFieldAxioms:
         assert a + (-a) == Scalar.zero(3)
         if not a.is_zero():
             assert a * a.inverse() == Scalar.one(3)
+
+
+# numerators up to 10^30 over denominators up to 10^12, and small ones
+wide = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12))
+narrow = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+parts = st.one_of(narrow, wide, st.just(Fraction(0)))
+
+
+def canonical(x: Scalar) -> bool:
+    """(a + b sqrt(d))/q stored as ints with q > 0 and gcd(a, b, q) = 1."""
+    a, b, q, d = (getattr(x, name) for name in Scalar.__slots__)
+    return (type(a) is type(b) is type(q) is int and q > 0
+            and gcd(a, b, q) == 1 and (d != 1 or b == 0))
+
+
+def agree(x: Scalar, model: PairScalar) -> bool:
+    return canonical(x) and (x.rat, x.irr, x.d) == (model.rat, model.irr, model.d) \
+        and type(x.rat) is type(x.irr) is Fraction
+
+
+class TestAgainstThePairModel:
+    """The int form against the pair-of-Fraction Scalar it replaced."""
+
+    @given(st.sampled_from((1, 2, 3, 5, 6)), parts, parts, parts, parts)
+    @settings(max_examples=400, derandomize=True)
+    def test_arithmetic(self, d, r, i, u, v):
+        x, y = Scalar(r, i, d), Scalar(u, v, d)
+        X, Y = PairScalar(r, i, d), PairScalar(u, v, d)
+        assert agree(x, X) and agree(y, Y)
+        assert agree(x + y, X + Y) and agree(x - y, X - Y)
+        assert agree(x * y, X * Y) and agree(-x, PairScalar(0, 0, d) - X)
+        U, seven = PairScalar(u, 0, d), PairScalar(7, 0, d)
+        assert agree(x + u, X + U) and agree(u - x, U - X)
+        assert agree(x * u, X * U) and agree(x * 7, X * seven)
+        assert x.norm() == X.rat ** 2 - X.irr ** 2 * d
+        if X.rat or X.irr:
+            assert agree(x.inverse(), X.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+
+    @given(st.sampled_from((1, 2, 3, 5, 6)), parts, parts, parts)
+    @settings(max_examples=300, derandomize=True)
+    def test_equality_hash_text_and_documents(self, d, r, i, u):
+        x, X = Scalar(r, i, d), PairScalar(r, i, d)
+        for other in (u, r, Fraction(u.numerator), u.numerator):
+            assert (x == other) == (X == other) and (other == x) == (X == other)
+        for e in (2, 3, 5, 6):   # rational values are equal across contexts
+            if e != d and not X.irr:
+                assert x == Scalar.of(x, e) and hash(x) == hash(Scalar.of(x, e))
+            elif e != d:
+                assert x != Scalar(r, i, e)
+        assert (x == Scalar(u, i, d)) == (X == PairScalar(u, i, d))
+        if not X.irr:
+            assert hash(x) == hash(X) == hash(X.rat)
+        assert hash(x) == hash(Scalar(X.rat, X.irr, d))
+        assert str(x) == str(X) and repr(x) == repr(X)
+        assert scalar_to_json(x) == X.to_json()
+        assert scalar_from_json(scalar_to_json(x), d) == x
+        if not X.irr:
+            assert scalar_to_json(X.rat) == X.to_json()
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and agree(twin, X)
 
 
 class TestHashing:
