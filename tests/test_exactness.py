@@ -11,12 +11,14 @@ conjugate over ints.
 
 At run time, the values stored at d = 1 are exact rationals, an int when
 integral and a Fraction otherwise, and in any other context Scalars of
-that context (``TestStoredTypes``); the public accessors make Scalars on
-reading. Reading and checking a d = 1 rep, checking an LR product,
-solving for the derivations, deciding, re-checking and reporting an
-obstruction, the series predicates and copies of an algebra and the
-right multiplications of a product build no Scalar at all
-(``TestNoScalarInRationalKernels``).
+that context, each with canonical int parts (``TestStoredTypes``); the
+public accessors make Scalars on reading. Reading and checking a d = 1
+rep, checking an LR product, solving for the derivations, deciding,
+re-checking and reporting an obstruction, the series predicates and
+copies of an algebra and the right multiplications of a product build no
+Scalar at all (``TestNoScalarInRationalKernels``), and checking the
+parsed Q(sqrt 3) rep and its refutations builds no Fraction
+(``TestNoFractionInSqrtDecisions``).
 """
 
 import ast
@@ -370,9 +372,9 @@ class TestNoFractionInSqrtDecisions:
     """A Q(sqrt 3) decision computes on the int parts of its Scalars."""
 
     def test_the_count_sees_constructors_and_arithmetic(self, fractions_built):
-        Fraction(1, 2) * Fraction(2, 3) + 1
-        Scalar(0, 1, 3).rat
-        assert len(fractions_built) >= 5
+        Fraction(1, 2) * Fraction(2, 3) + 1   # two built, two results
+        Scalar(0, 1, 3).rat   # each part parsed, then the property's result
+        assert len(fractions_built) == 7
 
     def test_checking_the_bundled_rep(self, fractions_built):
         verdict = check_simply_transitive(SQRT3)
