@@ -235,12 +235,13 @@ class LieAlgebra(Frozen):
 # ------------------------------------------------------------------ derivations
 
 
-def _leibniz(L: LieAlgebra, cols: Sequence[dict], i: int, j: int) -> dict:
-    """Sparse D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j], D by sparse columns."""
+def _leibniz(L: LieAlgebra, cols: Sequence[dict], i: int, j: int,
+             minus: Coefficient) -> dict:
+    """Sparse D[X_i, X_j] - [D X_i, X_j] - [X_i, D X_j], D by sparse columns;
+    ``minus`` is -:func:`~nilaffine.scalars.unit` of L's context."""
     acc: dict[int, Coefficient] = {}
     for m, c in L._signed.get((i, j), {}).items():
         _axpy(acc, c, cols[m])
-    minus = -unit(L.d)
     L._bracket_into(acc, cols[i], {j: minus})
     return L._bracket_into(acc, {i: minus}, cols[j])
 
@@ -249,9 +250,9 @@ def _leibniz_failure(L: LieAlgebra, m: Matrix) -> tuple[int, int] | None:
     """The first basis pair (i, j), i < j, where m breaks Leibniz, if any."""
     if m.rows != L.dim or m.cols != L.dim:
         raise ShapeError(f"expected a {L.dim}x{L.dim} matrix")
-    cols = m._sparse_cols()
+    cols, minus = m._sparse_cols(), -unit(L.d)
     return next(((i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
-                 if _leibniz(L, cols, i, j)), None)
+                 if _leibniz(L, cols, i, j, minus)), None)
 
 
 @dataclass(frozen=True)

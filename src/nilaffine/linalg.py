@@ -5,9 +5,10 @@ that holds no zero, each coefficient in the stored form of the context (see
 :func:`nilaffine.scalars.stored`): ``int`` or ``Fraction`` at d = 1, else
 ``Scalar``; it is built only by ``Matrix._of`` or by a builder that
 checks its input. Every elimination runs on one sparse kernel, :func:`_rref`,
-over rows in that format: ``rank``, ``nullspace``, ``inverse``, row spaces,
-round 1 in ``obstruction.LinearSystem`` (``add`` takes its row step
-:func:`_install`) and :func:`_kernel` (derivations, center, Engel chain).
+over rows in that format: ``rank``, ``inverse``, row spaces, round 1 in
+``obstruction.LinearSystem`` (``add`` takes its row step :func:`_install`)
+and :func:`_kernel`, the one kernel routine (``nullspace``, derivations,
+center, Engel chain), which returns a kernel's unique RREF basis.
 One function, :func:`_free_vectors`, reads a kernel off an RREF.
 Products and sums combine rows with :func:`_axpy`, one loop for every
 coefficient type. The kernels are generic over that type: they test for
@@ -140,14 +141,6 @@ def _free_vectors(pivots: Sequence[int], rows: Iterable[SparseRow], cols: int,
             if j != p:
                 basis[j][p] = -c
     return list(basis.values())
-
-
-def _nullspace(rows: Iterable[SparseRow], cols: int,
-               one: Coefficient) -> list[SparseRow]:
-    """The :func:`_free_vectors` of the RREF of rows, each scaled so its
-    first nonzero coordinate is 1. With no rows this is the standard basis."""
-    return [v if (lead := v[min(v)]) == 1 else _divided(v, lead)
-            for v in _free_vectors(*_rref(rows), cols, one)]
 
 
 def _kernel(rows: Iterable[SparseRow], cols: int, one: Coefficient,
@@ -352,9 +345,10 @@ class Matrix(Frozen):
         return len(_rref(self._rows)[0])
 
     def nullspace(self) -> tuple[Vector, ...]:
-        """Basis of the right kernel {v : M v = 0}; see :func:`_nullspace`."""
+        """The RREF basis of the right kernel {v : M v = 0} (:func:`_kernel`):
+        each vector is 1 at its first nonzero entry, 0 at the others'."""
         return tuple(_dense(v, self.cols, self.d) for v in
-                     _nullspace(self._rows, self.cols, unit(self.d)))
+                     _kernel(self._rows, self.cols, unit(self.d)))
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [M | I]."""

@@ -332,12 +332,12 @@ class Contradiction(Exception):
 _CONST = sys.maxsize   # the constant column, after every variable id
 
 
-def _factor(x: int | None, row: SparseRow | None):
-    """x, or the terms of its form read off its row x + ... = 0, as
-    (variable, coefficient) pairs; None stands for 1 in either place."""
-    return ((x, None),) if row is None else [
-        (None if v == _CONST else v, None if c == -1 else -c)
-        for v, c in row.items() if v != x]
+def _factor(x: int, form: Poly | None):
+    """x, or the terms of its solved form, as (variable, coefficient) pairs;
+    None stands for 1 in either place (the constant monomial, coefficient 1)."""
+    return ((x, None),) if form is None else [
+        (m[0][0] if m else None, None if c == 1 else c)
+        for m, c in form.terms.items()]
 
 
 def _times(a: int | None, b: int | None) -> Monomial:
@@ -576,17 +576,17 @@ def _translation_equations(L: LieAlgebra, space: DerivationSpace
 
 
 def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
-                          rows: Mapping[int, SparseRow]
+                          solved: Mapping[int, Poly]
                           ) -> list[tuple[tuple, Poly]]:
-    """Entry (a, b) of [D_i, D_j] for i < j with the solved forms of
-    ``rows`` (a ``LinearSystem.rows`` map) substituted, tagged
+    """Entry (a, b) of [D_i, D_j] for i < j with the affine forms of
+    ``solved`` (a ``LinearSystem.solved`` map) substituted, tagged
     ("commutator", i, j, a, b) (1-based), in tag order, leaving out the
     entries that vanish. The entry is sum_{k, l} C_kl[a][b] u_ik u_jl,
     C_kl = [E_k, E_l] (made once per k < l); each product u_ik u_jl is
-    expanded once over the forms read off the rows and added into every
-    entry where C_kl != 0, which is ``Poly.substitute`` of the entry, and
-    a u_ik forced to 0 drops its products. With no rows these are the
-    defining equations."""
+    expanded once over the forms and added into every entry where
+    C_kl != 0, which is ``Poly.substitute`` of the entry, and a u_ik
+    forced to 0 drops its products. With no forms these are the defining
+    equations."""
     n, r = L.dim, space.dimension
     basis = [E._rows for E in space.basis]
 
@@ -609,7 +609,7 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
                 bracket[l][k] = {pos: -e for pos, e in c.items()}
 
     # factors[i][k]: u_ik, or the terms of its form (none when forced to 0)
-    factors = [[_factor(v, rows.get(v)) for v in range(i * r, i * r + r)]
+    factors = [[_factor(v, solved.get(v)) for v in range(i * r, i * r + r)]
                for i in range(n)]
     equations: list[tuple[tuple, Poly]] = []
     for i, fi in enumerate(factors):
@@ -680,15 +680,15 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     space = derivation_space(L)
     n, r = L.dim, space.dimension
 
-    # round 1 is the RREF of the (affine) translation conditions, a pivot
-    # in the constant column if they are inconsistent; the commutator
-    # conditions are then built on its map, each constant or quadratic
-    system = LinearSystem(poly for _, poly in _translation_equations(L, space))
-    if _CONST in system.rows:
+    # round 1 is the RREF of the (affine) translation conditions, read once
+    # as its solved map (a pivot in the constant column if inconsistent): the
+    # commutator conditions, the free list and eliminated all come from it
+    solved = LinearSystem(poly for _, poly in _translation_equations(L, space)).solved
+    if _CONST in solved:
         raise InternalError(
             f"the translation conditions on {L.name!r} have no solution, yet "
             f"D_i = -1/2 ad(X_i) always solves them; this is a bug")
-    residual = tuple(_commutator_equations(L, space, system.rows))
+    residual = tuple(_commutator_equations(L, space, solved))
     # quadratic from the first degree-2 term on; the rest must be constant
     low = [(tag, poly) for tag, poly in residual
            if not any(sum(map(_exponent, m)) == 2 for m in poly.terms)]
@@ -698,7 +698,7 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             f"round 1, yet it is a constant plus a quadratic form on round "
             f"1's solutions; this is a bug")
 
-    eliminated = tuple(sorted(system.solved.items()))
+    eliminated = tuple(sorted(solved.items()))
 
     if low:
         (_, i, j, a, b), poly = low[0]
@@ -709,7 +709,7 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
                 position=(a, b)),
             samples=samples, seed=seed, two_step_solvable=metabelian)
 
-    free = [v for v in range(n * r) if v not in system.rows]
+    free = [v for v in range(n * r) if v not in solved]
     for values in _candidates(len(free), samples, seed):
         found = ObstructionOutcome(
             space=space, verdict="Found", eliminated=eliminated,

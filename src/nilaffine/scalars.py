@@ -322,6 +322,8 @@ def _parts(rat: Fraction, irr: Fraction) -> tuple[int, int, int]:
 def stored(x: "Scalar | RationalLike", d: int) -> Coefficient:
     """x in context d: its exact rational at d = 1, else its Scalar."""
     if d != 1:
+        if type(x) is int or type(x) is Fraction:   # as Scalar._coerce does
+            return _scalar(x.numerator, 0, x.denominator, check_context(d))
         return x if type(x) is Scalar and x.d == d else Scalar.of(x, d)
     if type(x) is int:
         return x

@@ -18,7 +18,7 @@ from nilaffine.liealg import (LieAlgebra, _leibniz, _leibniz_failure,
                               get_algebra, transport)
 from nilaffine.linalg import Matrix, _dense, as_vector
 from nilaffine.lr import LRStructure, lr_to_dict, rep_to_lr
-from nilaffine.scalars import Scalar
+from nilaffine.scalars import Scalar, unit
 
 
 def rand_invertible(rng, n, d=1):
@@ -244,9 +244,9 @@ class TestSparseHomomorphismCheck:
             bad = [pair for pair, r in residuals.items()
                    if not all(x.is_zero() for x in r)]
             assert _leibniz_failure(T, M) == (bad[0] if bad else None)
-            cols = M._sparse_cols()
+            cols, minus = M._sparse_cols(), -unit(T.d)
             for (a, b), r in residuals.items():
-                assert _dense(_leibniz(T, cols, a, b), T.dim, T.d) == r
+                assert _dense(_leibniz(T, cols, a, b, minus), T.dim, T.d) == r
             if bad and first is None:
                 first = (i + 1, (bad[0][0] + 1, bad[0][1] + 1))
         if first is None:

@@ -38,7 +38,7 @@ from nilaffine.corpus import bundled_rep_names, bundled_reps
 from nilaffine.liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
                               catalog_names, derivation_space, get_algebra,
                               transport)
-from nilaffine.linalg import Matrix, _combination, _nullspace
+from nilaffine.linalg import Matrix, _combination, _kernel
 from nilaffine.lr import check_lr, lr_from_dict, lr_to_dict, rep_to_lr
 from nilaffine.obstruction import obstruct_abelian, verify_certificate
 from nilaffine.scalars import Scalar, unit
@@ -218,7 +218,7 @@ class TestStoredTypes:
             rref = a.rref().matrix
             results = [a @ b, a + b, -a, a * Fraction(2, 3), a * 2, rref,
                        _combination(((Fraction(1, 2), a), (2, b)), n, n, d),
-                       Matrix._of(_nullspace(a._rows[:-1], n, unit(d)), n, d)]
+                       Matrix._of(_kernel(a._rows[:-1], n, unit(d)), n, d)]
             if rref == Matrix.identity(n, d):
                 results.append(a.inverse())
             assert_stored(matrix_values(*results), d)

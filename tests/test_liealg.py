@@ -17,7 +17,7 @@ from nilaffine.liealg import (MAX_DIM, JacobiViolation, LieAlgebra, _leibniz,
                               derivation_space, get_algebra, resolve_name,
                               transport)
 from nilaffine.linalg import Matrix, _dense, as_vector
-from nilaffine.scalars import Scalar
+from nilaffine.scalars import Scalar, unit
 
 CATALOG_DER_DIMS = {
     "R1": 1, "R2": 4, "R3": 9, "R4": 16, "R5": 25, "R6": 36,
@@ -323,10 +323,25 @@ class TestDerivations:
             L = get_algebra(name)
             for E in derivation_space(L).basis:
                 assert _leibniz_failure(L, E) is None
-                cols = E._sparse_cols()
+                cols, minus = E._sparse_cols(), -unit(L.d)
                 for i in range(L.dim):
                     for j in range(i + 1, L.dim):
-                        assert not _leibniz(L, cols, i, j)
+                        assert not _leibniz(L, cols, i, j, minus)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_leibniz_check_builds_its_minus_one_once(self, monkeypatch, d):
+        # one unit(d) per _leibniz_failure, not one per basis pair
+        L = get_algebra("g6_18").with_field(d)
+        basis, calls = derivation_space(L).basis, []
+
+        def counting(d, real=liealg.unit):
+            calls.append(d)
+            return real(d)
+        monkeypatch.setattr(liealg, "unit", counting)
+        for m in basis + (Matrix.identity(L.dim, d),):
+            calls.clear()
+            _leibniz_failure(L, m)
+            assert calls == [d]
 
     def test_g6_18_anchor_pattern(self):
         space = derivation_space(get_algebra("g6_18"))

@@ -1,7 +1,5 @@
-import ast
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -232,7 +230,8 @@ class TestEngelFlag:
 class TestEngelChainEliminatesOnce:
     """Each Engel step is one elimination, the joint kernel: the annihilator
     of U_k is read off its RREF, so the chain of s steps makes s + 1
-    ``_rref`` calls with the final pivot choice, and ``_nullspace`` none."""
+    ``_rref`` calls with the final pivot choice, and one ``_kernel`` call,
+    the one kernel routine, per step."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -242,10 +241,6 @@ class TestEngelChainEliminatesOnce:
                 counted[name] += 1
                 return real(*args, **kw)
             monkeypatch.setattr(linalg, name, counting)
-
-        def refuse(*args):
-            raise AssertionError("engel_flag must not call _nullspace")
-        monkeypatch.setattr(linalg, "_nullspace", refuse)
         return counted
 
     @pytest.mark.parametrize("size", (1, 3, 6))
@@ -271,49 +266,6 @@ class TestEngelChainEliminatesOnce:
         assert flag and calls["_rref"] == calls["_kernel"] + 1
 
 
-class _References(ast.NodeVisitor):
-    """Collect the qualified scope of each reference to ``name``: a load,
-    a store, an attribute or an import."""
-
-    def __init__(self, name: str):
-        self.name, self.scope, self.found = name, [], []
-
-    def _record(self) -> None:
-        self.found.append(".".join(self.scope) or "<module>")
-
-    def _scoped(self, node) -> None:
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if node.id == self.name:
-            self._record()
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == self.name:
-            self._record()
-        self.generic_visit(node)
-
-    def visit_alias(self, node: ast.alias) -> None:
-        if node.name == self.name:
-            self._record()
-
-
-def test_nullspace_has_one_caller():
-    """Only ``Matrix.nullspace`` reduces rows to a normalized kernel with
-    ``_nullspace``; a package path that holds an RREF reads its kernel with
-    ``_free_vectors`` and does not reduce it again."""
-    callers = []
-    for path in sorted(Path(linalg.__file__).resolve().parent.glob("*.py")):
-        visitor = _References("_nullspace")
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        callers += [(path.stem, scope) for scope in visitor.found]
-    assert callers == [("linalg", "Matrix.nullspace")]
-
-
 class TestBasisHelpers:
     def test_row_space_basis_is_rref(self):
         pivots, basis = linalg._rref([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6},
@@ -327,7 +279,7 @@ class TestBasisHelpers:
         for _ in range(25):
             vs = [linalg._sparse([rng.randint(-4, 4) for _ in range(4)], 1)
                   for _ in range(rng.randint(0, 3))]
-            ann = linalg._nullspace(vs, 4, 1)
+            ann = linalg._kernel(vs, 4, 1)
             for row in ann:
                 for v in vs:
                     assert sum(c * v.get(k, 0) for k, c in row.items()) == 0
@@ -453,7 +405,7 @@ def assert_exact_rational(x):
 
 
 class TestRationalRows:
-    """_rref and _nullspace on int rows with non-unit pivots against the
+    """_rref and _kernel on int rows with non-unit pivots against the
     same rows as Scalars; rational results stay int where integral."""
 
     @staticmethod
@@ -481,8 +433,8 @@ class TestRationalRows:
             assert ints == before                       # input not changed
             assert (pivots, self.as_scalars(reduced)) == \
                 linalg._rref(self.as_scalars(ints))
-            kernel = linalg._nullspace(ints, cols, 1)
-            assert self.as_scalars(kernel) == linalg._nullspace(
+            kernel = linalg._kernel(ints, cols, 1)
+            assert self.as_scalars(kernel) == linalg._kernel(
                 self.as_scalars(ints), cols, Scalar.one(1))
             for row in reduced + kernel:
                 assert all(row.values())
@@ -514,7 +466,7 @@ class TestRationalRows:
         assert pivots == (0, 1)
         assert reduced == [{0: 1, 2: Fraction(-5, 2)}, {1: 1, 2: 2}]
         assert type(reduced[1][2]) is int
-        assert linalg._nullspace([{0: 2, 1: 4}], 2, 1) == [{0: 1, 1: Fraction(-1, 2)}]
+        assert linalg._kernel([{0: 2, 1: 4}], 2, 1) == [{0: 1, 1: Fraction(-1, 2)}]
 
     def test_matches_scalar_rows_in_another_context(self):
         rng = random.Random("int-d3")
@@ -523,6 +475,12 @@ class TestRationalRows:
         assert all(x.d == 3 for row in reduced for x in row.values())
         assert (pivots, [{c: x.rat for c, x in row.items()} for row in reduced]) \
             == linalg._rref(ints)
+
+
+def dense_kernel_rref(m):
+    """The RREF basis of m's kernel, from the dense reference elimination."""
+    want = dense_rref(dense_matrix(dense_nullspace(m), m.cols, m.d))
+    return tuple(want.matrix.row(r) for r in range(want.rank))
 
 
 class TestKernelMatchesDenseReference:
@@ -547,7 +505,7 @@ class TestKernelMatchesDenseReference:
             assert got.matrix == want.matrix
             assert all(x.d == d for row in dense_rows(got.matrix) for x in row)
             assert m.rank() == want.rank
-            assert m.nullspace() == dense_nullspace(m)
+            assert m.nullspace() == dense_kernel_rref(m)
             basis = linalg._rref(m._rows)[1]
             assert tuple(linalg._dense(r, m.cols, d) for r in basis) == \
                 dense_row_space_basis(dense_rows(m), d, m.cols)
@@ -590,9 +548,8 @@ class TestCanonicalKernel:
 
     @staticmethod
     def reference(rows, cols, d):
-        m = dense_matrix([linalg._dense(row, cols, d) for row in rows], cols, d)
-        want = dense_rref(dense_matrix(dense_nullspace(m), cols, d))
-        return tuple(want.matrix.row(r) for r in range(want.rank))
+        return dense_kernel_rref(
+            dense_matrix([linalg._dense(row, cols, d) for row in rows], cols, d))
 
     @pytest.mark.parametrize("kind", ("int", "Fraction", "Scalar"))
     @pytest.mark.parametrize("shape", KERNEL_SHAPES,
@@ -618,6 +575,25 @@ class TestCanonicalKernel:
             last = shape[1] - 1
             flipped = [{last - c: x for c, x in row.items()} for row in rows]
             assert linalg._kernel(flipped, shape[1], one, flipped=True) == got
+
+    @pytest.mark.parametrize("kind", ("int", "Fraction", "Scalar"))
+    @pytest.mark.parametrize("shape", ((1, 3), (2, 5), (3, 8), (5, 12)),
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("density", (0.6, 1.0))
+    def test_matrix_nullspace_is_the_rref_basis(self, kind, shape, density):
+        # kernels of dimension >= 2, where bases led by 1 need not be the RREF
+        rng = random.Random(f"nullspace-{kind}-{shape}-{density}")
+        d = 3 if kind == "Scalar" else 1
+        for _ in range(3):
+            rows, _ = self.rows_of(kind, rng, *shape, density)
+            m = Matrix._of(rows, shape[1], d)
+            got = m.nullspace()
+            assert len(got) >= 2
+            assert got == self.reference(rows, shape[1], d)
+
+    def test_matrix_nullspace_of_one_row(self):
+        assert Matrix.from_rows([[1, 1, 1]]).nullspace() == (
+            as_vector([1, 0, -1], 1), as_vector([0, 1, -1], 1))
 
     @pytest.mark.parametrize("one", (1, Scalar.one(3)), ids=("d1", "d3"))
     def test_no_rows_give_the_identity_basis(self, one):

@@ -950,8 +950,7 @@ def test_commutator_builder_on_multi_term_forms(L):
     them; each built entry is the generic entry with that map substituted
     by the general Poly.substitute, and the tags strictly increase."""
     space, n = derivation_space(L), L.dim
-    system = LinearSystem(poly for _, poly in _translation_equations(L, space))
-    solved = system.solved
+    solved = round_one(L, space).solved
     assert max(len(form.terms) for form in solved.values()) > 2
     assert any(() in form.terms for form in solved.values())
     grids = [parametric_derivation(L, i, space) for i in range(n)]
@@ -962,7 +961,7 @@ def test_commutator_builder_on_multi_term_forms(L):
             if poly := entry.substitute(solved):
                 expected.append((("commutator", i + 1, j + 1, a + 1, b + 1),
                                  poly.terms))
-    built = _commutator_equations(L, space, system.rows)
+    built = _commutator_equations(L, space, solved)
     assert [(tag, poly.terms) for tag, poly in built] == expected
     tags = [tag for tag, _ in built]
     assert all(s < t for s, t in zip(tags, tags[1:]))
@@ -1099,7 +1098,7 @@ class TestDegreeTwoReduce:
                     if tag[0] == "commutator"]
         substituted = [(tag, poly.substitute(maps[0]))
                        for tag, poly in defining]
-        built = _commutator_equations(L, space, system_with(maps[0]).rows)
+        built = _commutator_equations(L, space, maps[0])
         assert built == [(tag, poly) for tag, poly in substituted if poly]
         assert all(all(poly.terms.values()) for _, poly in built)
 
@@ -1126,7 +1125,7 @@ def test_no_commutator_condition_is_affine(L):
     """After round 1 every built commutator equation is constant or has a
     degree-2 term, so there is nothing left to force."""
     space = derivation_space(L)
-    built = _commutator_equations(L, space, round_one(L, space).rows)
+    built = _commutator_equations(L, space, round_one(L, space).solved)
     assert {degree(poly) for _, poly in built} <= {0, 2}, L.name
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nilaffine.errors import FieldMismatchError, ParseError
 from nilaffine.scalars import (Scalar, as_fraction, check_context,
                                is_square_free, scalar_from_json,
-                               scalar_to_json)
+                               scalar_to_json, stored)
 
 
 def s(rat, irr=0, d=1):
@@ -69,6 +69,22 @@ class TestConstruction:
             L, L, [unit_vector(L, i) for i in range(3)], [Matrix.zero(3, 3, L.d)] * 3))
         assert calls[1000000007] == 1
         assert all(count <= 1 for count in calls.values()), calls
+
+    def test_stored_matches_of_slot_for_slot(self):
+        rng = random.Random(31)
+        values = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(50)] + [0] + [
+            Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(50)]
+        for x in values:
+            got, want = stored(x, 3), Scalar.of(x, 3)
+            assert type(got) is Scalar
+            assert [getattr(got, n) for n in Scalar.__slots__] == \
+                [getattr(want, n) for n in Scalar.__slots__]
+
+    def test_stored_still_rejects_bad_contexts_and_bools(self):
+        with pytest.raises(ValueError):
+            stored(1, 4)
+        with pytest.raises(TypeError):
+            stored(True, 3)
 
     def test_as_fraction_rejects_floats(self):
         with pytest.raises(TypeError):

@@ -1,7 +1,7 @@
 """Every module uses each name it imports.
 
-The lint parses each module of ``src/nilaffine`` and each test module with
-``ast`` and reports any imported name that the module never reads as a
+The lint parses each module of ``src/nilaffine``, each test module and each
+module of ``perfbench`` (read only, never imported) with ``ast`` and reports any imported name that the module never reads as a
 variable: ``import a.b`` binds ``a``, ``import a as b`` and ``from m import
 a as b`` bind ``b``. ``from __future__`` imports are directives, not names,
 and ``__init__.py`` is left out, since importing is how it re-exports.
@@ -12,7 +12,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in [*(ROOT / "src" / "nilaffine").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+                             *(ROOT / "tests").glob("*.py"),
+                             *(ROOT / "perfbench").glob("*.py")]
                  if p.name != "__init__.py")
 
 
