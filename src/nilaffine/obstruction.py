@@ -32,18 +32,19 @@ equation is affine (one that is raises InternalError). A constant one
 (vanishing ones are left out) is an exact proof that no solution exists;
 the verdict Obstructed carries the first in tag order as a certificate.
 Otherwise the free coefficients are sampled (zeros first, then seeded
-rationals) and any assignment satisfying the residual equations and the
-full simple-transitivity verdict yields Found with the witness attached.
+rationals) and the simple-transitivity verdict alone, whose homomorphism
+check is [D_i, D_j] = 0 and so decides the residual equations, decides
+each; the first witness it passes yields Found with the witness attached.
 If neither happens the honest answer is Undetermined together with the
 residual system; no general polynomial solving is attempted.
 
 Coefficients. At d = 1 the structure constants and the derivation basis
 are stored as ``int`` and ``Fraction`` (see :mod:`nilaffine.scalars`) and
 enter the equations as they are, so the equations, the eliminated map and
-the residuals hold ``int`` and ``Fraction`` coefficients. What leaves the
-solver as a number is a ``Fraction``: the forced values, the certificate
-constant, the witness assignment and coefficients, and
-``Poly.constant_value`` and ``Poly.evaluate``.
+the residuals hold ``int`` and ``Fraction`` coefficients, an ``int`` when
+integral. What leaves the solver as a number is a ``Fraction``: the forced
+values, the certificate constant, the witness assignment and coefficients,
+and ``Poly.constant_value`` and ``Poly.evaluate``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -333,20 +334,12 @@ _CONST = sys.maxsize   # the constant column, after every variable id
 
 
 def _factor(x: int, form: Poly | None):
-    """x, or the terms of its solved form, as (variable, coefficient) pairs;
-    None stands for 1 in either place (the constant monomial, coefficient 1)."""
-    return ((x, None),) if form is None else [
-        (m[0][0] if m else None, None if c == 1 else c)
+    """u_x, or the terms of its solved form, as (code, coefficient) pairs:
+    code 0 is the constant monomial and v + 1 the variable u_v, and None
+    stands for the coefficient 1."""
+    return ((x + 1, None),) if form is None else [
+        (m[0][0] + 1 if m else 0, None if c == 1 else c)
         for m, c in form.terms.items()]
-
-
-def _times(a: int | None, b: int | None) -> Monomial:
-    """The monomial of a product of two factors, each 1 (None) or a variable."""
-    if a is None or b is None:
-        return () if a is b else ((b if a is None else a, 1),)
-    if a == b:
-        return ((a, 2),)
-    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
 def _affine_row(eq: Poly) -> SparseRow:
@@ -581,45 +574,41 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
     """Entry (a, b) of [D_i, D_j] for i < j with the affine forms of
     ``solved`` (a ``LinearSystem.solved`` map) substituted, tagged
     ("commutator", i, j, a, b) (1-based), in tag order, leaving out the
-    entries that vanish. The entry is sum_{k, l} C_kl[a][b] u_ik u_jl,
-    C_kl = [E_k, E_l] (made once per k < l); each product u_ik u_jl is
-    expanded once over the forms and added into every entry where
-    C_kl != 0, which is ``Poly.substitute`` of the entry, and a u_ik
-    forced to 0 drops its products. With no forms these are the defining
-    equations."""
+    entries that vanish. The entry is sum_{k, l} C_kl[a][b] u_ik u_jl over
+    the C_kl = [E_k, E_l] != 0 of ``_bracket_table``; each product u_ik u_jl
+    of live factors (a u_ik forced to 0 has none) is expanded once over the
+    forms and added into every entry where C_kl != 0, which is
+    ``Poly.substitute`` of the entry. The product of factor codes x <= y
+    (see ``_factor``) adds up under the int code x * B + y, B = n r + 1,
+    made a ``Monomial`` once per distinct code when the ``Poly`` is made,
+    with its coefficient through ``exact``. With no forms these are the
+    defining equations."""
     n, r = L.dim, space.dimension
-    basis = [E._rows for E in space.basis]
+    bracket = _bracket_table([E._rows for E in space.basis])
+    B = n * r + 1
 
-    def product(x, y) -> dict[tuple[int, int], Rational]:
-        out: dict[tuple[int, int], Rational] = {}
-        for a, row in enumerate(x):
-            for m, xv in row.items():
-                for b, yv in y[m].items():
-                    out[a, b] = out.get((a, b), 0) + xv * yv
-        return out
-
-    # bracket[k][l] = C_kl as {(a, b): C_kl[a][b]} over the nonzero entries
-    bracket: list[dict[int, dict]] = [{} for _ in range(r)]
-    for k in range(r):
-        for l in range(k + 1, r):
-            kl, lk = product(basis[k], basis[l]), product(basis[l], basis[k])
-            if c := {pos: e for pos in kl.keys() | lk.keys()
-                     if (e := kl.get(pos, 0) - lk.get(pos, 0))}:
-                bracket[k][l] = c
-                bracket[l][k] = {pos: -e for pos, e in c.items()}
+    @cache
+    def monomial(code: int) -> Monomial:
+        x, y = divmod(code, B)
+        if not x:
+            return ((y - 1, 1),) if y else ()
+        return ((x - 1, 2),) if x == y else ((x - 1, 1), (y - 1, 1))
 
     # factors[i][k]: u_ik, or the terms of its form (none when forced to 0)
     factors = [[_factor(v, solved.get(v)) for v in range(i * r, i * r + r)]
                for i in range(n)]
     equations: list[tuple[tuple, Poly]] = []
     for i, fi in enumerate(factors):
+        live = [(k, fk) for k, fk in enumerate(fi) if fk]
         for j in range(i + 1, n):
             fj, out = factors[j], {}
-            for k, fk in enumerate(fi):
+            for k, fk in live:
                 for l, c in bracket[k].items():
+                    if not (fl := fj[l]):
+                        continue
                     for x, cx in fk:
-                        for y, cy in fj[l]:
-                            m = _times(x, y)
+                        for y, cy in fl:
+                            m = x * B + y if x <= y else y * B + x
                             v = cy if cx is None else cx if cy is None else cx * cy
                             for pos, e in c.items():
                                 if (terms := out.get(pos)) is None:
@@ -627,10 +616,35 @@ def _commutator_equations(L: LieAlgebra, space: DerivationSpace,
                                 e = e if v is None else e * v
                                 terms[m] = terms[m] + e if m in terms else e
             for a, b in sorted(out):
-                if poly := _poly({m: v for m, v in out[a, b].items() if v}):
+                if terms := {monomial(m): exact(v)
+                             for m, v in out[a, b].items() if v}:
                     equations.append((("commutator", i + 1, j + 1, a + 1,
-                                       b + 1), poly))
+                                       b + 1), _poly(terms)))
     return equations
+
+
+def _bracket_table(basis: Sequence[Sequence[SparseRow]]) -> list[dict]:
+    """table[k][l] = C_kl = [E_k, E_l] of the sparse matrices ``basis``, as
+    {(a, b): C_kl[a][b]} over its nonzero entries, for the pairs with C_kl
+    != 0, from one pass over the nonzero products E_k[a][m] E_l[m][b]."""
+    after: dict[int, list] = {}   # m -> (l, b, E_l[m][b]) over the nonzero
+    for l, rows in enumerate(basis):
+        for m, row in enumerate(rows):
+            after.setdefault(m, []).extend((l, b, y) for b, y in row.items())
+    half: dict[tuple[int, int], dict] = {}   # (k, l), k < l -> C_kl
+    for k, rows in enumerate(basis):
+        for a, row in enumerate(rows):
+            for m, x in row.items():
+                for l, b, y in after.get(m, ()):
+                    if k != l:
+                        c = half.setdefault((k, l) if k < l else (l, k), {})
+                        c[a, b] = c.get((a, b), 0) + (x * y if k < l else -x * y)
+    table: list[dict] = [{} for _ in basis]
+    for (k, l), c in sorted(half.items()):
+        if c := {pos: e for pos, e in c.items() if e}:
+            table[k][l] = c
+            table[l][k] = {pos: -e for pos, e in c.items()}
+    return table
 
 
 def _build_equations(L: LieAlgebra, space: DerivationSpace
@@ -715,10 +729,6 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
             space=space, verdict="Found", eliminated=eliminated,
             witness_assignment=tuple(zip(free, values)), residual=residual,
             samples=samples, seed=seed, two_step_solvable=metabelian)
-        # integral values as ints, so that evaluating runs on int arithmetic
-        u = {v: exact(x) for v, x in found.coefficients.items()}
-        if any(poly.evaluate(u) for _, poly in residual):
-            continue
         if check_simply_transitive(found.witness_rep).overall:
             return found
 

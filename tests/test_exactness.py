@@ -23,11 +23,13 @@ parsed Q(sqrt 3) rep and its refutations builds no Fraction
 
 import ast
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
+from dense_reference import dense_unit_change
 
 import nilaffine
 from nilaffine import linalg, scalars
@@ -44,6 +46,9 @@ from nilaffine.obstruction import obstruct_abelian, verify_certificate
 from nilaffine.scalars import Scalar, unit
 
 PACKAGE = Path(nilaffine.__file__).resolve().parent
+sys.path.insert(0, str(PACKAGE.parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 # (module, function qualname) -> the kinds of use allowed there, and why
 ALLOWED = {
@@ -143,6 +148,13 @@ REPS = bundled_reps()
 ALGEBRAS = {name: get_algebra(name) for name in catalog_names()}
 LR = {slug: rep_to_lr(rep) for slug, rep in REPS.items()
       if rep.source.is_abelian() and rep.source.dim == rep.target.dim}
+# the catalog, the scaling family and dense bases of h3 and f4 (the
+# SMALL_DENSE inputs of test_obstruction.py)
+SOLVER_INPUTS = {**ALGEBRAS, **workloads.scaling_family(), **{
+    f"{name}@{seed}": transport(ALGEBRAS[name],
+                                dense_unit_change(ALGEBRAS[name].dim, seed),
+                                name=f"{name}@{seed}")
+    for name in ("h3", "f4") for seed in (5, 6)}}
 
 
 def assert_stored(values, d):
@@ -176,8 +188,8 @@ def rand_matrix(rng, n, d, scale=(1, 2, 3)):
 
 
 class TestStoredTypes:
-    """Matrix rows, bracket tables, LR products and parsed documents hold
-    int/Fraction at d = 1 and Scalar elsewhere."""
+    """Matrix rows, bracket tables, LR products, parsed documents and the
+    solver's equations hold int/Fraction at d = 1 and Scalar elsewhere."""
 
     @pytest.mark.parametrize("name", sorted(ALGEBRAS))
     def test_catalog_and_its_d3_copy(self, name):
@@ -209,6 +221,14 @@ class TestStoredTypes:
         s = LR[slug]
         for parsed in (s, lr_from_dict(lr_to_dict(s))):
             assert_stored(matrix_values(*parsed.lefts), s.d)
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_INPUTS))
+    def test_eliminated_forms_and_residual_equations(self, name):
+        outcome = obstruct_abelian(SOLVER_INPUTS[name])
+        assert_stored([c for _, form in outcome.eliminated
+                       for c in form.terms.values()], 1)
+        assert_stored([c for _, poly in outcome.residual
+                       for c in poly.terms.values()], 1)
 
     @pytest.mark.parametrize("d", (1, 3))
     def test_results_of_matrix_arithmetic(self, d):
