@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import (DerivationError, FieldMismatchError, ParseError,
-                     PreconditionError, ShapeError, quoted)
+from .errors import DerivationError, FieldMismatchError, ParseError, ShapeError
 from .liealg import (IdentityReport, LieAlgebra, _build_catalog, _catalog_key,
-                     _expect_field, _leibniz_failure, _semidirect_into,
-                     _sparse_element, algebra_from_dict, algebra_to_dict,
-                     get_algebra)
+                     _expect_field, _expect_object, _leibniz_failure,
+                     _require_jacobi, _semidirect_into, _sparse_element,
+                     algebra_from_dict, algebra_to_dict, get_algebra)
 from .linalg import (EngelFailure, Flag, Matrix, Vector, _axpy, _combination,
                      _dense, as_vector, engel_flag, matrix_from_json, matrix_to_json,
                      vector_from_json, vector_to_json)
@@ -143,12 +142,7 @@ def check_homomorphism(rep: AffineRep) -> IdentityReport:
     rep([X_i, X_j]) = [(t_i, D_i), (t_j, D_j)] for all i < j, the right
     side being the semidirect bracket.
     """
-    jac = rep.source.check_jacobi()
-    if not jac.ok:
-        first = jac.violations[0].triple
-        raise PreconditionError(
-            f"source algebra {rep.source.name!r} fails the Jacobi identity "
-            f"at triple {first}")
+    _require_jacobi(rep.source, "source algebra")
     validate_derivations(rep)
     violations = []
     n, d = rep.target.dim, rep.d
@@ -325,14 +319,8 @@ def _resolve_context(data: dict, where: str) -> int | None:
 
 def rep_from_dict(data: object, where: str = "rep",
                   label: str | None = None) -> AffineRep:
-    if not isinstance(data, dict):
-        raise ParseError(f"{where}: expected an object")
-    unknown = set(data) - {"source", "target", "t", "D", "d"}
-    if unknown:
-        raise ParseError(f"{where}: unknown keys {quoted(sorted(unknown))}")
-    for key in ("source", "target", "t", "D"):
-        if key not in data:
-            raise ParseError(f"{where}: missing required key {key!r}")
+    _expect_object(data, where, ("source", "target", "t", "D", "d"),
+                   ("source", "target", "t", "D"))
     d = _resolve_context(data, where)
     source = _algebra_ref_from_json(data["source"], d, f"{where}.source")
     target = _algebra_ref_from_json(data["target"], d, f"{where}.target")

@@ -32,13 +32,13 @@ from .errors import (DerivationError, FieldMismatchError,
                      NotSimplyTransitiveError, ParseError, PreconditionError,
                      ShapeError)
 from .io import read_json, stable_json, write_json
-from .liealg import (MAX_SAMPLES, LieAlgebra, algebra_from_dict,
-                     algebra_to_dict, catalog_names, derivation_space, get_algebra)
+from .liealg import (LieAlgebra, algebra_from_dict, algebra_to_dict,
+                     catalog_names, derivation_space, get_algebra)
 from .linalg import engel_flag, matrix_to_json, vector_to_json
 from .lr import (LRStructure, check_lr, lr_from_dict, lr_to_dict, lr_to_rep,
                  rep_to_lr)
-from .obstruction import (_render_many, obstruct_abelian, parametric_derivation,
-                          variable_namer, verify_certificate)
+from .obstruction import (MAX_SAMPLES, _render_many, obstruct_abelian,
+                          parametric_derivation, variable_namer, verify_certificate)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ParseError, ShapeError, quoted
+from .errors import ParseError, PreconditionError, ShapeError, quoted
 from .linalg import Matrix, Vector, _axpy, _dense, _kernel, _rref, _sparse
 from .scalars import (Coefficient, Frozen, check_context, exact, scalar_from_json,
                       scalar_to_json, stored, unit)
@@ -32,10 +32,6 @@ BracketTable = Mapping[tuple[int, int], Iterable[tuple[int, object]]]
 # obstruction equations grow faster still. Without a bound a huge declared
 # dim exhausts memory.
 MAX_DIM = 16
-# Most seeded candidates obstruct_abelian may draw. The search time grows
-# linearly with them, so with no bound one argument can run for hours; a
-# dense h3 draws them all and ends Undetermined in under a second here.
-MAX_SAMPLES = 1000
 # Largest field context d a document may declare. is_square_free decides d
 # in O(d^(1/3)) trial divisions: under a second at this bound.
 MAX_FIELD_D = 2 ** 63
@@ -230,6 +226,14 @@ class LieAlgebra(Frozen):
             rhs = " + ".join(terms).replace("+ -", "- ")
             parts.append(f"[X{i + 1}, X{j + 1}] = {rhs}")
         return f"{self.name}: dim {self.dim}, " + ", ".join(parts)
+
+
+def _require_jacobi(L: LieAlgebra, role: str = "algebra") -> None:
+    """The one Jacobi gate: PreconditionError at the first failing triple."""
+    jac = L.check_jacobi()
+    if not jac.ok:
+        raise PreconditionError(f"{role} {L.name!r} fails the Jacobi identity "
+                                f"at triple {jac.violations[0].triple}")
 
 
 # ------------------------------------------------------------------ derivations
@@ -451,6 +455,20 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
+def _expect_object(data, where: str, keys: Iterable[str],
+                   required: Iterable[str]) -> None:
+    """The one document gate: an object with no key outside ``keys`` and
+    every key of ``required``."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected an object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {quoted(sorted(unknown))}")
+    for key in required:
+        if key not in data:
+            raise ParseError(f"{where}: missing required key {key!r}")
+
+
 def _expect_field(value, where: str) -> int:
     d = _expect_int(value, where)
     if d > MAX_FIELD_D:
@@ -501,11 +519,7 @@ def _table_from_json(raw: object, dim: int, d: int, where: str
 def algebra_from_dict(data: object, where: str = "algebra") -> LieAlgebra:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object, got {type(data).__name__}")
-    unknown = set(data) - {"name", "dim", "d", "brackets"}
-    if unknown:
-        raise ParseError(f"{where}: unknown keys {quoted(sorted(unknown))}")
-    if "dim" not in data:
-        raise ParseError(f"{where}: missing required key 'dim'")
+    _expect_object(data, where, ("name", "dim", "d", "brackets"), ("dim",))
     dim = _expect_int(data["dim"], f"{where}.dim")
     if dim < 0:
         raise ParseError(f"{where}.dim: must be non-negative")

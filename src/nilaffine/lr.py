@@ -33,10 +33,9 @@ from .affine import (AffineRep, NilpotencyReport, _algebra_ref_from_json,
                      _algebra_ref_to_json, _resolve_context, _unit_translations,
                      check_simply_transitive)
 from .errors import (IncompleteStructureError, LRIdentityError,
-                     NotSimplyTransitiveError, ParseError, PreconditionError,
-                     ShapeError, quoted)
-from .liealg import (IdentityReport, LieAlgebra, _table_from_json, _table_to_json,
-                     abelian)
+                     NotSimplyTransitiveError, PreconditionError, ShapeError)
+from .liealg import (IdentityReport, LieAlgebra, _expect_object, _require_jacobi,
+                     _table_from_json, _table_to_json, abelian)
 from .linalg import (Matrix, Vector, _axpy, _combination, _dense, _transpose,
                      engel_flag)
 from .scalars import Frozen, exact, stored, unit
@@ -129,11 +128,7 @@ def _left_commutator(p: list, i: int, j: int, k: int) -> dict:
 
 def check_lr(s: LRStructure) -> IdentityReport:
     """Decide identities (1), (2), (3) on all basis triples and pairs."""
-    jac = s.algebra.check_jacobi()
-    if not jac.ok:
-        raise PreconditionError(
-            f"algebra {s.algebra.name!r} fails the Jacobi identity at "
-            f"triple {jac.violations[0].triple}")
+    _require_jacobi(s.algebra)
     n, d = s.algebra.dim, s.d
     p = [m._sparse_cols() for m in s.lefts]
     one = unit(d)
@@ -278,13 +273,7 @@ def lr_to_dict(s: LRStructure) -> dict:
 
 
 def lr_from_dict(data: object, where: str = "lr") -> LRStructure:
-    if not isinstance(data, dict):
-        raise ParseError(f"{where}: expected an object")
-    unknown = set(data) - {"algebra", "product", "d"}
-    if unknown:
-        raise ParseError(f"{where}: unknown keys {quoted(sorted(unknown))}")
-    if "algebra" not in data:
-        raise ParseError(f"{where}: missing required key 'algebra'")
+    _expect_object(data, where, ("algebra", "product", "d"), ("algebra",))
     d = _resolve_context(data, where)
     algebra = _algebra_ref_from_json(data["algebra"], d, f"{where}.algebra")
     return LRStructure.from_table(algebra, _table_from_json(

@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .affine import (AffineRep, _unit_translations, check_simply_transitive,
                      rep_to_dict)
 from .errors import InternalError, PreconditionError, ShapeError, quoted
-from .liealg import (MAX_SAMPLES, DerivationSpace, LieAlgebra, abelian,
+from .liealg import (DerivationSpace, LieAlgebra, _require_jacobi, abelian,
                      derivation_space)
 from .linalg import SparseRow, _combination, _install, _rref
 from .lr import LRStructure, _lr_of_passing_rep, lr_to_dict
@@ -665,6 +665,12 @@ def _candidates(count: int, samples: int, seed: int) -> Iterator[list[Fraction]]
         yield _sample_values(rng, count)
 
 
+# Most seeded candidates obstruct_abelian may draw. The search time grows
+# linearly with them, so with no bound one argument can run for hours; a
+# dense h3 draws them all and ends Undetermined in 2-2.5 s (2-core Xeon).
+MAX_SAMPLES = 1000
+
+
 def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
                      ) -> ObstructionOutcome:
     """Decide abelian simple transitivity on L, with exact certificates.
@@ -682,11 +688,7 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
     if L.d != 1:
         raise PreconditionError(
             f"obstruction runs over the rationals only, got d={L.d}")
-    jac = L.check_jacobi()
-    if not jac.ok:
-        raise PreconditionError(
-            f"algebra {L.name!r} fails the Jacobi identity at triple "
-            f"{jac.violations[0].triple}")
+    _require_jacobi(L)
     if not L.is_nilpotent():
         raise PreconditionError(f"algebra {L.name!r} is not nilpotent")
 
@@ -749,9 +751,10 @@ def obstruct_abelian(L: LieAlgebra, samples: int = 25, seed: int = 0
 def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     """Independent re-check of an outcome's claim; False on any mismatch.
 
-    Obstructed: the certificate's commutator entry is rebuilt from
-    scratch and the eliminated-variable map substituted in; the result
-    must be exactly the stated nonzero constant (any other kind, or a set
+    Obstructed: the stated nonzero constant must be 1/4 ad([X_i, X_j])_ab,
+    read off the bracket before any solve; then the commutator entry is
+    rebuilt from scratch and the eliminated map substituted in, and the
+    result must be exactly that constant (any other kind, or a set
     ``coordinate``, is rejected). Found: the claim is the witness rep,
     which must build from the outcome's coefficients, act on L and pass
     the full simple-transitivity verdict; its product and the forced
@@ -779,6 +782,11 @@ def verify_certificate(outcome: ObstructionOutcome, L: LieAlgebra) -> bool:
     try:
         (i, j), (a, b) = cert.pair, cert.position
         if not (1 <= i < j <= n and 1 <= a <= n and 1 <= b <= n):
+            return False
+        # a constant entry is its value at D = -1/2 ad: 1/4 ad([X_i, X_j])_ab
+        br = L._signed
+        if 4 * cert.constant != sum(c * br.get((m, b - 1), {}).get(a - 1, 0)
+                                    for m, c in br.get((i - 1, j - 1), {}).items()):
             return False
         space = derivation_space(L)
         if space.basis != outcome.space.basis:

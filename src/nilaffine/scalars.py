@@ -237,10 +237,6 @@ class Scalar(Frozen):
     def __neg__(self):
         return _scalar(-self._a, -self._b, self._q, self.d)
 
-    def norm(self) -> Fraction:
-        """The field norm rat^2 - irr^2 * d, a rational."""
-        return self.rat * self.rat - self.irr * self.irr * self.d
-
     def inverse(self) -> "Scalar":
         """Multiplicative inverse via the conjugate: q(a - b sqrt(d))/(a^2 - d b^2)."""
         a, b, q = self._a, self._b, self._q

@@ -10,12 +10,11 @@ from dense_reference import dense_unit_change
 from nilaffine import affine, cli
 from nilaffine.corpus import algebra_path, rep_path
 from nilaffine.io import read_json, write_json
-from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, abelian,
-                              algebra_to_dict, derivation_space, get_algebra,
-                              transport)
+from nilaffine.liealg import (LieAlgebra, abelian, algebra_to_dict,
+                              derivation_space, get_algebra, transport)
 from nilaffine.linalg import Matrix
 from nilaffine.lr import LRStructure, lr_to_dict
-from nilaffine.obstruction import ObstructionOutcome
+from nilaffine.obstruction import MAX_SAMPLES, ObstructionOutcome
 
 
 def run(argv):

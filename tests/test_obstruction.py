@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from dense_reference import dense_unit_change
 from record_cli_golden import SQRT3_ALGEBRA
 
-from nilaffine import cli, lr, obstruction
+from nilaffine import cli, liealg, lr, obstruction
 from nilaffine.affine import check_simply_transitive
 from nilaffine.corpus import bundled_rep, data_dir
 from nilaffine.errors import InternalError, ParseError, PreconditionError
-from nilaffine.liealg import (MAX_SAMPLES, LieAlgebra, _leibniz_failure,
-                              algebra_from_dict, catalog_names,
-                              derivation_space, get_algebra, transport)
+from nilaffine.liealg import (LieAlgebra, _leibniz_failure, algebra_from_dict,
+                              catalog_names, derivation_space, get_algebra,
+                              transport)
 from nilaffine.io import read_json, stable_json, write_json
 from nilaffine.linalg import Matrix, _combination, _rref
 from nilaffine.lr import lr_to_dict, lr_to_rep, rep_to_lr
-from nilaffine.obstruction import (Contradiction, LinearSystem,
+from nilaffine.obstruction import (MAX_SAMPLES, Contradiction, LinearSystem,
                                    ObstructionCertificate, Poly,
                                    _bracket_table, _build_equations,
                                    _commutator_entry, _commutator_equations,
@@ -518,6 +518,38 @@ def test_forged_translation_certificate_is_rejected(name):
     assert not verify_certificate(forged, L)
 
 
+# (position, constant) of the two recorded forgeries on h3, both for pair (1, 2)
+H3_FORGERIES = (((1, 1), Fraction(-2)), ((2, 2), Fraction(2)))
+
+
+def forged_h3(position, constant):
+    """h3's genuine outcome (Found) relabelled Obstructed, with the
+    eliminated map u_1, u_2, u_7, u_8 -> 1, 2, 3, 4. Substituted into entry
+    ``position`` of [D_1, D_2] it leaves exactly ``constant``, but
+    1/4 ad([X_1, X_2]) is 0 on h3, so no genuine certificate says that."""
+    genuine = obstruct_abelian(get_algebra("h3"))
+    return dataclasses.replace(
+        genuine, verdict="Obstructed", witness_assignment=None, residual=(),
+        eliminated=tuple((v, Poly.const(c)) for v, c in zip((1, 2, 7, 8),
+                                                              (1, 2, 3, 4))),
+        certificate=ObstructionCertificate(kind="commutator", pair=(1, 2),
+                                           constant=constant, position=position))
+
+
+@pytest.mark.parametrize("position, constant", H3_FORGERIES, ids=("11", "22"))
+def test_forged_h3_certificate_is_rejected_before_any_solve(position, constant,
+                                                            monkeypatch):
+    """The bracket value rejects each forgery: no derivation space is built,
+    under either module's name for it."""
+    forged, calls = forged_h3(position, constant), []
+    real = liealg.derivation_space
+    for module in (liealg, obstruction):
+        monkeypatch.setattr(module, "derivation_space",
+                            lambda L: calls.append(L) or real(L))
+    assert not verify_certificate(forged, get_algebra("h3"))
+    assert calls == []
+
+
 class TestNegativeControls:
     @pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
     def test_existence_is_found_and_verified(self, name):
@@ -919,6 +951,24 @@ def test_minus_half_ad_solves_the_translation_conditions(every_algebra):
         equations = _translation_equations(L, space)
         assert [tag for tag, poly in equations if poly.evaluate(u)] == [], L.name
         added(equations)
+
+
+def test_every_certificate_is_the_bracket_value(every_algebra):
+    """Each Obstructed constant is entry (a, b) of 1/4 [ad X_i, ad X_j],
+    the value of [D_i, D_j] at D = -1/2 ad, and verifies; on the refute
+    pool (61 members) and g6_18 of the catalog."""
+    obstructed = 0
+    for L in every_algebra:
+        outcome = obstruct_abelian(L)
+        if outcome.verdict != "Obstructed":
+            continue
+        obstructed += 1
+        (i, j), (a, b) = outcome.certificate.pair, outcome.certificate.position
+        adi, adj = ad(L, {i - 1: 1}), ad(L, {j - 1: 1})
+        assert 4 * outcome.certificate.constant == \
+            (adi @ adj - adj @ adi).get(a - 1, b - 1), L.name
+        assert verify_certificate(outcome, L), L.name
+    assert obstructed == 62
 
 
 # ------------------------------------------------------------------ dense bases

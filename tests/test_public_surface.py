@@ -13,11 +13,12 @@ functions by name; elsewhere a string is prose or a subcommand name.
 
 The same rule holds one level down. Each public method or property of an
 exported class (a ``def`` in its class body whose name does not start
-with ``_``) must be named by a user, or by package code outside the
-method's own body, or be on ALLOWED_METHODS with the reason it stays.
-The scan counts names, not what they are bound to, so a method whose name
-is also a dict method or a local variable (``Matrix.get``, say) always
-passes.
+with ``_``) must be named by a user, or by an attribute use (``obj.name``)
+in package code outside the method's own body, or be on ALLOWED_METHODS
+with the reason it stays. A local variable or an imported function of the
+same name does not count; the scan still counts attribute names, not what
+they are bound to, so a method whose name is also a dict method
+(``Matrix.get``, say) always passes.
 """
 
 import ast
@@ -56,6 +57,7 @@ ALLOWED = {
 # names it
 ALLOWED_METHODS = {
     "AffineRep.D_of": "seam of the literal acceptance tests",
+    "LRStructure.product": "seam of the literal acceptance tests",
     "LRStructure.right_matrix": "R(X_i), the twin of L(X_i); the README names it",
     "LieAlgebra.bracket_basis": "seam of the literal acceptance tests",
     "LieAlgebra.derived_series": "the twin of lower_central_series",
@@ -93,18 +95,24 @@ def public_methods(cls: ast.ClassDef) -> list[ast.FunctionDef]:
             and not node.name.startswith("_")]
 
 
+def attribute_uses(tree: ast.AST) -> Counter:
+    """How often the code names each attribute, as in ``obj.name``."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
 def unnamed_methods(trees: list[ast.Module], classes: set[str],
                     users: set[str]) -> list[str]:
     """``Class.method`` for each public method of the named classes in the
     package modules ``trees`` that no user names and no package code
-    names outside the method's own body."""
-    package = Counter(name for tree in trees for name in name_uses(tree))
+    names as an attribute outside the method's own body."""
+    package = sum(map(attribute_uses, trees), Counter())
     return sorted(f"{cls.name}.{method.name}"
                   for tree in trees for cls in tree.body
                   if isinstance(cls, ast.ClassDef) and cls.name in classes
                   for method in public_methods(cls)
                   if method.name not in users
-                  and package[method.name] <= Counter(name_uses(method))[method.name])
+                  and package[method.name] <= attribute_uses(method)[method.name])
 
 
 def reached() -> set[str]:
@@ -235,3 +243,25 @@ class Kind:
     # own body, as recursive's, counts for nothing
     assert unnamed_methods([tree], {"Kind"}, {"build"}) == \
         ["Kind.helper", "Kind.method", "Kind.recursive"]
+
+
+def test_the_method_lint_counts_only_attribute_uses():
+    tree = ast.parse('''
+from itertools import product
+
+class Kind:
+    def product(self):
+        return 0
+
+    def norm(self):
+        return 0
+
+    def used(self):
+        return 0
+
+def free(values):
+    norm = product(values)
+    return norm, values.used()
+''')
+    # an import and a local of a method's name hide it no longer
+    assert unnamed_methods([tree], {"Kind"}, set()) == ["Kind.norm", "Kind.product"]

@@ -133,7 +133,7 @@ class TestArithmetic:
 
     def test_conjugate_and_norm(self):
         x = s(2, 3, 5)
-        assert x * s(2, -3, 5) == x.norm() == 4 - 9 * 5
+        assert x * s(2, -3, 5) == 4 - 9 * 5
 
     def test_inverse_is_the_only_division(self):
         x = s(1, 1, 2)
@@ -211,7 +211,6 @@ class TestAgainstThePairModel:
         U, seven = PairScalar(u, 0, d), PairScalar(7, 0, d)
         assert agree(x + u, X + U) and agree(u - x, U - X)
         assert agree(x * u, X * U) and agree(x * 7, X * seven)
-        assert x.norm() == X.rat ** 2 - X.irr ** 2 * d
         if X.rat or X.irr:
             assert agree(x.inverse(), X.inverse())
         else:
